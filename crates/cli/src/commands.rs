@@ -247,8 +247,9 @@ fn render_shard_diag(diag: &ShardDiag) -> String {
     for d in &diag.per_domain {
         let _ = writeln!(
             out,
-            "    domain {:>2}     {:>6} nodes | {:>10} events | queue depth {:>6} | {} slots / {} cascades",
+            "    domain {:>2}     {:>6} nodes | {:>10} events | queue depth {:>6} | {} slots / {} cascades | busy {:.1} ms / barrier {:.1} ms / {} parks",
             d.domain, d.nodes, d.events_processed, d.max_queue_depth, d.sched.slots_touched, d.sched.cascades,
+            d.busy_ns as f64 / 1e6, d.wait_ns as f64 / 1e6, d.parks,
         );
     }
     out

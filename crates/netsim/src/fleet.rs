@@ -305,7 +305,7 @@ mod tests {
             payload: 200,
             rate_bps: 80_000,
             group,
-            wmp: start_ms % 2 == 0,
+            wmp: start_ms.is_multiple_of(2),
             background,
         }
     }

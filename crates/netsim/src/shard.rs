@@ -23,6 +23,15 @@
 //! afterwards. `tests/shard_equivalence.rs` holds the engine to
 //! byte-identical reports, metrics, traces, lineage, and series
 //! against the sequential engine at every shard count.
+//!
+//! The barrier itself ([`Barrier`]) is a generation counter, a window
+//! end and a done count in atomics. A window holds only a few dozen
+//! events, so a waiter first spins a bounded budget and parks on a
+//! condvar only when that runs out; a waker enters the kernel only when
+//! someone is parked. Spinning pays only while every domain has a core
+//! to itself: with more domains than cores, spinners steal the time
+//! slices their peers need, so the budget drops to zero and every wait
+//! parks at once (DESIGN.md §5).
 
 use crate::link::{Link, LinkId, NodeId};
 use crate::node::{AppId, Node};
@@ -33,7 +42,9 @@ use crate::sim::{
 };
 use crate::time::SimTime;
 use crate::wheel::SchedStats;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::SeqCst};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::time::Instant;
 use turb_obs::lineage::{LineageDump, LineageRecorder};
 use turb_obs::timeseries::TimeSeriesRecorder;
 use turb_obs::{merged_trace_jsonl, MetricsRegistry, ProgressMeter, SeriesDump, SPAN_DOMAIN_SHIFT};
@@ -98,6 +109,13 @@ pub struct ShardDomainStats {
     pub max_queue_depth: u64,
     /// This domain's scheduler-internal diagnostics.
     pub sched: SchedStats,
+    /// Wall time spent running windows.
+    pub busy_ns: u64,
+    /// Wall time spent at the barrier: waiting, exchanging mail and,
+    /// for domain 0, routing transits as the coordinator.
+    pub wait_ns: u64,
+    /// Barrier waits that outlasted the spin budget and parked.
+    pub parks: u64,
 }
 
 /// Diagnostics of a sharded run: how the partition ran, not what the
@@ -149,23 +167,171 @@ struct Mailbox {
     events: u64,
 }
 
-/// Barrier state shared by the coordinator and all workers.
-struct Coord {
-    state: Mutex<CoordState>,
-    /// Coordinator → workers: a new generation was published.
-    to_workers: Condvar,
-    /// Workers → coordinator: a domain finished the generation.
-    to_coord: Condvar,
+/// Spin iterations a barrier wait burns before it parks, when every
+/// domain has a core to itself. Enough to outlast a typical window (the
+/// 1e5-session fleet's take ~9 µs of work each), so a peer that is
+/// still running is usually caught without entering the kernel: that
+/// fleet parks in fewer than 1 of 100 waits on 2 CPUs.
+const SPIN_BUDGET: u32 = 1024;
+
+/// The spin budget for a run with `domains` threads: [`SPIN_BUDGET`]
+/// when each can have its own core, else 0 (spinners would steal the
+/// time slices of the peers they wait for).
+fn spin_budget(domains: usize) -> u32 {
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    if domains <= cores {
+        SPIN_BUDGET
+    } else {
+        0
+    }
 }
 
-struct CoordState {
+/// One direction of the barrier handshake: a condvar that waiters park
+/// on only after spinning out, and that a waker touches only when
+/// someone is parked.
+#[derive(Default)]
+struct Gate {
+    /// Waiters registered to park on `cv`.
+    sleepers: AtomicUsize,
+    /// Orders a waiter's last check before a waker's notify. It guards
+    /// no data, so a lock poisoned by a panicking peer is still good.
+    lock: Mutex<()>,
+    cv: Condvar,
+}
+
+impl Gate {
+    /// Return once `ready()` holds: spin up to `spin` iterations, then
+    /// park. Returns whether the wait parked.
+    ///
+    /// No lost wakeup: the waiter registers in `sleepers` and then
+    /// checks `ready()`; the waker publishes its state and then reads
+    /// `sleepers`, all `SeqCst`. In the single total order either the
+    /// waiter's check comes after the publish (and sees it), or the
+    /// waker's read comes after the registration (and it notifies,
+    /// taking the lock the waiter holds until it sleeps).
+    fn wait(&self, spin: u32, ready: impl Fn() -> bool) -> bool {
+        for _ in 0..spin {
+            if ready() {
+                return false;
+            }
+            std::hint::spin_loop();
+        }
+        let mut guard = self.lock.lock().unwrap_or_else(PoisonError::into_inner);
+        self.sleepers.fetch_add(1, SeqCst);
+        let mut parked = false;
+        while !ready() {
+            parked = true;
+            guard = self.cv.wait(guard).unwrap_or_else(PoisonError::into_inner);
+        }
+        self.sleepers.fetch_sub(1, SeqCst);
+        parked
+    }
+
+    /// Wake every parked waiter. The caller has already published the
+    /// state change `ready()` tests, with a `SeqCst` write.
+    fn wake(&self) {
+        if self.sleepers.load(SeqCst) > 0 {
+            drop(self.lock.lock().unwrap_or_else(PoisonError::into_inner));
+            self.cv.notify_all();
+        }
+    }
+}
+
+/// The lookahead barrier shared by the coordinator and all workers.
+pub(crate) struct Barrier {
     /// Generation counter; workers run one window per bump.
-    gen: u64,
+    gen: AtomicU64,
     /// End (exclusive) of the current window, or [`STOP`].
-    window_end: u64,
-    /// Domains done with the current generation (excluding domain 0,
-    /// which the coordinator runs inline).
-    done: usize,
+    window_end: AtomicU64,
+    /// Workers done with the current generation.
+    done: AtomicUsize,
+    /// Workers the coordinator waits for: every domain but domain 0,
+    /// which the coordinator runs inline.
+    workers: usize,
+    /// Spin iterations before a wait parks.
+    spin: u32,
+    /// Coordinator → workers: a new generation was published.
+    to_workers: Gate,
+    /// Workers → coordinator: a domain finished the generation.
+    to_coord: Gate,
+}
+
+impl Barrier {
+    /// A barrier for `domains` domains whose waits spin `spin`
+    /// iterations before parking.
+    pub(crate) fn with_spin(domains: usize, spin: u32) -> Barrier {
+        Barrier {
+            gen: AtomicU64::new(0),
+            window_end: AtomicU64::new(0),
+            done: AtomicUsize::new(0),
+            workers: domains - 1,
+            spin,
+            to_workers: Gate::default(),
+            to_coord: Gate::default(),
+        }
+    }
+
+    /// Coordinator: open the next generation with this window end (or
+    /// [`STOP`]).
+    fn open(&self, window_end: u64) {
+        self.done.store(0, SeqCst);
+        self.window_end.store(window_end, SeqCst);
+        self.gen.fetch_add(1, SeqCst);
+        self.to_workers.wake();
+    }
+
+    /// Worker: wait for the generation after `seen`. Returns it, its
+    /// window end, and whether the wait parked. The generation cannot
+    /// move again until this worker [`arrive`](Barrier::arrive)s.
+    fn next(&self, seen: u64) -> (u64, u64, bool) {
+        let parked = self
+            .to_workers
+            .wait(self.spin, || self.gen.load(SeqCst) != seen);
+        (self.gen.load(SeqCst), self.window_end.load(SeqCst), parked)
+    }
+
+    /// Worker: done with the current generation.
+    fn arrive(&self) {
+        self.done.fetch_add(1, SeqCst);
+        self.to_coord.wake();
+    }
+
+    /// Coordinator: wait until every worker has arrived. Returns
+    /// whether the wait parked.
+    fn wait_all(&self) -> bool {
+        self.to_coord
+            .wait(self.spin, || self.done.load(SeqCst) == self.workers)
+    }
+}
+
+/// One domain's barrier timing over a run; see [`ShardDomainStats`].
+#[derive(Debug, Clone, Copy, Default)]
+struct DomainTiming {
+    busy_ns: u64,
+    wait_ns: u64,
+    parks: u64,
+}
+
+impl DomainTiming {
+    /// Run one window, timing it as busy.
+    fn run_window(&mut self, sim: &mut Simulation, window_end: u64) {
+        let start = Instant::now();
+        sim.run_window(window_end);
+        self.busy_ns += start.elapsed().as_nanos() as u64;
+    }
+
+    /// Close the books on a loop entered at `entered`: whatever was
+    /// not busy was barrier time.
+    fn finish(mut self, entered: Instant) -> Self {
+        self.wait_ns = (entered.elapsed().as_nanos() as u64).saturating_sub(self.busy_ns);
+        self
+    }
+
+    fn add(&mut self, other: DomainTiming) {
+        self.busy_ns += other.busy_ns;
+        self.wait_ns += other.wait_ns;
+        self.parks += other.parks;
+    }
 }
 
 /// The conservative parallel engine: one [`Simulation`] per domain
@@ -193,6 +359,10 @@ pub struct ShardedEngine {
     staging: Vec<Vec<Transit>>,
     /// Remembered buffer capacities, for realloc detection.
     buffer_caps: Vec<usize>,
+    /// Barrier spin budget, fixed at partition; see [`spin_budget`].
+    spin: u32,
+    /// Per-domain barrier timing, summed over runs.
+    timing: Vec<DomainTiming>,
     barriers: u64,
     transits: u64,
     max_exchange_depth: u64,
@@ -310,30 +480,25 @@ fn publish(sim: &mut Simulation, mailbox: &Mutex<Mailbox>) {
 
 /// One domain's worker loop: wait for a window, absorb the inbox, run
 /// the window, publish, repeat — until the [`STOP`] sentinel.
-fn worker(sim: &mut Simulation, mailbox: &Mutex<Mailbox>, coord: &Coord) {
+fn worker(sim: &mut Simulation, mailbox: &Mutex<Mailbox>, barrier: &Barrier) -> DomainTiming {
+    let entered = Instant::now();
+    let mut timing = DomainTiming::default();
     let mut seen_gen = 0u64;
     loop {
-        let window_end = {
-            let mut st = coord.state.lock().unwrap();
-            while st.gen == seen_gen {
-                st = coord.to_workers.wait(st).unwrap();
-            }
-            seen_gen = st.gen;
-            st.window_end
-        };
+        let (gen, window_end, parked) = barrier.next(seen_gen);
+        seen_gen = gen;
+        timing.parks += u64::from(parked);
         // Inbox first, in both cases: on STOP the drained arrivals lie
         // beyond the run limit and must survive into the next run call.
         drain_inbox(sim, mailbox);
         let stopping = window_end == STOP;
         if !stopping {
-            sim.run_window(window_end);
+            timing.run_window(sim, window_end);
             publish(sim, mailbox);
         }
-        let mut st = coord.state.lock().unwrap();
-        st.done += 1;
-        coord.to_coord.notify_one();
+        barrier.arrive();
         if stopping {
-            return;
+            return timing.finish(entered);
         }
     }
 }
@@ -606,6 +771,8 @@ impl ShardedEngine {
             mailboxes,
             staging,
             buffer_caps,
+            spin: spin_budget(n),
+            timing: vec![DomainTiming::default(); n],
             barriers: 0,
             transits: 0,
             max_exchange_depth: 0,
@@ -633,15 +800,7 @@ impl ShardedEngine {
             mailbox.lock().unwrap().next_time = sim.core.queue.next_time().map(SimTime::as_nanos);
         }
 
-        let coord = Coord {
-            state: Mutex::new(CoordState {
-                gen: 0,
-                window_end: 0,
-                done: 0,
-            }),
-            to_workers: Condvar::new(),
-            to_coord: Condvar::new(),
-        };
+        let barrier = Barrier::with_spin(n, self.spin);
         let mut barriers = 0u64;
         let mut transits = 0u64;
         let mut max_depth = self.max_exchange_depth;
@@ -653,11 +812,16 @@ impl ShardedEngine {
             let staging = &mut self.staging;
             let link_dst_domain = &self.link_dst_domain;
             let lookahead = self.lookahead;
-            let coord = &coord;
+            let barrier = &barrier;
+            let timing = &mut self.timing;
             std::thread::scope(|scope| {
-                for (sim, mailbox) in rest.iter_mut().zip(mb_rest.iter()) {
-                    scope.spawn(move || worker(sim, mailbox, coord));
-                }
+                let workers: Vec<_> = rest
+                    .iter_mut()
+                    .zip(mb_rest.iter())
+                    .map(|(sim, mailbox)| scope.spawn(move || worker(sim, mailbox, barrier)))
+                    .collect();
+                let entered = Instant::now();
+                let mut coord_timing = DomainTiming::default();
                 // Coordinator: route, open a window, run domain 0
                 // inline, wait for the others.
                 loop {
@@ -696,28 +860,21 @@ impl ShardedEngine {
                     } else {
                         t_min.unwrap().saturating_add(lookahead).min(end_ns)
                     };
-                    {
-                        let mut st = coord.state.lock().unwrap();
-                        st.done = 0;
-                        st.window_end = window_end;
-                        st.gen += 1;
-                    }
-                    coord.to_workers.notify_all();
+                    barrier.open(window_end);
                     drain_inbox(d0, mb0);
                     if !stop {
-                        d0.run_window(window_end);
+                        coord_timing.run_window(d0, window_end);
                         publish(d0, mb0);
                         barriers += 1;
                     }
-                    {
-                        let mut st = coord.state.lock().unwrap();
-                        while st.done < n - 1 {
-                            st = coord.to_coord.wait(st).unwrap();
-                        }
-                    }
+                    coord_timing.parks += u64::from(barrier.wait_all());
                     if stop {
                         break;
                     }
+                }
+                timing[0].add(coord_timing.finish(entered));
+                for (slot, handle) in timing[1..].iter_mut().zip(workers) {
+                    slot.add(handle.join().expect("shard worker panicked"));
                 }
             });
         }
@@ -990,7 +1147,8 @@ impl ShardedEngine {
                 .domains
                 .iter()
                 .enumerate()
-                .map(|(d, sim)| ShardDomainStats {
+                .zip(&self.timing)
+                .map(|((d, sim), timing)| ShardDomainStats {
                     domain: d as u16,
                     nodes: self
                         .node_domain
@@ -1000,6 +1158,9 @@ impl ShardedEngine {
                     events_processed: sim.core.stats.events_processed,
                     max_queue_depth: sim.core.stats.queue_high_water,
                     sched: sim.core.sched_stats(),
+                    busy_ns: timing.busy_ns,
+                    wait_ns: timing.wait_ns,
+                    parks: timing.parks,
                 })
                 .collect(),
         }
@@ -1068,6 +1229,78 @@ mod tests {
     #[should_panic(expected = "must not exceed the node count")]
     fn assign_domains_rejects_more_shards_than_nodes() {
         assign_domains(&[], 2, 3);
+    }
+
+    /// Drive the barrier the way `ShardedEngine::run` does, with no
+    /// simulation behind it: a coordinator and three workers over 10⁴
+    /// generations, then STOP.
+    fn drive_barrier(spin: u32) {
+        const DOMAINS: usize = 4;
+        const GENERATIONS: u64 = 10_000;
+        let workers = DOMAINS as u64 - 1;
+        let barrier = Barrier::with_spin(DOMAINS, spin);
+        let arrivals = AtomicU64::new(0);
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (1..DOMAINS)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let mut seen = Vec::new();
+                        let mut gen = 0;
+                        loop {
+                            let (next, window_end, _) = barrier.next(gen);
+                            gen = next;
+                            seen.push(gen);
+                            let stopping = window_end == STOP;
+                            if !stopping {
+                                assert_eq!(
+                                    window_end,
+                                    gen * 10,
+                                    "window end torn from its generation"
+                                );
+                            }
+                            arrivals.fetch_add(1, SeqCst);
+                            barrier.arrive();
+                            if stopping {
+                                return seen;
+                            }
+                        }
+                    })
+                })
+                .collect();
+            for gen in 1..=GENERATIONS + 1 {
+                barrier.open(if gen > GENERATIONS { STOP } else { gen * 10 });
+                barrier.wait_all();
+                assert_eq!(barrier.done.load(SeqCst), DOMAINS - 1);
+                assert_eq!(
+                    arrivals.load(SeqCst),
+                    gen * workers,
+                    "coordinator left generation {gen} before every worker arrived"
+                );
+            }
+            for handle in handles {
+                let seen = handle.join().unwrap();
+                assert!(
+                    seen.iter().copied().eq(1..=GENERATIONS + 1),
+                    "a worker skipped or repeated a generation"
+                );
+            }
+        });
+    }
+
+    #[test]
+    fn barrier_parking_only_sees_every_generation_once() {
+        drive_barrier(0);
+    }
+
+    #[test]
+    fn barrier_spinning_sees_every_generation_once() {
+        drive_barrier(SPIN_BUDGET);
+    }
+
+    #[test]
+    fn spin_budget_is_zero_when_domains_outnumber_cores() {
+        assert_eq!(spin_budget(1), SPIN_BUDGET);
+        assert_eq!(spin_budget(usize::MAX), 0);
     }
 
     #[test]

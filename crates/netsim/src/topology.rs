@@ -672,7 +672,7 @@ mod tests {
             .iter()
             .map(|&seed| {
                 let mut sim = Simulation::new(seed);
-                let scenario = ScaleScenario::build(
+                ScaleScenario::build(
                     &mut sim,
                     &ScaleConfig {
                         groups: 2,

@@ -334,9 +334,53 @@ fn diag_reports_the_partition() {
         diag.exchange_reallocs, 0,
         "steady state must not reallocate exchange buffers"
     );
+    assert!(diag.per_domain.iter().all(|d| d.parks <= diag.barriers + 1));
     // Sequential runs report no diagnostics.
     let mut seq = Simulation::new(7);
     assert!(seq.shard_diag().is_none());
     seq.run_until(SimTime::ZERO + SimDuration::from_secs(1));
     assert!(seq.shard_diag().is_none());
+}
+
+#[test]
+fn barrier_timing_is_attributed_and_stays_outside_the_identity_set() {
+    let run = || {
+        let mut sim = Simulation::new(7);
+        let mut rng = SimRng::new(7);
+        let scenario = InternetScenario::build(&mut sim, &mut rng, &ScenarioConfig::default());
+        sim.set_shards(ShardKind::Sharded(2));
+        for site in &scenario.sites {
+            tools::spawn_ping(
+                &mut sim,
+                scenario.client,
+                site.server_addr,
+                20,
+                SimDuration::from_millis(100),
+                SimDuration::ZERO,
+                &mut rng,
+            );
+        }
+        sim.run_until(SimTime::ZERO + SimDuration::from_secs(5));
+        sim.shard_diag()
+            .expect("sharded run must expose diagnostics")
+    };
+    let first = run();
+    for d in &first.per_domain {
+        assert!(
+            d.busy_ns > 0,
+            "domain {} ran windows but reports no busy time",
+            d.domain
+        );
+    }
+    // Timing varies run to run; everything else is a function of the
+    // seed.
+    let deterministic = |mut diag: ShardDiag| {
+        for d in &mut diag.per_domain {
+            d.busy_ns = 0;
+            d.wait_ns = 0;
+            d.parks = 0;
+        }
+        diag
+    };
+    assert_eq!(deterministic(first), deterministic(run()));
 }
