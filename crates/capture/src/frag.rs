@@ -14,8 +14,18 @@ use std::collections::HashMap;
 use std::net::Ipv4Addr;
 use turb_wire::media::PlayerId;
 
+/// One captured frame of a datagram.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Frame {
+    /// Arrival time, seconds.
+    pub time: f64,
+    /// Wire length, bytes (Ethernet framing included).
+    pub len: usize,
+}
+
 /// One datagram's worth of captured frames (usually one MediaPlayer
-/// application frame).
+/// application frame). The frames themselves live in the owning
+/// [`FragmentGroups`]; see [`FragmentGroups::frames`].
 #[derive(Debug, Clone)]
 pub struct Group {
     /// The datagram key: (src, dst, protocol, identification).
@@ -28,19 +38,16 @@ pub struct Group {
     pub packets: usize,
     /// Total wire bytes across the group.
     pub wire_bytes: usize,
-    /// Wire length of each frame, in arrival order.
-    pub frame_lens: Vec<usize>,
-    /// Arrival time (seconds) of each frame, parallel to `frame_lens`.
-    pub frame_times: Vec<f64>,
     /// The player that produced the datagram, when a media header was
     /// visible on any of its frames (separates the two simultaneous
     /// streams of the paper's methodology).
     pub player: Option<PlayerId>,
     /// Whether the datagram was flagged as buffering-phase traffic.
     pub buffering: bool,
-    /// Fragment extents seen: (payload offset, payload length,
-    /// more-fragments flag) per frame. Used for completeness checks.
-    extents: Vec<(usize, usize, bool)>,
+    /// Index of the group's first frame in its owner's frame table.
+    start: usize,
+    /// Whether the fragments seen reassemble (see [`Group::is_complete`]).
+    complete: bool,
 }
 
 impl Group {
@@ -48,36 +55,9 @@ impl Group {
     /// and the payload bytes cover `[0, end)` without holes — the same
     /// test a host's reassembler applies, so incomplete groups here
     /// correspond one-to-one with reassembly timeout discards.
+    /// Computed once, when the groups are built.
     pub fn is_complete(&self) -> bool {
-        let Some(end) = self
-            .extents
-            .iter()
-            .find(|(_, _, more)| !more)
-            .map(|(off, len, _)| off + len)
-        else {
-            return false;
-        };
-        // Sort the extents into a thread-local scratch: this runs for
-        // every group of every figure, and a fresh Vec per call was
-        // measurable on large captures.
-        thread_local! {
-            static SCRATCH: std::cell::RefCell<Vec<(usize, usize)>> =
-                const { std::cell::RefCell::new(Vec::new()) };
-        }
-        SCRATCH.with(|scratch| {
-            let mut extents = scratch.borrow_mut();
-            extents.clear();
-            extents.extend(self.extents.iter().map(|(off, len, _)| (*off, *len)));
-            extents.sort_unstable();
-            let mut covered = 0usize;
-            for &(off, len) in extents.iter() {
-                if off > covered {
-                    return false; // hole
-                }
-                covered = covered.max(off + len);
-            }
-            covered >= end
-        })
+        self.complete
     }
 }
 
@@ -108,64 +88,102 @@ impl FragmentationStats {
 }
 
 /// Groups a capture slice into datagrams.
-#[derive(Debug, Clone)]
+///
+/// Flat layout: one table of groups in order of first appearance and
+/// one table of frames, where each group's frames sit contiguously in
+/// arrival order. Building allocates those two tables, not a vector
+/// per datagram.
+#[derive(Debug, Clone, Default)]
 pub struct FragmentGroups {
     groups: Vec<Group>,
+    frames: Vec<Frame>,
 }
 
 impl FragmentGroups {
     /// Group records (already filtered to the stream of interest) by
     /// datagram. Records of the same datagram need not be adjacent.
     pub fn build<'a>(records: impl IntoIterator<Item = &'a PacketRecord>) -> FragmentGroups {
-        let mut order: Vec<(Ipv4Addr, Ipv4Addr, u8, u16)> = Vec::new();
-        let mut map: HashMap<(Ipv4Addr, Ipv4Addr, u8, u16), Group> = HashMap::new();
+        let records = records.into_iter();
+        let hint = records.size_hint().0;
+        // Pass 1: give each record its group index (groups numbered in
+        // order of first appearance) and fold the per-group scalars.
+        // Each record's frame and fragment extent (payload offset,
+        // payload length, more-fragments flag) wait in arrival order.
+        let mut index: HashMap<(Ipv4Addr, Ipv4Addr, u8, u16), u32> = HashMap::with_capacity(hint);
+        let mut groups: Vec<Group> = Vec::new();
+        let mut arrivals: Vec<(u32, Frame, (usize, usize, bool))> = Vec::with_capacity(hint);
         for r in records {
             let key = r.packet.datagram_key();
             let t = r.time_secs();
-            let entry = map.entry(key).or_insert_with(|| {
-                order.push(key);
-                Group {
+            let gi = *index.entry(key).or_insert_with(|| {
+                groups.push(Group {
                     key,
                     first_time: t,
                     last_time: t,
                     packets: 0,
                     wire_bytes: 0,
-                    // A media datagram fragments into ≤3 frames at
-                    // Ethernet MTU; size for that up front.
-                    frame_lens: Vec::with_capacity(3),
-                    frame_times: Vec::with_capacity(3),
                     player: None,
                     buffering: false,
-                    extents: Vec::with_capacity(3),
-                }
+                    start: 0,
+                    complete: false,
+                });
+                u32::try_from(groups.len() - 1).expect("fewer than 2^32 datagrams")
             });
-            entry.packets += 1;
-            entry.extents.push((
-                r.packet.fragment_offset_bytes(),
-                r.packet.payload.len(),
-                r.packet.more_fragments,
-            ));
-            entry.wire_bytes += r.wire_len;
-            entry.frame_lens.push(r.wire_len);
-            entry.frame_times.push(t);
-            entry.first_time = entry.first_time.min(t);
-            entry.last_time = entry.last_time.max(t);
-            if entry.player.is_none() {
-                entry.player = r.media.map(|m| m.player);
+            let g = &mut groups[gi as usize];
+            g.packets += 1;
+            g.wire_bytes += r.wire_len;
+            g.first_time = g.first_time.min(t);
+            g.last_time = g.last_time.max(t);
+            if g.player.is_none() {
+                g.player = r.media.map(|m| m.player);
             }
-            entry.buffering |= r.media.is_some_and(|m| m.buffering);
+            g.buffering |= r.media.is_some_and(|m| m.buffering);
+            arrivals.push((
+                gi,
+                Frame {
+                    time: t,
+                    len: r.wire_len,
+                },
+                (
+                    r.packet.fragment_offset_bytes(),
+                    r.packet.payload.len(),
+                    r.packet.more_fragments,
+                ),
+            ));
         }
-        FragmentGroups {
-            groups: order
-                .into_iter()
-                .map(|k| map.remove(&k).expect("keyed"))
-                .collect(),
+
+        // Pass 2: counting sort. Point each group's `start` one past its
+        // slot range, then place arrivals back to front, decrementing:
+        // frames keep arrival order within a group, and every `start`
+        // ends on the group's first slot.
+        let mut end = 0;
+        for g in &mut groups {
+            end += g.packets;
+            g.start = end;
         }
+        let mut frames = vec![Frame { time: 0.0, len: 0 }; arrivals.len()];
+        let mut extents = vec![(0, 0, false); arrivals.len()];
+        for (gi, frame, extent) in arrivals.into_iter().rev() {
+            let g = &mut groups[gi as usize];
+            g.start -= 1;
+            frames[g.start] = frame;
+            extents[g.start] = extent;
+        }
+        for g in &mut groups {
+            g.complete = covers(&mut extents[g.start..g.start + g.packets]);
+        }
+        FragmentGroups { groups, frames }
     }
 
     /// The groups, in order of first appearance.
     pub fn groups(&self) -> &[Group] {
         &self.groups
+    }
+
+    /// The frames of `group` (one of [`FragmentGroups::groups`]), in
+    /// arrival order.
+    pub fn frames(&self, group: &Group) -> &[Frame] {
+        &self.frames[group.start..group.start + group.packets]
     }
 
     /// Aggregate statistics (Figure 5).
@@ -207,18 +225,61 @@ impl FragmentGroups {
             .collect()
     }
 
-    /// Only the groups attributable to `player` (by visible media
-    /// headers).
-    pub fn for_player(&self, player: PlayerId) -> FragmentGroups {
-        FragmentGroups {
-            groups: self
-                .groups
-                .iter()
-                .filter(|g| g.player == Some(player))
-                .cloned()
-                .collect(),
+    /// Split into the groups attributable to each player by visible
+    /// media headers, `[RealPlayer, MediaPlayer]`; groups with no
+    /// media header on any frame belong to neither. Moves the groups
+    /// and copies each frame once.
+    pub fn into_players(self) -> [FragmentGroups; 2] {
+        let slot = |p: PlayerId| match p {
+            PlayerId::RealPlayer => 0,
+            PlayerId::MediaPlayer => 1,
+        };
+        // Size both outputs exactly up front: a run's memo keeps them
+        // for as long as the run, so growth slack would be held too.
+        let mut sizes = [(0, 0); 2];
+        for g in &self.groups {
+            if let Some(p) = g.player {
+                sizes[slot(p)].0 += 1;
+                sizes[slot(p)].1 += g.packets;
+            }
         }
+        let mut out = sizes.map(|(groups, frames)| FragmentGroups {
+            groups: Vec::with_capacity(groups),
+            frames: Vec::with_capacity(frames),
+        });
+        let FragmentGroups { groups, frames } = self;
+        for mut g in groups {
+            let Some(p) = g.player else { continue };
+            let dst = &mut out[slot(p)];
+            let own = &frames[g.start..g.start + g.packets];
+            g.start = dst.frames.len();
+            dst.frames.extend_from_slice(own);
+            dst.groups.push(g);
+        }
+        out
     }
+}
+
+/// The reassembly test behind [`Group::is_complete`], over one group's
+/// fragment extents (payload offset, payload length, more-fragments
+/// flag) in arrival order. Sorts `extents` in place.
+fn covers(extents: &mut [(usize, usize, bool)]) -> bool {
+    let Some(end) = extents
+        .iter()
+        .find(|(_, _, more)| !more)
+        .map(|(off, len, _)| off + len)
+    else {
+        return false;
+    };
+    extents.sort_unstable();
+    let mut covered = 0usize;
+    for &(off, len, _) in extents.iter() {
+        if off > covered {
+            return false; // hole
+        }
+        covered = covered.max(off + len);
+    }
+    covered >= end
 }
 
 #[cfg(test)]
@@ -301,10 +362,11 @@ mod tests {
         let records = records_for(&[3848], 0);
         let groups = FragmentGroups::build(records.iter());
         let g = &groups.groups()[0];
-        assert_eq!(g.frame_lens[0], 1514);
-        assert_eq!(g.frame_lens[1], 1514);
-        assert!(g.frame_lens[2] < 1514);
-        assert_eq!(g.wire_bytes, g.frame_lens.iter().sum::<usize>());
+        let lens: Vec<usize> = groups.frames(g).iter().map(|f| f.len).collect();
+        assert_eq!(lens[0], 1514);
+        assert_eq!(lens[1], 1514);
+        assert!(lens[2] < 1514);
+        assert_eq!(g.wire_bytes, lens.iter().sum::<usize>());
     }
 
     #[test]

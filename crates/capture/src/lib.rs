@@ -16,6 +16,6 @@ pub mod record;
 pub mod sniffer;
 
 pub use filter::Filter;
-pub use frag::{FragmentGroups, FragmentationStats};
+pub use frag::{FragmentGroups, FragmentationStats, Frame};
 pub use record::PacketRecord;
 pub use sniffer::{Capture, CaptureHandle, Sniffer};

@@ -4,20 +4,29 @@ use crate::experiment::PairRunResult;
 use turb_capture::{Filter, FragmentGroups};
 use turb_media::PlayerId;
 
-/// The fragment-group view of one player's stream within a run.
-pub fn stream_groups(run: &PairRunResult, player: PlayerId) -> FragmentGroups {
-    let records = run.capture.filtered(&Filter::stream_from(run.server_addr));
-    FragmentGroups::build(records).for_player(player)
+/// The fragment-group view of one player's stream within a run. The
+/// run's capture is grouped once, on the first call for either player;
+/// later calls borrow the same groups.
+pub fn stream_groups(run: &PairRunResult, player: PlayerId) -> &FragmentGroups {
+    let [real, wmp] = run.stream_groups.get_or_init(|| {
+        let records = run.capture.filtered(&Filter::stream_from(run.server_addr));
+        FragmentGroups::build(records).into_players()
+    });
+    match player {
+        PlayerId::RealPlayer => real,
+        PlayerId::MediaPlayer => wmp,
+    }
 }
 
 /// Wire packet sizes (bytes, Ethernet framing included) of one
 /// player's stream, fragments included — the paper's packet-size
 /// samples (Figures 6–7).
 pub fn wire_sizes(run: &PairRunResult, player: PlayerId) -> Vec<f64> {
-    stream_groups(run, player)
+    let groups = stream_groups(run, player);
+    groups
         .groups()
         .iter()
-        .flat_map(|g| g.frame_lens.iter().map(|&l| l as f64))
+        .flat_map(|g| groups.frames(g).iter().map(|f| f.len as f64))
         .collect()
 }
 
@@ -39,10 +48,11 @@ pub fn datagram_sizes(run: &PairRunResult, player: PlayerId) -> Vec<f64> {
 /// player's stream, in arrival order.
 pub fn wire_times(run: &PairRunResult, player: PlayerId) -> Vec<f64> {
     let t0 = run.stream_start.as_secs_f64();
-    let mut times: Vec<f64> = stream_groups(run, player)
+    let groups = stream_groups(run, player);
+    let mut times: Vec<f64> = groups
         .groups()
         .iter()
-        .flat_map(|g| g.frame_times.iter().map(|&t| t - t0))
+        .flat_map(|g| groups.frames(g).iter().map(|f| f.time - t0))
         .collect();
     times.sort_by(f64::total_cmp);
     times

@@ -7,7 +7,8 @@
 
 use crate::telemetry::{harvest, RunTelemetry};
 use std::net::Ipv4Addr;
-use turb_capture::{Capture, Sniffer};
+use std::sync::OnceLock;
+use turb_capture::{Capture, FragmentGroups, Sniffer};
 use turb_media::{ClipPair, RateClass};
 use turb_netsim::tools::{self, PingReport, TracertReport};
 use turb_netsim::{
@@ -202,6 +203,11 @@ pub struct PairRunResult {
     /// Telemetry harvested from the run, when
     /// [`PairRunConfig::telemetry`] was set.
     pub telemetry: Option<RunTelemetry>,
+    /// The fragment-group view of the two streams, `[RealPlayer,
+    /// MediaPlayer]`, built from `capture` and `server_addr` on the
+    /// first [`crate::analysis::stream_groups`] call and shared by
+    /// every figure after it.
+    pub(crate) stream_groups: OnceLock<[FragmentGroups; 2]>,
 }
 
 impl PairRunResult {
@@ -457,6 +463,7 @@ pub fn run_pair(config: &PairRunConfig) -> PairRunResult {
         configured_hops: site.hop_count,
         stream_start,
         telemetry,
+        stream_groups: OnceLock::new(),
     };
     result
 }

@@ -227,8 +227,8 @@ pub fn fig10_bandwidth_timeseries(corpus: &CorpusResult) -> Vec<Series> {
             let t0 = run.stream_start.as_secs_f64();
             let mut ts = TimeSeries::new(1.0);
             for g in groups.groups() {
-                for (t, len) in g.frame_times.iter().zip(&g.frame_lens) {
-                    ts.add((t - t0).max(0.0), *len as f64 * 8.0 / 1000.0);
+                for f in groups.frames(g) {
+                    ts.add((f.time - t0).max(0.0), f.len as f64 * 8.0 / 1000.0);
                 }
             }
             series.push(Series {
@@ -431,8 +431,10 @@ pub fn digest(corpus: &CorpusResult) -> String {
     )
 }
 
-/// [`digest`] extended with the figures that need the whole 13-run
-/// corpus (the polynomial fits of Figures 3 and 14).
+/// [`digest`] extended with Figures 3 and 14, which need more runs
+/// than a single data set has (Figure 3's polynomial fits). Together
+/// that is Figures 1, 2, 3, 5, 11 and 14, not every figure;
+/// `tests/figures_golden.rs` pins all fifteen.
 pub fn full_digest(corpus: &CorpusResult) -> String {
     format!(
         "{}|{:?}|{:?}",

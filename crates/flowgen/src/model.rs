@@ -52,7 +52,11 @@ impl TurbulenceModel {
         // The paper's methodology streams both players from one server
         // simultaneously: separate this player's datagrams by the media
         // headers on first fragments.
-        let groups = FragmentGroups::build(records.iter().copied()).for_player(player);
+        let [real, wmp] = FragmentGroups::build(records).into_players();
+        let groups = match player {
+            PlayerId::RealPlayer => real,
+            PlayerId::MediaPlayer => wmp,
+        };
         if groups.groups().len() < 16 {
             return None;
         }

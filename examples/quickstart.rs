@@ -71,13 +71,15 @@ fn main() {
     use turb_capture::{Filter, FragmentGroups};
     let stream = Filter::stream_from(result.server_addr);
     let records = result.capture.filtered(&stream);
-    let groups = FragmentGroups::build(records);
-    for player in [
+    let players = [
         turb_media::PlayerId::RealPlayer,
         turb_media::PlayerId::MediaPlayer,
-    ] {
-        let g = groups.for_player(player);
-        let stats = g.stats();
+    ];
+    for (player, groups) in players
+        .into_iter()
+        .zip(FragmentGroups::build(records).into_players())
+    {
+        let stats = groups.stats();
         println!(
             "{:>7}: {} wire packets in {} datagrams, {:.0}% IP fragments",
             player.label(),

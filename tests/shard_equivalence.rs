@@ -50,8 +50,10 @@ fn subset(seed: u64, shards: ShardKind) -> CorpusResult {
 /// Assert two equally-shaped corpus results are byte-identical in
 /// everything but wall clock and engine diagnostics.
 fn assert_identical(seq: &CorpusResult, shd: &CorpusResult, what: &str) {
-    // `full_digest` renders every figure and some figures need clips
-    // from every set, so only digest complete corpora.
+    // `full_digest` covers Figures 1, 2, 3, 5, 11 and 14 (all fifteen
+    // are pinned in `tests/figures_golden.rs`), and Figure 3's
+    // polynomial fits need more runs than one set has, so only digest
+    // complete corpora.
     if seq.runs.len() == 13 {
         assert_eq!(
             figures::full_digest(seq),
