@@ -50,13 +50,13 @@ pub fn corpus(flags: &Flags) -> Result<(), String> {
         config.progress = progress;
     }
     let result = runner::run_configs_parallel(&configs, threads);
-    println!(
+    outln!(
         "{} pair runs completed (seed {seed}, {} worker thread{}).",
         result.runs.len(),
         result.threads,
         if result.threads == 1 { "" } else { "s" },
     );
-    print!(
+    out!(
         "{}",
         paper::render(
             &[
@@ -85,7 +85,7 @@ pub fn corpus(flags: &Flags) -> Result<(), String> {
             })
             .collect();
         if !rows.is_empty() {
-            println!(
+            outln!(
                 "{}",
                 report::table(
                     "Per-run wall clock",
@@ -95,7 +95,7 @@ pub fn corpus(flags: &Flags) -> Result<(), String> {
             );
         }
         if let Some(report) = result.aggregate_report() {
-            println!("{}", report.render_table());
+            outln!("{}", report.render_table());
         }
     }
     Ok(())
@@ -114,7 +114,7 @@ pub fn pair(flags: &Flags) -> Result<(), String> {
     config.background_flows = background_of(flags)?;
     let result = turbulence::run_pair(&config);
 
-    println!(
+    outln!(
         "path: {} hops to {}, ping median {:.1} ms, route stable: {}",
         result
             .tracert_before
@@ -130,7 +130,7 @@ pub fn pair(flags: &Flags) -> Result<(), String> {
         result.route_stable(),
     );
     for log in [&result.real, &result.wmp] {
-        println!(
+        outln!(
             "{:>7}: encoded {:>6.1}K | playback {:>6.1}K | {:>4.1} fps | streamed {:>5.1}s/{:>3.0}s | lost {}",
             log.clip.name(),
             log.clip.encoded_kbps,
@@ -143,7 +143,7 @@ pub fn pair(flags: &Flags) -> Result<(), String> {
     }
     for player in [PlayerId::RealPlayer, PlayerId::MediaPlayer] {
         let stats = turbulence::analysis::stream_groups(&result, player).stats();
-        println!(
+        outln!(
             "{:>7}: {} wire packets, {} datagrams, {:.0}% IP fragments",
             player.label(),
             stats.total_packets,
@@ -155,13 +155,13 @@ pub fn pair(flags: &Flags) -> Result<(), String> {
         let mut file = std::fs::File::create(path).map_err(|e| format!("create {path}: {e}"))?;
         turb_capture::pcap::write_pcap(&mut file, result.capture.records())
             .map_err(|e| format!("write {path}: {e}"))?;
-        println!(
+        outln!(
             "capture: {} packets written to {path}",
             result.capture.len()
         );
     }
     if let Some(telemetry) = &result.telemetry {
-        println!("\n{}", telemetry.report.render_table());
+        outln!("\n{}", telemetry.report.render_table());
     }
     Ok(())
 }
@@ -185,13 +185,13 @@ pub fn obs(flags: &Flags) -> Result<(), String> {
         .telemetry
         .as_ref()
         .expect("telemetry was requested for this run");
-    println!("{}", telemetry.report.render_table());
+    outln!("{}", telemetry.report.render_table());
     if let Some(sessions) = &telemetry.sessions {
-        println!("per-class session QoE (rollups):");
-        print!("{}", sessions.summary_table());
+        outln!("per-class session QoE (rollups):");
+        out!("{}", sessions.summary_table());
     }
     let sched = telemetry.sched;
-    println!(
+    outln!(
         "  scheduler       {:>12} ({} slots touched / {} cascades / {} overflow entries)",
         telemetry.scheduler.name(),
         sched.slots_touched,
@@ -199,18 +199,18 @@ pub fn obs(flags: &Flags) -> Result<(), String> {
         sched.overflow_events,
     );
     if let Some(diag) = &telemetry.shards {
-        print!("{}", render_shard_diag(diag));
+        out!("{}", render_shard_diag(diag));
     }
     if let Some(diag) = &telemetry.fluid {
-        print!("{}", render_fluid_diag(diag));
+        out!("{}", render_fluid_diag(diag));
     }
     if flags.contains_key("metrics") {
-        println!("{}", telemetry.metrics.render_text());
+        outln!("{}", telemetry.metrics.render_text());
     }
     if let Some(path) = flags.get("trace") {
         std::fs::write(path, &telemetry.trace_jsonl).map_err(|e| format!("write {path}: {e}"))?;
         let lines = telemetry.trace_jsonl.lines().count();
-        println!("trace: {lines} events written to {path}");
+        outln!("trace: {lines} events written to {path}");
     }
     Ok(())
 }
@@ -226,7 +226,7 @@ pub fn figures_cmd(flags: &Flags) -> Result<(), String> {
         config.background_flows = background;
     }
     let result = runner::run_configs_parallel(&configs, threads_of(flags)?);
-    print!("{}", paper::render(&paper::ALL, &result, seed));
+    out!("{}", paper::render(&paper::ALL, &result, seed));
     Ok(())
 }
 
@@ -315,7 +315,7 @@ pub fn scale(flags: &Flags) -> Result<(), String> {
     let identical = sequential.digest == sharded.digest;
     let speedup = sequential.wall_ns as f64 / sharded.wall_ns.max(1) as f64;
 
-    println!(
+    outln!(
         "scale: {} groups x {} clients, {} datagrams offered, {} background flows ({} engine, {} cpus available)",
         scenario.groups,
         scenario.clients_per_group,
@@ -326,26 +326,26 @@ pub fn scale(flags: &Flags) -> Result<(), String> {
         scenario.engine.name(),
         cpus,
     );
-    println!(
+    outln!(
         "scale: {:<12} {:>8.1} ms | {:>10} events | digest {:016x}",
         "sequential",
         sequential.wall_ns as f64 / 1e6,
         sequential.events_processed,
         sequential.digest,
     );
-    println!(
+    outln!(
         "scale: {:<12} {:>8.1} ms | {:>10} events | digest {:016x}",
         format!("sharded({shard_n})"),
         sharded.wall_ns as f64 / 1e6,
         sharded.events_processed,
         sharded.digest,
     );
-    println!("scale: speedup {speedup:.2}x | identical {identical}");
+    outln!("scale: speedup {speedup:.2}x | identical {identical}");
     if let Some(diag) = &sharded.diag {
-        print!("{}", render_shard_diag(diag));
+        out!("{}", render_shard_diag(diag));
     }
     if let Some(diag) = &sequential.fluid {
-        print!("{}", render_fluid_diag(diag));
+        out!("{}", render_fluid_diag(diag));
     }
     // With hybrid background flows, also time the honest all-packet
     // twin (same scenario, background as real datagram streams) so the
@@ -361,14 +361,14 @@ pub fn scale(flags: &Flags) -> Result<(), String> {
             progress: false,
         });
         let hybrid_speedup = packet_twin.wall_ns as f64 / sequential.wall_ns.max(1) as f64;
-        println!(
+        outln!(
             "scale: {:<12} {:>8.1} ms | {:>10} events | {} background datagrams delivered",
             "all-packet",
             packet_twin.wall_ns as f64 / 1e6,
             packet_twin.events_processed,
             packet_twin.background_datagrams,
         );
-        println!(
+        outln!(
             "scale: hybrid speedup {hybrid_speedup:.2}x over all-packet at {} background flows",
             scenario.background_flows,
         );
@@ -437,7 +437,7 @@ pub fn fleet(flags: &Flags) -> Result<(), String> {
     use turbulence::population::run_fleet;
     let config = fleet_config_of(flags)?;
     let result = run_fleet(&config);
-    println!(
+    outln!(
         "fleet: {} sessions over {} groups | {:?} arrivals | {:?} lifetimes{} | {} engine",
         result.sessions,
         config.groups,
@@ -446,13 +446,13 @@ pub fn fleet(flags: &Flags) -> Result<(), String> {
         if config.diurnal { " | diurnal" } else { "" },
         config.engine.name(),
     );
-    println!(
+    outln!(
         "fleet: {:>8.1} ms | {:>10} events | digest {:016x}",
         result.wall_ns as f64 / 1e6,
         result.events_processed,
         result.digest,
     );
-    println!(
+    outln!(
         "fleet: fg {}/{} datagrams delivered | bg {}/{} | loss fg {:.4} bg {:.4}",
         result.fg_delivered,
         result.fg_offered,
@@ -462,10 +462,10 @@ pub fn fleet(flags: &Flags) -> Result<(), String> {
         1.0 - result.bg_delivered as f64 / result.bg_offered.max(1) as f64,
     );
     if let Some(diag) = &result.diag {
-        print!("{}", render_shard_diag(diag));
+        out!("{}", render_shard_diag(diag));
     }
     if let Some(diag) = &result.fluid {
-        print!("{}", render_fluid_diag(diag));
+        out!("{}", render_fluid_diag(diag));
     }
     // Sharded runs are checked against their sequential twin, the same
     // byte-identity contract the scale command enforces.
@@ -477,17 +477,17 @@ pub fn fleet(flags: &Flags) -> Result<(), String> {
         if twin.digest != result.digest {
             return Err("sharded fleet run diverged from sequential".to_string());
         }
-        println!("fleet: identical true (sequential twin digest matches)");
+        outln!("fleet: identical true (sequential twin digest matches)");
     }
-    println!();
-    print!("{}", result.figures);
+    outln!();
+    out!("{}", result.figures);
     if let Some(dump) = &result.rollups {
-        println!("\n## per-class session QoE (rollups)");
-        print!("{}", dump.summary_table());
+        outln!("\n## per-class session QoE (rollups)");
+        out!("{}", dump.summary_table());
     }
     if flags.contains_key("metrics") {
-        println!();
-        print!("{}", result.metrics);
+        outln!();
+        out!("{}", result.metrics);
     }
     Ok(())
 }
@@ -529,11 +529,11 @@ pub fn sessions(flags: &Flags) -> Result<(), String> {
     // rendering below is for humans.
     if let Some(path) = flags.get("jsonl") {
         std::fs::write(path, dump.to_jsonl()).map_err(|e| format!("write {path}: {e}"))?;
-        println!("sessions: rollup JSONL written to {path}");
+        outln!("sessions: rollup JSONL written to {path}");
     }
     if let Some(path) = flags.get("csv") {
         std::fs::write(path, dump.to_csv()).map_err(|e| format!("write {path}: {e}"))?;
-        println!("sessions: rollup CSV written to {path}");
+        outln!("sessions: rollup CSV written to {path}");
     }
 
     // Rollups are accumulated at event time from the same callbacks
@@ -560,7 +560,7 @@ pub fn sessions(flags: &Flags) -> Result<(), String> {
         ));
     }
 
-    println!(
+    outln!(
         "sessions: {} sessions | {:>8.1} ms | digest {:016x} | rollups {} KiB ({:.1} B/session) | counters reconcile 1:1",
         result.sessions,
         result.wall_ns as f64 / 1e6,
@@ -575,7 +575,7 @@ pub fn sessions(flags: &Flags) -> Result<(), String> {
             } else {
                 format!("recorder evicted {} events", lin.dropped)
             };
-            println!(
+            outln!(
                 "sessions: sampled lineage on {} spans / {} events ({}‰ of sessions, seed-keyed) | {status}",
                 lin.origins.len(),
                 lin.events.len(),
@@ -588,11 +588,11 @@ pub fn sessions(flags: &Flags) -> Result<(), String> {
                 ));
             }
         }
-        None => println!("sessions: lineage sampling off (--sample-permille 0)"),
+        None => outln!("sessions: lineage sampling off (--sample-permille 0)"),
     }
 
-    println!("\n## per-class session QoE (rollups)");
-    print!("{}", dump.summary_table());
+    outln!("\n## per-class session QoE (rollups)");
+    out!("{}", dump.summary_table());
 
     // Per-class QoE CDFs from the individual rollups. Startup and
     // rebuffer could also come from the class sketches; sampling the
@@ -627,7 +627,7 @@ pub fn sessions(flags: &Flags) -> Result<(), String> {
             if values.is_empty() {
                 continue;
             }
-            println!(
+            outln!(
                 "{}",
                 report::cdf_quantiles(
                     &format!("{name}: {what} CDF"),
@@ -661,7 +661,7 @@ pub fn sessions(flags: &Flags) -> Result<(), String> {
             ]
         })
         .collect();
-    println!(
+    outln!(
         "{}",
         report::table(
             &format!("Top {} worst sessions by {}", worst.len(), by.spec()),
@@ -708,7 +708,7 @@ pub fn sessions(flags: &Flags) -> Result<(), String> {
             .lineage
             .as_ref()
             .expect("sampled sessions carry lineage");
-        println!("\n## session {sid} lineage timeline");
+        outln!("\n## session {sid} lineage timeline");
         let mut printed = 0usize;
         for tl in lin.reconstruct() {
             let origin = &lin.origins[tl.span as usize];
@@ -725,7 +725,7 @@ pub fn sessions(flags: &Flags) -> Result<(), String> {
                 .map_or("      -".to_string(), |t| {
                     format!("{:>7.3}", (t - origin.time_ns) as f64 / 1e6)
                 });
-            println!(
+            outln!(
                 "  pkt {:>6} @ {:>10.3} ms  e2e {e2e} ms  {} hops  {}",
                 meta.media_time_ms,
                 origin.time_ns as f64 / 1e6,
@@ -733,7 +733,7 @@ pub fn sessions(flags: &Flags) -> Result<(), String> {
                 outcome,
             );
             for ev in &tl.events {
-                println!(
+                outln!(
                     "      {:>10.3} ms  {:<11} {}",
                     ev.time_ns as f64 / 1e6,
                     ev.stage.label(),
@@ -743,9 +743,9 @@ pub fn sessions(flags: &Flags) -> Result<(), String> {
             printed += 1;
         }
         if printed == 0 {
-            println!("  (session sent no packets inside the horizon)");
+            outln!("  (session sent no packets inside the horizon)");
         } else {
-            println!("  {printed} packets");
+            outln!("  {printed} packets");
         }
     }
     Ok(())
@@ -798,7 +798,7 @@ pub fn flowgen(flags: &Flags) -> Result<(), String> {
             std::fs::write(path, trace).map_err(|e| format!("write {path}: {e}"))?;
             eprintln!("trace written to {path}");
         }
-        None => print!("{trace}"),
+        None => out!("{trace}"),
     }
     Ok(())
 }
@@ -820,9 +820,14 @@ pub fn friendly(flags: &Flags) -> Result<(), String> {
         .ok_or("set 5 lacks that class")?
         .wmp
         .clone();
-    println!(
+    outln!(
         "{:>12} {:>10} {:>8} {:>12} {:>12} {:>8}",
-        "bottleneck", "offered", "loss", "tcp alone", "tcp shared", "index"
+        "bottleneck",
+        "offered",
+        "loss",
+        "tcp alone",
+        "tcp shared",
+        "index"
     );
     for kbps in sweep {
         let result = run_tcp_friendliness(&FriendlinessConfig {
@@ -832,7 +837,7 @@ pub fn friendly(flags: &Flags) -> Result<(), String> {
             propagation: turb_netsim::SimDuration::from_millis(20),
             observe_secs: 45.0,
         });
-        println!(
+        outln!(
             "{:>10}K {:>9.1}K {:>7.1}% {:>11.1}K {:>11.1}K {:>8.2}",
             kbps,
             result.stream_send_kbps,
@@ -872,13 +877,16 @@ pub fn ping(flags: &Flags) -> Result<(), String> {
         })
         .collect();
     sim.run_until(SimTime::ZERO + SimDuration::from_secs(20));
-    println!(
+    outln!(
         "{:>16} {:>6} {:>12} {:>12}",
-        "site", "hops", "median rtt", "loss"
+        "site",
+        "hops",
+        "median rtt",
+        "loss"
     );
     for (addr, hops, report) in reports {
         let report = report.lock().unwrap();
-        println!(
+        outln!(
             "{:>16} {:>6} {:>10.1}ms {:>11.1}%",
             addr.to_string(),
             hops,
@@ -900,7 +908,7 @@ pub fn check(flags: &Flags) -> Result<(), String> {
 
     if let Some(path) = flags.get("replay") {
         let case = Case::load(Path::new(path))?;
-        println!(
+        outln!(
             "replaying {} (prop {}, seed {:#x}{})",
             path,
             case.property,
@@ -912,7 +920,7 @@ pub fn check(flags: &Flags) -> Result<(), String> {
         );
         return match runner::replay(&case) {
             Ok(()) => {
-                println!("case passes");
+                outln!("case passes");
                 Ok(())
             }
             Err(detail) => Err(format!("case still fails: {detail}")),
@@ -947,7 +955,7 @@ pub fn check(flags: &Flags) -> Result<(), String> {
         only,
     };
     let (report, failures) = runner::run(&config);
-    print!("{}", report.render_table());
+    out!("{}", report.render_table());
 
     if failures.is_empty() {
         return Ok(());
@@ -963,11 +971,13 @@ pub fn check(flags: &Flags) -> Result<(), String> {
         let path = Path::new(dir).join(case.file_name());
         std::fs::write(&path, case.to_text())
             .map_err(|e| format!("writing {}: {e}", path.display()))?;
-        println!(
+        outln!(
             "FAIL {} seed {:#x}: {}",
-            failure.property, failure.case_seed, failure.detail
+            failure.property,
+            failure.case_seed,
+            failure.detail
         );
-        println!("     saved {}", path.display());
+        outln!("     saved {}", path.display());
     }
     Err(format!(
         "{} failing case(s); replay with `turbulence check --replay <file>`",
@@ -1044,7 +1054,7 @@ pub fn timeline(flags: &Flags) -> Result<(), String> {
             outcomes.2 + d,
             outcomes.3 + t,
         );
-        println!(
+        outln!(
             "{label}: {} spans, {} events | {p} played / {c} completed / {d} dropped / {t} truncated",
             dump.origins.len(),
             dump.events.len(),
@@ -1125,7 +1135,7 @@ pub fn timeline(flags: &Flags) -> Result<(), String> {
         if let Some(path) = flags.get("perfetto") {
             let trace = lineage::to_chrome_trace(dump);
             std::fs::write(path, &trace).map_err(|e| format!("write {path}: {e}"))?;
-            println!(
+            outln!(
                 "perfetto: {} spans / {} events written to {path} (load at ui.perfetto.dev)",
                 dump.origins.len(),
                 dump.events.len(),
@@ -1133,12 +1143,12 @@ pub fn timeline(flags: &Flags) -> Result<(), String> {
         }
     }
 
-    println!(
+    outln!(
         "\ntimeline: {spans} spans, {events} events | {} played / {} completed / {} dropped / {} truncated",
         outcomes.0, outcomes.1, outcomes.2, outcomes.3,
     );
     if ring_dropped > 0 {
-        println!(
+        outln!(
             "warning: {ring_dropped} lineage events evicted by the recorder cap; \
              accounting below is partial and was not cross-checked"
         );
@@ -1159,7 +1169,7 @@ pub fn timeline(flags: &Flags) -> Result<(), String> {
         })
         .collect();
     if !rows.is_empty() {
-        println!(
+        outln!(
             "{}",
             report::table(
                 &format!("Top {} slowest media packets (send -> buffer)", rows.len()),
@@ -1179,7 +1189,7 @@ pub fn timeline(flags: &Flags) -> Result<(), String> {
             continue;
         }
         let ms: Vec<f64> = values.iter().map(|ns| ns / 1e6).collect();
-        println!(
+        outln!(
             "{}",
             report::cdf_quantiles(title, &Cdf::from_samples(&ms), "ms")
         );
@@ -1187,13 +1197,13 @@ pub fn timeline(flags: &Flags) -> Result<(), String> {
 
     let attributed: u64 = drops.values().sum();
     if drops.is_empty() {
-        println!("Drop post-mortem: no wire packets were dropped.");
+        outln!("Drop post-mortem: no wire packets were dropped.");
     } else {
         let rows: Vec<Vec<String>> = drops
             .iter()
             .map(|((cause, comp), n)| vec![cause.to_string(), comp.clone(), n.to_string()])
             .collect();
-        println!(
+        outln!(
             "{}",
             report::table(
                 "Drop post-mortem",
@@ -1201,10 +1211,10 @@ pub fn timeline(flags: &Flags) -> Result<(), String> {
                 &rows
             )
         );
-        println!("post-mortem: {attributed} dropped wire packets attributed");
+        outln!("post-mortem: {attributed} dropped wire packets attributed");
     }
     if mismatches.is_empty() {
-        println!("cross-check: every drop cause and capture record reconciles with its counter");
+        outln!("cross-check: every drop cause and capture record reconciles with its counter");
         Ok(())
     } else {
         Err(format!(
@@ -1357,21 +1367,21 @@ pub fn watch(flags: &Flags) -> Result<(), String> {
     // truncate the files.
     if let Some(path) = flags.get("jsonl") {
         std::fs::write(path, dump.to_jsonl()).map_err(|e| format!("write {path}: {e}"))?;
-        println!(
+        outln!(
             "watch: wrote {} series to {path} (JSONL)",
             dump.series.len()
         );
     }
     if let Some(path) = flags.get("csv") {
         std::fs::write(path, dump.to_csv()).map_err(|e| format!("write {path}: {e}"))?;
-        println!(
+        outln!(
             "watch: wrote {} windows to {path} (CSV)",
             dump.window_count()
         );
     }
 
     let window_secs = dump.window_ns as f64 / 1e9;
-    println!(
+    outln!(
         "watch: {} pair run{} (seed {seed}, {} worker thread{}) | {window_secs}s windows | {} series, {} retained windows (~{} KiB)",
         result.runs.len(),
         if result.runs.len() == 1 { "" } else { "s" },
@@ -1381,7 +1391,7 @@ pub fn watch(flags: &Flags) -> Result<(), String> {
         dump.window_count(),
         dump.memory_bytes() / 1024,
     );
-    println!("cross-check: every windowed loss and bandwidth total reconciles with its counter\n");
+    outln!("cross-check: every windowed loss and bandwidth total reconciles with its counter\n");
 
     let rows: Vec<Vec<String>> = dump
         .series
@@ -1406,7 +1416,7 @@ pub fn watch(flags: &Flags) -> Result<(), String> {
             ]
         })
         .collect();
-    println!(
+    outln!(
         "{}",
         report::table(
             &format!("Per-window series ({window_secs}s windows, newest right)"),

@@ -51,6 +51,24 @@ use std::process::ExitCode;
 use turb_media::{corpus, RateClass};
 use turb_netsim::{EngineKind, ShardKind};
 
+/// `print!` for command output. A reader that closes stdout early
+/// (`| head`, `| true`) ends the output quietly instead of panicking.
+macro_rules! out {
+    ($($arg:tt)*) => {
+        $crate::write_stdout(format_args!($($arg)*))
+    };
+}
+
+/// `println!` counterpart of [`out!`].
+macro_rules! outln {
+    () => {
+        $crate::write_stdout(format_args!("\n"))
+    };
+    ($($arg:tt)*) => {
+        $crate::write_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
 mod commands;
 mod paper;
 
@@ -471,14 +489,32 @@ const COMMANDS: &[Command] = &[
     },
 ];
 
+/// Unwind payload for a stdout whose reader has gone; `main` turns it
+/// into a clean exit.
+struct StdoutClosed;
+
+/// Write command output to stdout. A broken pipe unwinds with
+/// [`StdoutClosed`] through `resume_unwind`, which skips the panic
+/// hook, so the shell sees neither panic text nor an error.
+fn write_stdout(args: std::fmt::Arguments<'_>) {
+    use std::io::Write;
+    match std::io::stdout().write_fmt(args) {
+        Ok(()) => {}
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => {
+            std::panic::resume_unwind(Box::new(StdoutClosed))
+        }
+        Err(e) => panic!("failed printing to stdout: {e}"),
+    }
+}
+
 /// Run the command named by `args[0]` with the flags that follow it.
 fn dispatch(args: &[String]) -> Result<(), String> {
     let Some(name) = args.first() else {
-        print!("{}", usage());
+        out!("{}", usage());
         return Ok(());
     };
     if matches!(name.as_str(), "help" | "--help" | "-h") {
-        print!("{}", usage());
+        out!("{}", usage());
         return Ok(());
     }
     let command = COMMANDS
@@ -500,6 +536,7 @@ fn main() -> ExitCode {
             eprintln!("error: {message}");
             ExitCode::FAILURE
         }
+        Err(panic) if panic.is::<StdoutClosed>() => ExitCode::SUCCESS,
         Err(panic) => {
             let message = panic
                 .downcast_ref::<&str>()

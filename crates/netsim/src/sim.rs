@@ -102,11 +102,16 @@ pub(crate) enum Event {
     },
 }
 
+/// One scheduled key: the exact `(time, seq)` order plus the slab
+/// slot holding its event. The queue orders these keys, not events —
+/// an event is written into the slab once when scheduled and read out
+/// once when popped, however often the wheel re-files its key. Kept at
+/// 24 B by the `scheduled_key_is_24_bytes` test.
 #[derive(Debug)]
 pub(crate) struct Scheduled {
     time: SimTime,
     seq: u64,
-    event: Event,
+    slot: u32,
 }
 
 impl PartialEq for Scheduled {
@@ -133,7 +138,8 @@ pub enum SchedulerKind {
     /// Hierarchical timing wheel (see [`crate::wheel`]); the default.
     #[default]
     Wheel,
-    /// The original binary heap, kept for A/B verification.
+    /// A plain binary heap: the reference the equivalence tests hold
+    /// the wheel to. No command selects it.
     Heap,
 }
 
@@ -147,67 +153,229 @@ impl SchedulerKind {
     }
 }
 
-/// The two interchangeable queue engines. Both pop in exactly
+/// The two interchangeable key orders. Both pop in exactly
 /// `(time, seq)` order — `tests/scheduler_equivalence.rs` proves full
 /// runs byte-identical, which is what lets the wheel be the default.
-pub(crate) enum EventQueue {
+enum Order {
     Heap(BinaryHeap<Scheduled>),
     // Boxed: the wheel carries its occupancy bitmaps inline and would
     // otherwise dwarf the heap variant.
-    Wheel(Box<TimingWheel<Event>>),
+    Wheel(Box<TimingWheel<u32>>),
+}
+
+/// The engine's pending events: an [`Order`] of small keys over a slab
+/// of event payloads. Freed slots are reused last-in first-out, so the
+/// slab never outgrows the deepest the queue has been and the slots in
+/// use stay warm in cache.
+pub(crate) struct EventQueue {
+    order: Order,
+    slab: Vec<Option<Event>>,
+    free: Vec<u32>,
 }
 
 impl EventQueue {
     pub(crate) fn with_capacity(kind: SchedulerKind, capacity: usize) -> EventQueue {
-        match kind {
-            SchedulerKind::Heap => EventQueue::Heap(BinaryHeap::with_capacity(capacity)),
-            SchedulerKind::Wheel => {
-                EventQueue::Wheel(Box::new(TimingWheel::with_capacity(capacity)))
-            }
+        let order = match kind {
+            SchedulerKind::Heap => Order::Heap(BinaryHeap::with_capacity(capacity)),
+            SchedulerKind::Wheel => Order::Wheel(Box::new(TimingWheel::with_capacity(capacity))),
+        };
+        EventQueue {
+            order,
+            slab: Vec::with_capacity(capacity),
+            free: Vec::new(),
         }
     }
 
     pub(crate) fn push(&mut self, time: SimTime, seq: u64, event: Event) {
-        match self {
-            EventQueue::Heap(heap) => heap.push(Scheduled { time, seq, event }),
-            EventQueue::Wheel(wheel) => wheel.push(time, seq, event),
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slab[slot as usize] = Some(event);
+                slot
+            }
+            None => {
+                let slot = u32::try_from(self.slab.len()).expect("over 2^32 pending events");
+                self.slab.push(Some(event));
+                slot
+            }
+        };
+        match &mut self.order {
+            Order::Heap(heap) => heap.push(Scheduled { time, seq, slot }),
+            Order::Wheel(wheel) => wheel.push(time, seq, slot),
         }
     }
 
     pub(crate) fn pop(&mut self) -> Option<(SimTime, Event)> {
-        match self {
-            EventQueue::Heap(heap) => heap.pop().map(|s| (s.time, s.event)),
-            EventQueue::Wheel(wheel) => wheel.pop().map(|(time, _seq, event)| (time, event)),
-        }
+        let (time, slot) = match &mut self.order {
+            Order::Heap(heap) => heap.pop().map(|s| (s.time, s.slot)),
+            Order::Wheel(wheel) => wheel.pop().map(|(time, _seq, slot)| (time, slot)),
+        }?;
+        let event = self.slab[slot as usize]
+            .take()
+            .expect("a queued key's slot holds its event");
+        self.free.push(slot);
+        Some((time, event))
     }
 
     /// Earliest pending time. `&mut` because the wheel may advance
     /// its internal cursor to surface it.
     pub(crate) fn next_time(&mut self) -> Option<SimTime> {
-        match self {
-            EventQueue::Heap(heap) => heap.peek().map(|s| s.time),
-            EventQueue::Wheel(wheel) => wheel.next_time(),
+        match &mut self.order {
+            Order::Heap(heap) => heap.peek().map(|s| s.time),
+            Order::Wheel(wheel) => wheel.next_time(),
         }
     }
 
     pub(crate) fn len(&self) -> usize {
-        match self {
-            EventQueue::Heap(heap) => heap.len(),
-            EventQueue::Wheel(wheel) => wheel.len(),
+        match &self.order {
+            Order::Heap(heap) => heap.len(),
+            Order::Wheel(wheel) => wheel.len(),
         }
     }
 
     pub(crate) fn kind(&self) -> SchedulerKind {
-        match self {
-            EventQueue::Heap(_) => SchedulerKind::Heap,
-            EventQueue::Wheel(_) => SchedulerKind::Wheel,
+        match self.order {
+            Order::Heap(_) => SchedulerKind::Heap,
+            Order::Wheel(_) => SchedulerKind::Wheel,
         }
     }
 
     fn sched_stats(&self) -> SchedStats {
-        match self {
-            EventQueue::Heap(_) => SchedStats::default(),
-            EventQueue::Wheel(wheel) => wheel.stats(),
+        match &self.order {
+            Order::Heap(_) => SchedStats::default(),
+            Order::Wheel(wheel) => wheel.stats(),
+        }
+    }
+}
+
+#[cfg(test)]
+mod queue_tests {
+    use super::*;
+    use proptest::prelude::*;
+    use proptest::test_runner::ProptestConfig;
+    use std::collections::BTreeMap;
+
+    /// The wheel's tick (2^13 ns) and horizon (2^32 ticks), restated
+    /// so the jumps below straddle its levels and its overflow heap.
+    const TICK_NS: u64 = 1 << 13;
+    const HORIZON_NS: u64 = (1 << 32) * TICK_NS;
+
+    #[test]
+    fn scheduled_key_is_24_bytes() {
+        // The queue orders keys, not events: every push, cascade,
+        // drain and sift moves a `Scheduled` (or the wheel's
+        // `(time, seq, u32)` entry), while the event itself stays in
+        // its slab slot. A field added to `Event` or `Ipv4Packet` must
+        // not widen every scheduler step again.
+        assert_eq!(std::mem::size_of::<Scheduled>(), 24);
+    }
+
+    /// A jump past `now` drawn from `r`: the same instant (ties),
+    /// sub-tick, level 0, levels 1-2, the bottom of level 3, or beyond
+    /// the horizon. Returns the jump and whether it is the latter.
+    /// Level-3 and far jumps stay within 2^20 ticks of a level's
+    /// start: the wheel walks empty stretches one 256-tick era at a
+    /// time, and a jump deep into level 3 would cost 2^24 steps.
+    fn jump(r: u64) -> (u64, bool) {
+        let x = r >> 3;
+        match r % 6 {
+            0 => (0, false),
+            1 => (x % TICK_NS, false),
+            2 => (x % (256 * TICK_NS), false),
+            3 => (x % ((1 << 24) * TICK_NS), false),
+            4 => ((1 << 24) * TICK_NS + x % ((1 << 20) * TICK_NS), false),
+            _ => (HORIZON_NS + x % ((1 << 20) * TICK_NS), true),
+        }
+    }
+
+    /// Drives `kind` through `fill` pushes from `seed`, then `ops`,
+    /// then a full drain, holding every pop, `len` and `next_time` to
+    /// a `BTreeMap<(time, seq), token>` reference.
+    fn check_against_reference(kind: SchedulerKind, seed: u64, fill: usize, ops: &[(u8, u64)]) {
+        let mut queue = EventQueue::with_capacity(kind, 16);
+        let mut reference = BTreeMap::new();
+        let mut now = SimTime::ZERO;
+        let mut seq = 0u64;
+        let mut overflowed = 0u64;
+        let mut push = |queue: &mut EventQueue,
+                        reference: &mut BTreeMap<(SimTime, u64), u64>,
+                        time: SimTime| {
+            let token = seq.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+            queue.push(
+                time,
+                seq,
+                Event::Timer {
+                    app: AppId(0),
+                    token,
+                },
+            );
+            reference.insert((time, seq), token);
+            seq += 1;
+        };
+        let pop = |queue: &mut EventQueue, reference: &mut BTreeMap<(SimTime, u64), u64>| {
+            let got = queue.pop().map(|(time, event)| match event {
+                Event::Timer { token, .. } => (time, token),
+                other => panic!("queued a timer, popped {other:?}"),
+            });
+            let want = reference
+                .pop_first()
+                .map(|((time, _), token)| (time, token));
+            prop_assert_eq!(got, want, "{kind:?}");
+            want.map(|(time, _)| time)
+        };
+
+        let mut rng = SimRng::new(seed);
+        for _ in 0..fill {
+            let (ns, beyond) = jump(rng.next_u64());
+            overflowed += beyond as u64;
+            push(&mut queue, &mut reference, SimTime(ns));
+        }
+        let mut high_water = reference.len();
+        for &(op, r) in ops {
+            match op {
+                0..=4 => push(&mut queue, &mut reference, SimTime(now.0 + jump(r).0)),
+                5 => {
+                    let at = SimTime(now.0 + jump(r >> 6).0);
+                    for _ in 0..=(r % 64) {
+                        push(&mut queue, &mut reference, at);
+                    }
+                }
+                6..=8 => {
+                    if let Some(time) = pop(&mut queue, &mut reference) {
+                        now = time;
+                    }
+                }
+                _ => {
+                    let want = reference.keys().next().map(|&(time, _)| time);
+                    prop_assert_eq!(queue.next_time(), want);
+                }
+            }
+            high_water = high_water.max(reference.len());
+            prop_assert_eq!(queue.len(), reference.len());
+        }
+        while pop(&mut queue, &mut reference).is_some() {}
+        prop_assert_eq!(queue.len(), 0);
+        prop_assert_eq!(queue.next_time(), None);
+        // Freed slots are reused before the slab grows, so it holds
+        // exactly as many slots as were ever pending at once.
+        prop_assert_eq!(queue.slab.len(), high_water);
+        prop_assert_eq!(queue.free.len(), high_water);
+        if kind == SchedulerKind::Wheel {
+            prop_assert!(queue.sched_stats().overflow_events >= overflowed);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn both_orders_pop_time_seq_order_and_reuse_slots(
+            seed in any::<u64>(),
+            fill in 0usize..10_000,
+            ops in proptest::collection::vec((0u8..10, any::<u64>()), 0..600),
+        ) {
+            for kind in [SchedulerKind::Heap, SchedulerKind::Wheel] {
+                check_against_reference(kind, seed, fill, &ops);
+            }
         }
     }
 }

@@ -39,6 +39,14 @@
 //! wheel is empty it jumps straight to the earliest far-future entry.
 //! Each entry is touched at most `LEVELS` times total, and slot
 //! scans are 4 × `u64` bitmap words per level — no per-slot walk.
+//!
+//! ## Payload
+//!
+//! The engine instantiates `TimingWheel<u32>`: the payload is a slot
+//! id into the event slab of `sim::EventQueue`, so an entry is 24 B
+//! and every dispatch, cascade and drain moves a key, never an event.
+//! `turb-bench`'s hold model drives `TimingWheel<()>` (16 B entries):
+//! like the engine's, a key with no event behind it.
 
 use crate::time::SimTime;
 use std::cmp::Ordering;
