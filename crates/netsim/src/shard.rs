@@ -45,7 +45,7 @@ use crate::wheel::SchedStats;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::SeqCst};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::Instant;
-use turb_obs::lineage::{LineageDump, LineageRecorder};
+use turb_obs::lineage::{LineageDump, LineagePart, LineageRecorder};
 use turb_obs::timeseries::TimeSeriesRecorder;
 use turb_obs::{merged_trace_jsonl, MetricsRegistry, ProgressMeter, SeriesDump, SPAN_DOMAIN_SHIFT};
 
@@ -1089,7 +1089,7 @@ impl ShardedEngine {
         if !self.lineage_enabled() {
             return None;
         }
-        let parts: Vec<LineageDump> = self
+        let parts: Vec<LineagePart> = self
             .domains
             .iter_mut()
             .map(|sim| {

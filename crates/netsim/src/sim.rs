@@ -2334,8 +2334,7 @@ mod tests {
         let dump = sim.take_lineage().expect("lineage was enabled");
         dump.validate().expect("dump is well-formed");
         assert_eq!(dump.origins.len(), 2, "ping and pong each get a span");
-        let timelines = dump.reconstruct();
-        for tl in &timelines {
+        for tl in dump.reconstruct() {
             assert!(matches!(tl.outcome, turb_obs::SpanOutcome::Completed));
             let stages: Vec<_> = tl.events.iter().map(|e| e.stage).collect();
             use turb_obs::Stage as S;
@@ -2439,7 +2438,7 @@ mod tests {
             (7, 42, 1234)
         );
         use turb_obs::Stage as S;
-        let tl = &dump.reconstruct()[0];
+        let tl = dump.timeline(0);
         let frag = tl
             .events
             .iter()

@@ -41,8 +41,9 @@ mod trace;
 
 pub use intern::{Interner, SymbolId};
 pub use lineage::{
-    DropCause, LineageDump, LineageEvent, LineageRecorder, PacketizeMeta, PostMortem, SpanOrigin,
-    SpanOutcome, SpanTimeline, Stage, StageSamples, SPAN_DOMAIN_SHIFT, SPAN_LOCAL_MASK,
+    DropCause, EventLog, LineageDump, LineageEvent, LineagePart, LineageRecorder, PacketizeMeta,
+    PostMortem, SpanEvents, SpanOrigin, SpanOutcome, SpanTimeline, Stage, StageSamples,
+    SPAN_DOMAIN_SHIFT, SPAN_LOCAL_MASK,
 };
 pub use loghist::LogHistogram;
 pub use metrics::{Histogram, MetricKey, MetricsRegistry, SCOPE_NS_BUCKETS};

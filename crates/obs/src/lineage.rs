@@ -28,9 +28,20 @@ use crate::intern::{Interner, SymbolId};
 use crate::metrics::MetricsRegistry;
 use std::fmt::Write as _;
 
-/// Default cap on recorded stage events (~32 MB); past it events are
-/// counted in [`LineageRecorder::dropped`] instead of recorded.
+/// Default cap on recorded stage events; past it events are counted in
+/// [`LineageRecorder::dropped`] instead of recorded. A full recorder
+/// holds 128 MB (32-B [`LineageEvent`]s); its frozen [`EventLog`]
+/// holds 64 MB (16-B rows).
 pub const DEFAULT_EVENT_CAPACITY: usize = 4_000_000;
+
+/// Low bits of a packed row's tag that hold the [`Stage`] code; the
+/// component id sits above them.
+const STAGE_BITS: u32 = 5;
+/// Component ids must fit the tag's upper 27 bits.
+const MAX_COMPONENTS: u32 = 1 << (32 - STAGE_BITS);
+/// Codes 0..10 are the lifecycle stages; one more per drop cause.
+const DROP_CODE_BASE: u32 = 10;
+const _: () = assert!(DROP_CODE_BASE as usize + DropCause::ALL.len() <= 1 << STAGE_BITS);
 
 /// What killed a wire packet. Every variant reconciles against exactly
 /// one always-on simulator counter (see [`DropCause::counter`]), which
@@ -173,6 +184,40 @@ impl Stage {
             Stage::Dropped(_) => "dropped",
         }
     }
+
+    /// Dense code below `2^STAGE_BITS`, as packed into a row's tag.
+    fn code(self) -> u32 {
+        match self {
+            Stage::Sent => 0,
+            Stage::Fragmented => 1,
+            Stage::LinkTx => 2,
+            Stage::Arrived => 3,
+            Stage::Sniffed => 4,
+            Stage::ReasmHeld => 5,
+            Stage::Reassembled => 6,
+            Stage::Delivered => 7,
+            Stage::Buffered => 8,
+            Stage::Played => 9,
+            Stage::Dropped(cause) => DROP_CODE_BASE + cause as u32,
+        }
+    }
+
+    /// Inverse of [`Stage::code`].
+    fn from_code(code: u32) -> Option<Stage> {
+        Some(match code {
+            0 => Stage::Sent,
+            1 => Stage::Fragmented,
+            2 => Stage::LinkTx,
+            3 => Stage::Arrived,
+            4 => Stage::Sniffed,
+            5 => Stage::ReasmHeld,
+            6 => Stage::Reassembled,
+            7 => Stage::Delivered,
+            8 => Stage::Buffered,
+            9 => Stage::Played,
+            c => Stage::Dropped(*DropCause::ALL.get((c - DROP_CODE_BASE) as usize)?),
+        })
+    }
 }
 
 /// Application-layer context stamped on a span at packetisation time
@@ -199,10 +244,15 @@ pub struct SpanOrigin {
     pub meta: Option<PacketizeMeta>,
 }
 
-/// One stage transition of one span.
+/// One stage transition of one span. Recorders store events in this
+/// form; a [`LineageDump`] packs them into 16-B rows and decodes them
+/// back on read.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LineageEvent {
-    /// The span this event belongs to (index into the origin table).
+    /// The span this event belongs to. In a [`LineagePart`] this is the
+    /// domain-tagged id its recorder saw (see [`SPAN_DOMAIN_SHIFT`]);
+    /// decoded from a dump it is the canonical index into the dump's
+    /// origin table.
     pub span: u64,
     /// Sim time, nanoseconds.
     pub time_ns: u64,
@@ -331,10 +381,11 @@ impl LineageRecorder {
         self.dropped
     }
 
-    /// Freeze into an immutable dump for analysis, snapshotting the
-    /// shared symbol table so the dump stays self-contained.
-    pub fn finish(self, interner: &Interner) -> LineageDump {
-        LineageDump {
+    /// Freeze into one domain's part, snapshotting the shared symbol
+    /// table so the part stays self-contained. Pass every domain's part
+    /// to [`LineageDump::merge_domains`] for the analysable dump.
+    pub fn finish(self, interner: &Interner) -> LineagePart {
+        LineagePart {
             origins: self.origins,
             events: self.events,
             components: interner.snapshot(),
@@ -343,19 +394,301 @@ impl LineageRecorder {
     }
 }
 
+/// One recorder's frozen output: the spans it allocated and the events
+/// it saw, in recording order. A packet that crossed domains has some
+/// of its events in another domain's part.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct LineagePart {
+    /// Spans this recorder allocated; the local span id is the index.
+    pub origins: Vec<SpanOrigin>,
+    /// Every stage transition this recorder saw, in recording order,
+    /// under domain-tagged span ids.
+    pub events: Vec<LineageEvent>,
+    /// Component names in [`SymbolId`] order — a snapshot of the
+    /// recorder's interner.
+    pub components: Vec<String>,
+    /// Events discarded past the recorder capacity.
+    pub dropped: u64,
+}
+
 /// The frozen output of a traced run.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct LineageDump {
     /// Per-span origin records; the span id is the index.
     pub origins: Vec<SpanOrigin>,
-    /// Every stage transition, in emission (= sim time) order.
-    pub events: Vec<LineageEvent>,
+    /// Every stage transition, span-major: span 0's events, then span
+    /// 1's, each span's in sim-time order (ties in recording order).
+    pub events: EventLog,
     /// Component names in [`SymbolId`] order — a snapshot of the
     /// run's shared interner.
     pub components: Vec<String>,
     /// Events discarded past the recorder capacity.
     pub dropped: u64,
 }
+
+/// One packed event of an [`EventLog`]. The span is the row's
+/// position in the log, so it is not stored.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+struct Row {
+    time_ns: u64,
+    /// `comp << STAGE_BITS | stage code`.
+    tag: u32,
+    aux: u32,
+}
+
+impl Row {
+    /// Pack `ev` at component `comp`. Panics when `comp` does not fit
+    /// the tag.
+    fn pack(ev: &LineageEvent, comp: u32) -> Row {
+        assert!(
+            comp < MAX_COMPONENTS,
+            "lineage component id {comp} does not fit the packed event tag (limit {MAX_COMPONENTS})"
+        );
+        Row {
+            time_ns: ev.time_ns,
+            tag: comp << STAGE_BITS | ev.stage.code(),
+            aux: ev.aux,
+        }
+    }
+
+    fn decode(self, span: u64) -> LineageEvent {
+        LineageEvent {
+            span,
+            time_ns: self.time_ns,
+            comp: SymbolId(self.tag >> STAGE_BITS),
+            stage: Stage::from_code(self.tag & ((1 << STAGE_BITS) - 1))
+                .expect("rows hold only packed stage codes"),
+            aux: self.aux,
+        }
+    }
+}
+
+/// A dump's events, span-major: each span's events sit together as
+/// 16-B rows, in time order. Iterating yields decoded
+/// [`LineageEvent`]s, span by span.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct EventLog {
+    /// Span `s` owns `rows[starts[s]..starts[s + 1]]`: one entry per
+    /// span, plus one.
+    starts: Vec<u32>,
+    rows: Vec<Row>,
+}
+
+impl Default for EventLog {
+    fn default() -> Self {
+        EventLog {
+            starts: vec![0],
+            rows: Vec::new(),
+        }
+    }
+}
+
+impl EventLog {
+    /// Lay the parts' events out span-major. `parts` pairs each part's
+    /// events with its component remap; `canonical` maps a
+    /// domain-tagged span id to its index below `spans`, or `None` when
+    /// the id is outside the origin tables. A counting sort by span
+    /// keeps each span's events in part order, then recording order;
+    /// a stable sort by time runs only on the spans whose events are
+    /// out of order. That is the order a global stable sort by
+    /// `(time, span)` gives each span.
+    ///
+    /// Panics on an event whose span or component is unknown.
+    fn build(
+        spans: usize,
+        parts: Vec<(Vec<LineageEvent>, Vec<u32>)>,
+        canonical: impl Fn(u64) -> Option<usize>,
+    ) -> EventLog {
+        let span_of = |ev: &LineageEvent| {
+            canonical(ev.span).unwrap_or_else(|| {
+                panic!(
+                    "lineage event references span {:#x}, outside the origin table",
+                    ev.span
+                )
+            })
+        };
+        let total: usize = parts.iter().map(|(events, _)| events.len()).sum();
+        assert!(
+            total <= u32::MAX as usize,
+            "{total} lineage events overflow the log's u32 offsets"
+        );
+        let mut starts = vec![0u32; spans + 1];
+        for ev in parts.iter().flat_map(|(events, _)| events) {
+            starts[span_of(ev) + 1] += 1;
+        }
+        for s in 0..spans {
+            starts[s + 1] += starts[s];
+        }
+        let mut cursor = starts[..spans].to_vec();
+        let mut rows = vec![Row::default(); total];
+        for (events, comp_map) in parts {
+            for ev in &events {
+                let comp = *comp_map.get(ev.comp.index()).unwrap_or_else(|| {
+                    panic!(
+                        "lineage event references component {}, outside its part's symbol table",
+                        ev.comp.0
+                    )
+                });
+                let slot = &mut cursor[span_of(ev)];
+                rows[*slot as usize] = Row::pack(ev, comp);
+                *slot += 1;
+            }
+        }
+        for s in 0..spans {
+            let span = &mut rows[starts[s] as usize..starts[s + 1] as usize];
+            if !span.is_sorted_by_key(|r| r.time_ns) {
+                span.sort_by_key(|r| r.time_ns);
+            }
+        }
+        EventLog { starts, rows }
+    }
+
+    /// Events held.
+    pub fn len(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// True when no event is held.
+    pub fn is_empty(&self) -> bool {
+        self.rows.is_empty()
+    }
+
+    /// Spans the log is laid out over (the dump's origin count).
+    pub fn spans(&self) -> usize {
+        self.starts.len() - 1
+    }
+
+    /// One span's events, in time order. Panics past [`EventLog::spans`].
+    pub fn span(&self, span: usize) -> SpanEvents<'_> {
+        SpanEvents {
+            span: span as u64,
+            rows: &self.rows[self.starts[span] as usize..self.starts[span + 1] as usize],
+        }
+    }
+
+    /// Every event, span by span.
+    pub fn iter(&self) -> Events<'_> {
+        Events {
+            log: self,
+            span: 0,
+            next: 0,
+        }
+    }
+}
+
+impl<'a> IntoIterator for &'a EventLog {
+    type Item = LineageEvent;
+    type IntoIter = Events<'a>;
+
+    fn into_iter(self) -> Events<'a> {
+        self.iter()
+    }
+}
+
+/// Iterator over a whole [`EventLog`], span by span.
+#[derive(Debug, Clone)]
+pub struct Events<'a> {
+    log: &'a EventLog,
+    /// The span owning row `next`.
+    span: usize,
+    next: usize,
+}
+
+impl Iterator for Events<'_> {
+    type Item = LineageEvent;
+
+    fn next(&mut self) -> Option<LineageEvent> {
+        let row = *self.log.rows.get(self.next)?;
+        while self.log.starts[self.span + 1] as usize <= self.next {
+            self.span += 1;
+        }
+        self.next += 1;
+        Some(row.decode(self.span as u64))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let left = self.log.rows.len() - self.next;
+        (left, Some(left))
+    }
+}
+
+impl ExactSizeIterator for Events<'_> {}
+
+/// One span's events in an [`EventLog`], in time order.
+#[derive(Debug, Clone, Copy)]
+pub struct SpanEvents<'a> {
+    span: u64,
+    rows: &'a [Row],
+}
+
+impl<'a> SpanEvents<'a> {
+    /// Events of this span.
+    pub fn len(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// True when the span has no events (its `Sent` was evicted).
+    pub fn is_empty(&self) -> bool {
+        self.rows.is_empty()
+    }
+
+    /// The `i`-th event.
+    pub fn get(&self, i: usize) -> Option<LineageEvent> {
+        self.rows.get(i).map(|r| r.decode(self.span))
+    }
+
+    /// The first event.
+    pub fn first(&self) -> Option<LineageEvent> {
+        self.get(0)
+    }
+
+    /// The events, decoded.
+    pub fn iter(&self) -> SpanIter<'a> {
+        SpanIter {
+            span: self.span,
+            rows: self.rows.iter(),
+        }
+    }
+}
+
+impl<'a> IntoIterator for SpanEvents<'a> {
+    type Item = LineageEvent;
+    type IntoIter = SpanIter<'a>;
+
+    fn into_iter(self) -> SpanIter<'a> {
+        self.iter()
+    }
+}
+
+impl<'a> IntoIterator for &SpanEvents<'a> {
+    type Item = LineageEvent;
+    type IntoIter = SpanIter<'a>;
+
+    fn into_iter(self) -> SpanIter<'a> {
+        self.iter()
+    }
+}
+
+/// Iterator over one span's decoded events.
+#[derive(Debug, Clone)]
+pub struct SpanIter<'a> {
+    span: u64,
+    rows: std::slice::Iter<'a, Row>,
+}
+
+impl Iterator for SpanIter<'_> {
+    type Item = LineageEvent;
+
+    fn next(&mut self) -> Option<LineageEvent> {
+        self.rows.next().map(|r| r.decode(self.span))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.rows.size_hint()
+    }
+}
+
+impl ExactSizeIterator for SpanIter<'_> {}
 
 /// How a span's life ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -384,18 +717,18 @@ impl SpanOutcome {
 }
 
 /// One span's reconstructed life: its events in time order plus the
-/// derived terminal outcome.
-#[derive(Debug, Clone)]
-pub struct SpanTimeline {
+/// derived terminal outcome. Borrows the dump's rows.
+#[derive(Debug, Clone, Copy)]
+pub struct SpanTimeline<'a> {
     /// The span id.
     pub span: u64,
-    /// This span's events, in recorded (= sim time) order.
-    pub events: Vec<LineageEvent>,
+    /// This span's events, in sim-time order.
+    pub events: SpanEvents<'a>,
     /// Terminal classification.
     pub outcome: SpanOutcome,
 }
 
-impl SpanTimeline {
+impl SpanTimeline<'_> {
     /// Time of the first event matching `pred`, if any.
     pub fn first_time(&self, pred: impl Fn(Stage) -> bool) -> Option<u64> {
         self.events
@@ -413,7 +746,7 @@ impl SpanTimeline {
     }
 }
 
-fn classify(events: &[LineageEvent]) -> SpanOutcome {
+fn classify(events: &SpanEvents<'_>) -> SpanOutcome {
     let mut first_fatal = None;
     for ev in events {
         match ev.stage {
@@ -442,7 +775,7 @@ impl LineageDump {
             .unwrap_or("?")
     }
 
-    /// Fold per-domain dumps into one canonical dump.
+    /// Fold per-domain parts into one canonical dump.
     ///
     /// `parts[d]` must come from the recorder whose span base was
     /// `d << SPAN_DOMAIN_SHIFT` (a sequential run is the single part
@@ -451,11 +784,15 @@ impl LineageDump {
     /// (ties keep each component's own birth order — a component's
     /// spans are all born in one domain, so this is well defined);
     /// events are remapped onto the new span and component ids and
-    /// sorted by `(time, span)`. The result is a pure function of the
-    /// simulated behaviour, independent of how the topology was
-    /// partitioned — which is exactly what lets a sharded run's dump
-    /// compare byte-identical against a sequential run's.
-    pub fn merge_domains(parts: Vec<LineageDump>) -> LineageDump {
+    /// laid out span-major, each span's in time order with ties in
+    /// part order, then recording order (see [`EventLog`]). The result
+    /// is a pure function of the simulated behaviour, independent of
+    /// how the topology was partitioned — which is exactly what lets a
+    /// sharded run's dump compare byte-identical against a sequential
+    /// run's.
+    ///
+    /// Panics on an event whose span is outside every origin table.
+    pub fn merge_domains(parts: Vec<LineagePart>) -> LineageDump {
         // Union the component names, sorted.
         let mut components: Vec<String> = parts
             .iter()
@@ -491,34 +828,30 @@ impl LineageDump {
             }
         }
         order.sort_by_key(|&(t, c, part, _)| (t, c, part));
-        let mut span_maps: Vec<Vec<u64>> = parts.iter().map(|p| vec![0; p.origins.len()]).collect();
+        let mut span_maps: Vec<Vec<usize>> =
+            parts.iter().map(|p| vec![0; p.origins.len()]).collect();
         let mut origins = Vec::with_capacity(order.len());
         for (new_id, &(_, new_comp, part, local)) in order.iter().enumerate() {
-            span_maps[part][local] = new_id as u64;
+            span_maps[part][local] = new_id;
             let mut origin = parts[part].origins[local];
             origin.comp = SymbolId(new_comp);
             origins.push(origin);
         }
 
-        // Remap and canonically order the events. A packet that
-        // crossed domains has its later stages recorded by a *different*
+        // Lay the events out under the new ids. A packet that crossed
+        // domains has its later stages recorded by a *different*
         // recorder than the one that allocated its span, so the origin
         // part is decoded from the span id, while the component id is
         // resolved against the recording part's own symbol table.
-        let mut events: Vec<LineageEvent> = Vec::new();
-        let mut dropped = 0u64;
-        for (part, p) in parts.iter().enumerate() {
-            dropped += p.dropped;
-            for ev in &p.events {
-                let origin_part = (ev.span >> SPAN_DOMAIN_SHIFT) as usize;
-                let local = (ev.span & SPAN_LOCAL_MASK) as usize;
-                let mut ev = *ev;
-                ev.span = span_maps[origin_part][local];
-                ev.comp = SymbolId(comp_maps[part][ev.comp.index()]);
-                events.push(ev);
-            }
-        }
-        events.sort_by_key(|ev| (ev.time_ns, ev.span));
+        let dropped = parts.iter().map(|p| p.dropped).sum();
+        let events = EventLog::build(
+            origins.len(),
+            parts.into_iter().map(|p| p.events).zip(comp_maps).collect(),
+            |span| {
+                let part = span_maps.get((span >> SPAN_DOMAIN_SHIFT) as usize)?;
+                part.get((span & SPAN_LOCAL_MASK) as usize).copied()
+            },
+        );
 
         LineageDump {
             origins,
@@ -528,38 +861,36 @@ impl LineageDump {
         }
     }
 
-    /// Rebuild every span's timeline, in span-id order.
-    pub fn reconstruct(&self) -> Vec<SpanTimeline> {
-        let mut per_span: Vec<Vec<LineageEvent>> = vec![Vec::new(); self.origins.len()];
-        for ev in &self.events {
-            if let Some(bucket) = per_span.get_mut(ev.span as usize) {
-                bucket.push(*ev);
-            }
+    /// One span's timeline. Panics past the origin table.
+    pub fn timeline(&self, span: usize) -> SpanTimeline<'_> {
+        let events = self.events.span(span);
+        SpanTimeline {
+            span: span as u64,
+            events,
+            outcome: classify(&events),
         }
-        per_span
-            .into_iter()
-            .enumerate()
-            .map(|(span, events)| {
-                let outcome = classify(&events);
-                SpanTimeline {
-                    span: span as u64,
-                    events,
-                    outcome,
-                }
-            })
-            .collect()
+    }
+
+    /// Every span's timeline, in span-id order.
+    pub fn reconstruct(&self) -> impl ExactSizeIterator<Item = SpanTimeline<'_>> + '_ {
+        (0..self.events.spans()).map(|span| self.timeline(span))
     }
 
     /// Check the lifecycle invariants the `turb-check` property relies
-    /// on: every event references a real span and component, per-span
-    /// event times are monotone (and never precede the span's birth),
-    /// playout follows buffering, and each span classifies into
-    /// exactly one terminal outcome.
+    /// on: the event log covers exactly the origin table, every event
+    /// and origin references a real component, per-span event times
+    /// are monotone (and never precede the span's birth), playout
+    /// follows buffering, and each span classifies into exactly one
+    /// terminal outcome.
     pub fn validate(&self) -> Result<(), String> {
+        if self.events.spans() != self.origins.len() {
+            return Err(format!(
+                "event log covers {} spans but the origin table holds {}",
+                self.events.spans(),
+                self.origins.len()
+            ));
+        }
         for ev in &self.events {
-            if ev.span as usize >= self.origins.len() {
-                return Err(format!("event references unknown span {}", ev.span));
-            }
             if ev.comp.index() >= self.components.len() {
                 return Err(format!("event references unknown component {}", ev.comp.0));
             }
@@ -877,6 +1208,21 @@ mod tests {
         }
     }
 
+    /// One recorder's dump, as a sequential run takes it.
+    fn freeze(rec: LineageRecorder, interner: &Interner) -> LineageDump {
+        LineageDump::merge_domains(vec![rec.finish(interner)])
+    }
+
+    /// A dump's events back as a single part (domain 0).
+    fn part_of(dump: &LineageDump) -> LineagePart {
+        LineagePart {
+            origins: dump.origins.clone(),
+            events: dump.events.iter().collect(),
+            components: dump.components.clone(),
+            dropped: dump.dropped,
+        }
+    }
+
     /// One played media span, one span dropped in a queue, one span
     /// truncated mid-flight.
     fn sample_dump() -> LineageDump {
@@ -906,13 +1252,13 @@ mod tests {
 
         let truncated = rec.begin_span(3_000, node, None, 64);
         rec.record(truncated, 3_000, link, Stage::LinkTx, 0);
-        rec.finish(&interner)
+        freeze(rec, &interner)
     }
 
     #[test]
     fn reconstruction_classifies_outcomes() {
         let dump = sample_dump();
-        let timelines = dump.reconstruct();
+        let timelines: Vec<_> = dump.reconstruct().collect();
         assert_eq!(timelines.len(), 3);
         assert_eq!(timelines[0].outcome, SpanOutcome::Played);
         assert_eq!(
@@ -932,8 +1278,8 @@ mod tests {
         let node = interner.intern("node:a");
         let span = rec.begin_span(0, node, None, 8);
         rec.record(span, 10, node, Stage::Delivered, 554);
-        let dump = rec.finish(&interner);
-        assert_eq!(dump.reconstruct()[0].outcome, SpanOutcome::Completed);
+        let dump = freeze(rec, &interner);
+        assert_eq!(dump.timeline(0).outcome, SpanOutcome::Completed);
     }
 
     #[test]
@@ -944,8 +1290,8 @@ mod tests {
         let span = rec.begin_span(0, node, None, 8);
         rec.record(span, 5, node, Stage::Dropped(DropCause::ReasmDuplicate), 0);
         rec.record(span, 9, node, Stage::Delivered, 7000);
-        let dump = rec.finish(&interner);
-        assert_eq!(dump.reconstruct()[0].outcome, SpanOutcome::Completed);
+        let dump = freeze(rec, &interner);
+        assert_eq!(dump.timeline(0).outcome, SpanOutcome::Completed);
         // The duplicate still shows up in the post-mortem.
         assert_eq!(post_mortem(&dump).cause_total(DropCause::ReasmDuplicate), 1);
     }
@@ -957,12 +1303,12 @@ mod tests {
         let node = interner.intern("node:a");
         let span = rec.begin_span(100, node, None, 8);
         rec.record(span, 50, node, Stage::Delivered, 0);
-        assert!(rec.finish(&interner).validate().is_err());
+        assert!(freeze(rec, &interner).validate().is_err());
     }
 
     #[test]
     fn validate_requires_sent_first() {
-        let dump = LineageDump {
+        let dump = LineageDump::merge_domains(vec![LineagePart {
             origins: vec![SpanOrigin {
                 time_ns: 0,
                 comp: SymbolId(0),
@@ -977,7 +1323,7 @@ mod tests {
             }],
             components: vec!["node:a".to_string()],
             dropped: 0,
-        };
+        }]);
         assert!(dump.validate().unwrap_err().contains("Sent"));
     }
 
@@ -1015,7 +1361,7 @@ mod tests {
         rec.record(span, 10, node, Stage::Arrived, 0);
         rec.record(span, 25, node, Stage::Arrived, 185);
         rec.record(span, 25, node, Stage::Reassembled, 0);
-        let samples = stage_samples(&rec.finish(&interner));
+        let samples = stage_samples(&freeze(rec, &interner));
         assert_eq!(samples.hop_ns, vec![10.0, 25.0]);
         assert_eq!(samples.reasm_ns, vec![25.0]);
     }
@@ -1033,7 +1379,11 @@ mod tests {
         let dump = sample_dump();
         let pm = post_mortem(&dump);
         assert_eq!(pm.total(), 1);
-        assert_eq!(pm.entries, vec![(DropCause::QueueFull, SymbolId(1), 1)]);
+        let link = dump.components.iter().position(|c| c == "link:0").unwrap();
+        assert_eq!(
+            pm.entries,
+            vec![(DropCause::QueueFull, SymbolId(link as u32), 1)]
+        );
         let mut agg = PostMortem::default();
         agg.absorb(&pm);
         agg.absorb(&pm);
@@ -1058,7 +1408,7 @@ mod tests {
     #[test]
     fn merge_domains_canonicalizes_a_single_part_idempotently() {
         let dump = sample_dump();
-        let canon = LineageDump::merge_domains(vec![dump.clone()]);
+        let canon = LineageDump::merge_domains(vec![part_of(&dump)]);
         canon.validate().expect("canonical dump is well-formed");
         // Same behaviour, canonical ids.
         assert_eq!(canon.outcome_counts(), dump.outcome_counts());
@@ -1067,7 +1417,7 @@ mod tests {
         names.sort();
         assert_eq!(names, canon.components, "components come out sorted");
         // Canonicalizing a canonical dump changes nothing.
-        assert_eq!(LineageDump::merge_domains(vec![canon.clone()]), canon);
+        assert_eq!(LineageDump::merge_domains(vec![part_of(&canon)]), canon);
     }
 
     #[test]
@@ -1113,6 +1463,89 @@ mod tests {
         let merged = LineageDump::merge_domains(vec![d0.finish(&i0), d1.finish(&i1)]);
         assert_eq!(merged, sequential);
         merged.validate().expect("merged dump is well-formed");
+    }
+
+    #[test]
+    fn stage_codes_are_dense_and_round_trip() {
+        let mut stages = vec![
+            Stage::Sent,
+            Stage::Fragmented,
+            Stage::LinkTx,
+            Stage::Arrived,
+            Stage::Sniffed,
+            Stage::ReasmHeld,
+            Stage::Reassembled,
+            Stage::Delivered,
+            Stage::Buffered,
+            Stage::Played,
+        ];
+        stages.extend(DropCause::ALL.map(Stage::Dropped));
+        for (code, stage) in stages.into_iter().enumerate() {
+            assert_eq!(stage.code(), code as u32);
+            assert_eq!(Stage::from_code(code as u32), Some(stage));
+        }
+        assert_eq!(Stage::from_code(21), None);
+    }
+
+    /// An event naming a span no recorder allocated is a corrupt part:
+    /// the merge refuses it rather than skipping the event.
+    #[test]
+    #[should_panic(expected = "outside the origin table")]
+    fn merge_rejects_an_event_for_an_unknown_span() {
+        let mut interner = Interner::new();
+        let node = interner.intern("node:a");
+        let mut rec = LineageRecorder::default();
+        rec.begin_span(0, node, None, 8);
+        rec.record(1, 5, node, Stage::Delivered, 0);
+        LineageDump::merge_domains(vec![rec.finish(&interner)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the origin table")]
+    fn merge_rejects_an_event_from_an_unknown_domain() {
+        let mut interner = Interner::new();
+        let node = interner.intern("node:a");
+        let mut rec = LineageRecorder::default();
+        rec.begin_span(0, node, None, 8);
+        rec.record(1 << SPAN_DOMAIN_SHIFT, 5, node, Stage::Delivered, 0);
+        LineageDump::merge_domains(vec![rec.finish(&interner)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit the packed event tag")]
+    fn packing_rejects_a_component_id_past_27_bits() {
+        let ev = LineageEvent {
+            span: 0,
+            time_ns: 0,
+            comp: SymbolId(0),
+            stage: Stage::Sent,
+            aux: 0,
+        };
+        assert_eq!(
+            Row::pack(&ev, MAX_COMPONENTS - 1).decode(0).comp.0,
+            (1 << 27) - 1
+        );
+        Row::pack(&ev, MAX_COMPONENTS);
+    }
+
+    #[test]
+    fn validate_catches_an_unknown_component() {
+        let mut dump = sample_dump();
+        dump.components.pop();
+        assert!(dump
+            .validate()
+            .unwrap_err()
+            .contains("references unknown component"));
+    }
+
+    #[test]
+    fn events_are_span_major_and_16_bytes_a_row() {
+        assert_eq!(std::mem::size_of::<Row>(), 16);
+        let dump = sample_dump();
+        let spans: Vec<u64> = dump.events.iter().map(|e| e.span).collect();
+        assert!(spans.is_sorted(), "span-major order: {spans:?}");
+        assert_eq!(dump.events.iter().len(), dump.events.len());
+        assert_eq!(dump.events.spans(), dump.origins.len());
     }
 
     #[test]
