@@ -710,12 +710,12 @@ pub fn sessions(flags: &Flags) -> Result<(), String> {
             .expect("sampled sessions carry lineage");
         outln!("\n## session {sid} lineage timeline");
         let mut printed = 0usize;
-        for tl in lin.reconstruct() {
-            let origin = &lin.origins[tl.span as usize];
+        for (span, origin) in lin.origins.iter().enumerate() {
             let meta = match origin.meta {
                 Some(meta) if meta.sequence == sid => meta,
                 _ => continue,
             };
+            let tl = lin.timeline(span);
             let outcome = match tl.outcome {
                 SpanOutcome::Dropped(cause) => format!("dropped:{}", cause.label()),
                 other => other.label().to_string(),
@@ -1066,9 +1066,9 @@ pub fn timeline(flags: &Flags) -> Result<(), String> {
         samples.residency_ns.extend(run.residency_ns);
         samples.e2e_ns.extend(run.e2e_ns);
 
-        for tl in dump.reconstruct() {
-            let origin = &dump.origins[tl.span as usize];
+        for (span, origin) in dump.origins.iter().enumerate() {
             let Some(meta) = origin.meta else { continue };
+            let tl = dump.timeline(span);
             let Some(end) = tl
                 .first_time(|s| s == Stage::Buffered)
                 .or_else(|| tl.first_time(|s| s == Stage::Delivered))

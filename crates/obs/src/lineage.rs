@@ -417,7 +417,8 @@ pub struct LineageDump {
     /// Per-span origin records; the span id is the index.
     pub origins: Vec<SpanOrigin>,
     /// Every stage transition, span-major: span 0's events, then span
-    /// 1's, each span's in sim-time order (ties in recording order).
+    /// 1's, each span's in sim-time order (ties in part order, then
+    /// recording order).
     pub events: EventLog,
     /// Component names in [`SymbolId`] order — a snapshot of the
     /// run's shared interner.
@@ -648,15 +649,6 @@ impl<'a> SpanEvents<'a> {
             span: self.span,
             rows: self.rows.iter(),
         }
-    }
-}
-
-impl<'a> IntoIterator for SpanEvents<'a> {
-    type Item = LineageEvent;
-    type IntoIter = SpanIter<'a>;
-
-    fn into_iter(self) -> SpanIter<'a> {
-        self.iter()
     }
 }
 
