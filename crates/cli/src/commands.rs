@@ -179,6 +179,7 @@ pub fn obs(flags: &Flags) -> Result<(), String> {
     if flags.contains_key("rollups") {
         config = config.with_sessions();
     }
+    config.lineage = flags.contains_key("trace");
     config.progress = flags.contains_key("progress");
     let result = turbulence::run_pair(&config);
     let telemetry = result
@@ -208,9 +209,13 @@ pub fn obs(flags: &Flags) -> Result<(), String> {
         outln!("{}", telemetry.metrics.render_text());
     }
     if let Some(path) = flags.get("trace") {
-        std::fs::write(path, &telemetry.trace_jsonl).map_err(|e| format!("write {path}: {e}"))?;
-        let lines = telemetry.trace_jsonl.lines().count();
-        outln!("trace: {lines} events written to {path}");
+        let dump = telemetry.lineage.as_ref().expect("--trace records lineage");
+        let trace = turb_obs::lineage::to_chrome_trace(dump);
+        std::fs::write(path, trace).map_err(|e| format!("write {path}: {e}"))?;
+        outln!(
+            "trace: {} spans written to {path} (Perfetto JSON)",
+            dump.origins.len()
+        );
     }
     Ok(())
 }

@@ -124,7 +124,8 @@ OPTIONS (per command):
                         group for scale; results are byte-identical at
                         every N; N may not exceed the node count)
     --metrics           obs: also print Prometheus-style metrics exposition
-    --trace FILE        obs: dump the flight recorder as JSON Lines
+    --trace FILE        obs: record lineage and write it as Perfetto
+                        (Chrome-trace) JSON, as timeline --perfetto does
     --out FILE          flowgen: trace output path (default stdout)
     --kbps N,N,...      friendly: bottleneck sweep in Kbit/s
     --set N, --class C  timeline: one pair run (or --corpus for all)

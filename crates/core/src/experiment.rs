@@ -43,10 +43,9 @@ pub struct PairRunConfig {
     /// Optional per-link loss probability on the client access link
     /// (0 for the paper's uncongested conditions; used by ablations).
     pub access_loss: f64,
-    /// Collect telemetry (metrics, flight recorder, run report) for
-    /// this run. Harvesting reads counters the simulator keeps anyway
-    /// and never draws randomness, so results are bit-identical either
-    /// way.
+    /// Collect telemetry (metrics, run report) for this run.
+    /// Harvesting reads counters the simulator keeps anyway and never
+    /// draws randomness, so results are bit-identical either way.
     pub telemetry: bool,
     /// Event-queue engine. The timing wheel is the default; the heap
     /// is kept as the reference that `tests/scheduler_equivalence.rs`
@@ -532,9 +531,8 @@ mod tests {
                 .with_engine(EngineKind::Hybrid, 0),
         );
         let (p, h) = (packet.telemetry.unwrap(), hybrid.telemetry.unwrap());
-        // Counters (never wall-clock histograms) and traces match byte
-        // for byte, same discipline as the shard/scheduler identity
-        // tests.
+        // Counters (never wall-clock histograms) match byte for byte,
+        // same discipline as the shard/scheduler identity tests.
         let counters = |t: &RunTelemetry| {
             t.metrics
                 .counters()
@@ -542,7 +540,6 @@ mod tests {
                 .collect::<Vec<_>>()
         };
         assert_eq!(counters(&p), counters(&h));
-        assert_eq!(p.trace_jsonl, h.trace_jsonl);
         assert!(h.fluid.is_none(), "no flows, no solver");
     }
 

@@ -21,7 +21,7 @@
 //! * [`tables`] — Table 1, static and with measured rates.
 //! * [`report`] — plain-text rendering for the CLI.
 //! * [`telemetry`] — per-run observability harvest ([`RunTelemetry`]):
-//!   run report, metrics registry, flight-recorder dump.
+//!   run report, metrics registry, and the observer dumps.
 //!
 //! ```no_run
 //! use turbulence::{figures, runner};

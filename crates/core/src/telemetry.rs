@@ -1,5 +1,5 @@
-//! Assembling per-run telemetry: the [`RunReport`], the merged metrics
-//! registry, and the flight-recorder dump for one pair run.
+//! Assembling per-run telemetry: the [`RunReport`] and the merged
+//! metrics registry for one pair run.
 //!
 //! Harvesting happens once, after the simulation has finished — it
 //! reads counters the components keep anyway, so whether telemetry is
@@ -18,21 +18,19 @@ pub struct RunTelemetry {
     pub report: RunReport,
     /// Every metric, for Prometheus-style exposition.
     pub metrics: MetricsRegistry,
-    /// The flight recorder's events as JSON Lines.
-    pub trace_jsonl: String,
     /// Which event-queue engine ran the simulation.
     pub scheduler: SchedulerKind,
     /// Scheduler-internal diagnostics (slots touched, cascades,
     /// overflow entries; all zero for the heap). Kept separate from
-    /// `report`/`metrics`/`trace_jsonl` deliberately: those three are
-    /// asserted byte-identical across schedulers, while these describe
+    /// `report`/`metrics` deliberately: those two are asserted
+    /// byte-identical across schedulers, while these describe
     /// the engine itself.
     pub sched: SchedStats,
     /// Per-packet lifecycle spans, when the run recorded lineage
     /// ([`crate::PairRunConfig::with_lineage`]). Like `scheduler`/
     /// `sched`, this sits outside the byte-identity set: the identity
-    /// tests assert `report`/`metrics`/`trace_jsonl` are unchanged by
-    /// turning lineage on, not that the dump itself exists.
+    /// tests assert `report`/`metrics` are unchanged by turning
+    /// lineage on, not that the dump itself exists.
     pub lineage: Option<LineageDump>,
     /// Windowed time-series over the run, when it was recorded
     /// ([`crate::PairRunConfig::with_timeseries`]). Outside the
@@ -47,7 +45,7 @@ pub struct RunTelemetry {
     /// transits, per-domain event counts) when the run was partitioned
     /// ([`crate::PairRunConfig::with_shards`]); `None` for sequential
     /// runs. Outside the byte-identity set — the identity tests assert
-    /// `report`/`metrics`/`trace_jsonl` are unchanged by sharding, not
+    /// `report`/`metrics` are unchanged by sharding, not
     /// that the partition looks any particular way.
     pub shards: Option<ShardDiag>,
     /// Fluid-solver diagnostics when the run carried hybrid-engine
@@ -123,7 +121,6 @@ pub fn harvest(
         fault_induced_losses: fault_losses,
         fault_delayed,
         capture_records: capture.len() as u64,
-        trace_dropped: sim.trace_evicted(),
         links,
         frag,
         players: vec![
@@ -142,7 +139,6 @@ pub fn harvest(
     RunTelemetry {
         report,
         metrics,
-        trace_jsonl: sim.trace_jsonl(),
         scheduler: sim.scheduler(),
         sched: sim.sched_stats(),
         // Filled in by `run_pair` after harvesting (detaching the dumps

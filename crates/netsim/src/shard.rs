@@ -21,7 +21,7 @@
 //! streams make random draws a function of each node/link's own
 //! traffic, and per-domain observer output is merged canonically
 //! afterwards. `tests/shard_equivalence.rs` holds the engine to
-//! byte-identical reports, metrics, traces, lineage, and series
+//! byte-identical reports, metrics, lineage, and series
 //! against the sequential engine at every shard count.
 //!
 //! The barrier itself ([`Barrier`]) is a generation counter, a window
@@ -47,7 +47,7 @@ use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::Instant;
 use turb_obs::lineage::{LineageDump, LineagePart, LineageRecorder};
 use turb_obs::timeseries::TimeSeriesRecorder;
-use turb_obs::{merged_trace_jsonl, MetricsRegistry, ProgressMeter, SeriesDump, SPAN_DOMAIN_SHIFT};
+use turb_obs::{MetricsRegistry, ProgressMeter, SeriesDump, SPAN_DOMAIN_SHIFT};
 
 /// How a [`Simulation`]'s `run_*` calls execute.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -1121,17 +1121,6 @@ impl ShardedEngine {
             }
         }
         merged
-    }
-
-    /// Merge the per-domain flight recorders into the JSON Lines (and
-    /// eviction count) a single global ring would have produced.
-    pub(crate) fn trace_merged(&self) -> (String, u64) {
-        let parts: Vec<_> = self
-            .domains
-            .iter()
-            .map(|sim| (&sim.core.obs.trace, sim.core.obs.interner()))
-            .collect();
-        merged_trace_jsonl(&parts, self.domains[0].core.obs.trace.capacity())
     }
 
     /// Engine diagnostics; see [`ShardDiag`].

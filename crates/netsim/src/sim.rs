@@ -24,8 +24,7 @@ use std::sync::{Arc, Mutex};
 use turb_obs::lineage::{DropCause, LineageDump, LineageRecorder, PacketizeMeta, Stage};
 use turb_obs::timeseries::TimeSeriesRecorder;
 use turb_obs::{
-    MetricsRegistry, Obs, ProgressMeter, SeriesDump, SessionRecorder, SessionSampler, Severity,
-    SymbolId,
+    MetricsRegistry, Obs, ProgressMeter, SeriesDump, SessionRecorder, SessionSampler, SymbolId,
 };
 use turb_wire::icmp::IcmpMessage;
 use turb_wire::ipv4::{IpProtocol, Ipv4Packet, SessionTag, IPV4_HEADER_LEN};
@@ -475,9 +474,9 @@ pub struct SimCore {
     pub(crate) taps: Vec<(NodeId, Tap)>,
     pub(crate) rng: SimRng,
     pub(crate) stats: SimStats,
-    /// Telemetry context. Disabled by default; trace hooks check
-    /// `obs.enabled` and never touch the RNG or the event queue, so
-    /// enabling it cannot change simulation results.
+    /// Telemetry context: the switch and the shared symbol table.
+    /// Nothing in it touches the RNG or the event queue, so enabling
+    /// it cannot change simulation results.
     pub obs: Obs,
     /// Packet-lineage recorder; `None` unless lineage tracing is on.
     pub(crate) lineage: Option<Box<LineageState>>,
@@ -498,6 +497,14 @@ pub struct SimCore {
     /// out of [`SimStats`]: it is fluid-engine diagnostics
     /// ([`crate::fluid::FluidDiag`]), not simulated-network state.
     pub(crate) fluid_applied: u64,
+}
+
+/// The component a drop is charged to: the node that discarded the
+/// packet, or the link that lost it.
+#[derive(Debug, Clone, Copy)]
+enum Site {
+    Node(NodeId),
+    Link(LinkId),
 }
 
 impl SimCore {
@@ -527,24 +534,63 @@ impl SimCore {
         }
     }
 
-    /// Windowed counter for a drop, named by the cause's always-on
-    /// counter so per-window losses reconcile 1:1 against
-    /// [`SimCore::collect_metrics`]. Call sites sit next to the
-    /// always-on `stats` increments, NOT the lineage hooks: lineage
-    /// only sees packets that carry a span, while these series (like
-    /// the counters they mirror) see every drop.
-    fn ts_drop(&mut self, cause: DropCause, comp: SymbolId) {
+    /// The one way a packet drop reaches the observers, so all four
+    /// reconcile 1:1 by construction. Bumps the always-on node counter
+    /// for the five node-owned causes (links and reassemblers count
+    /// their own), then the cause's windowed series, the session
+    /// rollup, and lineage when the packet has a span.
+    fn drop_packet(
+        &mut self,
+        at: Site,
+        cause: DropCause,
+        session: Option<SessionTag>,
+        span: Option<u64>,
+        aux: u32,
+    ) {
+        let comp = match at {
+            Site::Node(node) => {
+                let stats = &mut self.nodes[node.0].stats;
+                match cause {
+                    DropCause::NoRoute => stats.no_route += 1,
+                    DropCause::TtlExpired => stats.ttl_expired += 1,
+                    DropCause::DecodeError => stats.decode_errors += 1,
+                    DropCause::UdpUnreachable => stats.udp_unreachable += 1,
+                    DropCause::TcpUnreachable => stats.tcp_unreachable += 1,
+                    _ => {}
+                }
+                self.nodes[node.0].comp
+            }
+            Site::Link(link) => self.links[link.0].comp,
+        };
         self.ts_counter(cause.counter(), comp, 1);
-    }
-
-    /// Attribute a drop to the packet's session rollup. Call sites sit
-    /// next to the always-on `stats`/`ts_drop` increments so per-cause
-    /// rollup sums reconcile 1:1 against the counters; untagged
-    /// packets (pings, control traffic) are simply not attributed.
-    fn sess_drop(&mut self, tag: Option<SessionTag>, cause: DropCause) {
-        if let (Some(sess), Some(tag)) = (self.sessions.as_deref(), tag) {
+        if let (Some(sess), Some(tag)) = (self.sessions.as_deref(), session) {
             sess.shared.lock().unwrap().record_drop(tag.id, cause);
         }
+        if let (Some(lin), Some(span)) = (self.lineage.as_deref_mut(), span) {
+            lin.rec
+                .record(span, self.now.as_nanos(), comp, Stage::Dropped(cause), aux);
+        }
+    }
+
+    /// The one way a local delivery reaches the observers: the node's
+    /// UDP/TCP delivery counter, the session rollup, and lineage.
+    /// ICMP is consumed by the protocol layer and has no counter.
+    fn deliver_packet(&mut self, node: NodeId, packet: &Ipv4Packet, aux: u32, payload_len: usize) {
+        let stats = &mut self.nodes[node.0].stats;
+        match packet.protocol {
+            IpProtocol::Udp => stats.udp_delivered += 1,
+            IpProtocol::Tcp => stats.tcp_delivered += 1,
+            _ => {}
+        }
+        if let (Some(sess), Some(tag)) = (self.sessions.as_deref(), packet.session) {
+            sess.shared.lock().unwrap().record_delivery(
+                tag.id,
+                payload_len as u32,
+                self.now.as_nanos(),
+                tag.born_ns,
+            );
+        }
+        self.lineage_node_event(node, packet.lineage, Stage::Delivered, aux);
     }
 
     /// Whether a packet with this session tag should get a lineage
@@ -752,13 +798,11 @@ impl SimCore {
             }
         }
         let Some(link_id) = self.nodes[node.0].route(packet.dst) else {
-            self.nodes[node.0].stats.no_route += 1;
-            self.ts_drop(DropCause::NoRoute, self.nodes[node.0].comp);
-            self.sess_drop(packet.session, DropCause::NoRoute);
-            self.lineage_node_event(
-                node,
+            self.drop_packet(
+                Site::Node(node),
+                DropCause::NoRoute,
+                packet.session,
                 packet.lineage,
-                Stage::Dropped(DropCause::NoRoute),
                 u32::from(packet.fragment_offset),
             );
             return;
@@ -780,10 +824,7 @@ impl SimCore {
             Ok(f) => f,
             Err(_) => {
                 // DF set and too big (or unusable MTU): unroutable.
-                self.nodes[node.0].stats.no_route += 1;
-                self.ts_drop(DropCause::NoRoute, self.nodes[node.0].comp);
-                self.sess_drop(sess_tag, DropCause::NoRoute);
-                self.lineage_node_event(node, span, Stage::Dropped(DropCause::NoRoute), 0);
+                self.drop_packet(Site::Node(node), DropCause::NoRoute, sess_tag, span, 0);
                 return;
             }
         };
@@ -852,16 +893,8 @@ impl SimCore {
                     TxOutcome::Red => DropCause::RedEarly,
                     _ => DropCause::QueueFull,
                 };
-                self.ts_drop(cause, link_comp);
-                self.sess_drop(packet.session, cause);
-                self.lineage_link_event(link_id, packet.lineage, Stage::Dropped(cause), offset);
-                if self.obs.enabled {
-                    let now_ns = self.now.as_nanos();
-                    self.obs
-                        .trace_with_sym(now_ns, Severity::Warn, "link", link_comp, || {
-                            format!("dropped {bytes}-byte packet: {}", cause.label())
-                        });
-                }
+                let (session, span) = (packet.session, packet.lineage);
+                self.drop_packet(Site::Link(link_id), cause, session, span, offset);
             }
         }
     }
@@ -931,102 +964,48 @@ impl SimCore {
                 self.forward(node_id, packet);
             } else {
                 // Hosts silently drop transit traffic.
-                self.nodes[node_id.0].stats.no_route += 1;
-                self.ts_drop(DropCause::NoRoute, self.nodes[node_id.0].comp);
-                self.sess_drop(packet.session, DropCause::NoRoute);
-                self.lineage_node_event(
-                    node_id,
+                self.drop_packet(
+                    Site::Node(node_id),
+                    DropCause::NoRoute,
+                    packet.session,
                     packet.lineage,
-                    Stage::Dropped(DropCause::NoRoute),
                     u32::from(packet.fragment_offset),
                 );
             }
             return;
         }
 
-        // Local delivery: reassemble first.
+        // Local delivery: reassemble first. Expiry cannot borrow
+        // `self`, so it collects each timed-out group's template and
+        // the drops are reported once the reassembler is released.
         let now_ns = self.now.as_nanos();
         let span = packet.lineage;
         let sess_tag = packet.session;
         let offset = u32::from(packet.fragment_offset);
         let was_fragment = packet.is_fragment();
+        let mut expired = Vec::new();
+        let reassembler = &mut self.nodes[node_id.0].reassembler;
+        reassembler.expire_with(now_ns, |t| {
+            expired.push((t.session, t.lineage, u32::from(t.fragment_offset)))
+        });
+        let before = reassembler.stats();
+        let whole = reassembler.push(packet, now_ns);
+        let after = reassembler.stats();
+        let backlog = reassembler.pending() as u64;
+        let at = Site::Node(node_id);
+        for (session, span, offset) in expired {
+            self.drop_packet(at, DropCause::ReasmTimeout, session, span, offset);
+        }
+        // One push rejects or duplicates at most one fragment.
+        let invalid = after.invalid > before.invalid;
+        if invalid {
+            self.drop_packet(at, DropCause::ReasmInvalid, sess_tag, span, offset);
+        } else if after.duplicates > before.duplicates {
+            self.drop_packet(at, DropCause::ReasmDuplicate, sess_tag, span, offset);
+        }
         let node_comp = self.nodes[node_id.0].comp;
-        let (whole, expired, new_duplicates, new_invalid, backlog) = {
-            let mut lineage = self.lineage.as_deref_mut();
-            let sessions = self.sessions.as_deref();
-            let node = &mut self.nodes[node_id.0];
-            let comp = node.comp;
-            let expired = node.reassembler.expire_with(now_ns, |template| {
-                if let Some(lin) = lineage.as_deref_mut() {
-                    if let Some(span) = template.lineage {
-                        lin.rec.record(
-                            span,
-                            now_ns,
-                            comp,
-                            Stage::Dropped(DropCause::ReasmTimeout),
-                            u32::from(template.fragment_offset),
-                        );
-                    }
-                }
-                if let (Some(sess), Some(tag)) = (sessions, template.session) {
-                    sess.shared
-                        .lock()
-                        .unwrap()
-                        .record_drop(tag.id, DropCause::ReasmTimeout);
-                }
-            });
-            let before = node.reassembler.stats();
-            let whole = node.reassembler.push(packet, now_ns);
-            let after = node.reassembler.stats();
-            (
-                whole,
-                expired,
-                after.duplicates - before.duplicates,
-                after.invalid - before.invalid,
-                node.reassembler.pending() as u64,
-            )
-        };
-        if self.timeseries.is_some() {
-            if expired > 0 {
-                self.ts_counter(DropCause::ReasmTimeout.counter(), node_comp, expired as u64);
-            }
-            if new_duplicates > 0 {
-                self.ts_counter(
-                    DropCause::ReasmDuplicate.counter(),
-                    node_comp,
-                    new_duplicates,
-                );
-            }
-            if new_invalid > 0 {
-                self.ts_counter(DropCause::ReasmInvalid.counter(), node_comp, new_invalid);
-            }
-            self.ts_gauge("reassembly_backlog_groups", node_comp, backlog);
-        }
-        if expired > 0 && self.obs.enabled {
-            self.obs
-                .trace_with_sym(now_ns, Severity::Warn, "reassembly", node_comp, || {
-                    format!("discarded {expired} incomplete fragment group(s) on timeout")
-                });
-        }
-        if new_invalid > 0 {
-            self.sess_drop(sess_tag, DropCause::ReasmInvalid);
-            self.lineage_node_event(
-                node_id,
-                span,
-                Stage::Dropped(DropCause::ReasmInvalid),
-                offset,
-            );
-        }
-        if new_duplicates > 0 {
-            self.sess_drop(sess_tag, DropCause::ReasmDuplicate);
-            self.lineage_node_event(
-                node_id,
-                span,
-                Stage::Dropped(DropCause::ReasmDuplicate),
-                offset,
-            );
-        }
-        if was_fragment && whole.is_none() && new_invalid == 0 {
+        self.ts_gauge("reassembly_backlog_groups", node_comp, backlog);
+        if was_fragment && whole.is_none() && !invalid {
             self.lineage_node_event(node_id, span, Stage::ReasmHeld, offset);
         }
         let Some(packet) = whole else {
@@ -1050,13 +1029,11 @@ impl SimCore {
 
     fn forward(&mut self, node_id: NodeId, mut packet: Ipv4Packet) {
         if packet.ttl <= 1 {
-            self.nodes[node_id.0].stats.ttl_expired += 1;
-            self.ts_drop(DropCause::TtlExpired, self.nodes[node_id.0].comp);
-            self.sess_drop(packet.session, DropCause::TtlExpired);
-            self.lineage_node_event(
-                node_id,
+            self.drop_packet(
+                Site::Node(node_id),
+                DropCause::TtlExpired,
+                packet.session,
                 packet.lineage,
-                Stage::Dropped(DropCause::TtlExpired),
                 u32::from(packet.fragment_offset),
             );
             // Never generate ICMP errors about ICMP errors.
@@ -1082,13 +1059,11 @@ impl SimCore {
         let msg = match IcmpMessage::decode_shared(&packet.payload) {
             Ok(m) => m,
             Err(_) => {
-                self.nodes[node_id.0].stats.decode_errors += 1;
-                self.ts_drop(DropCause::DecodeError, self.nodes[node_id.0].comp);
-                self.sess_drop(packet.session, DropCause::DecodeError);
-                self.lineage_node_event(
-                    node_id,
+                self.drop_packet(
+                    Site::Node(node_id),
+                    DropCause::DecodeError,
+                    packet.session,
                     packet.lineage,
-                    Stage::Dropped(DropCause::DecodeError),
                     0,
                 );
                 return;
@@ -1097,7 +1072,7 @@ impl SimCore {
         // The protocol layer consumed the message either way (echo
         // requests are answered, everything else fans out to whatever
         // listeners exist): the span terminated by delivery.
-        self.lineage_node_event(node_id, packet.lineage, Stage::Delivered, 0);
+        self.deliver_packet(node_id, &packet, 0, packet.payload.len());
         if let Some(reply) = msg.reply_to() {
             // Echo request: the node answers itself (hosts and routers).
             self.send_icmp_from(node_id, packet.src, reply);
@@ -1130,13 +1105,11 @@ impl SimCore {
         let datagram = match UdpDatagram::decode_shared(&packet.payload, packet.src, packet.dst) {
             Ok(d) => d,
             Err(_) => {
-                self.nodes[node_id.0].stats.decode_errors += 1;
-                self.ts_drop(DropCause::DecodeError, self.nodes[node_id.0].comp);
-                self.sess_drop(packet.session, DropCause::DecodeError);
-                self.lineage_node_event(
-                    node_id,
+                self.drop_packet(
+                    Site::Node(node_id),
+                    DropCause::DecodeError,
+                    packet.session,
                     packet.lineage,
-                    Stage::Dropped(DropCause::DecodeError),
                     0,
                 );
                 return;
@@ -1144,24 +1117,8 @@ impl SimCore {
         };
         match self.nodes[node_id.0].ports.get(&datagram.dst_port).copied() {
             Some(app) => {
-                self.nodes[node_id.0].stats.udp_delivered += 1;
-                // Session delivery accounting sits next to the
-                // always-on `udp_delivered` increment so the rollup
-                // totals reconcile 1:1 with the counters.
-                if let (Some(sess), Some(tag)) = (self.sessions.as_deref(), packet.session) {
-                    sess.shared.lock().unwrap().record_delivery(
-                        tag.id,
-                        datagram.payload.len() as u32,
-                        self.now.as_nanos(),
-                        tag.born_ns,
-                    );
-                }
-                self.lineage_node_event(
-                    node_id,
-                    packet.lineage,
-                    Stage::Delivered,
-                    u32::from(datagram.dst_port),
-                );
+                let (port, len) = (datagram.dst_port, datagram.payload.len());
+                self.deliver_packet(node_id, &packet, u32::from(port), len);
                 out.push(Delivery::Udp {
                     app,
                     from: (packet.src, datagram.src_port),
@@ -1170,13 +1127,11 @@ impl SimCore {
                 });
             }
             None => {
-                self.nodes[node_id.0].stats.udp_unreachable += 1;
-                self.ts_drop(DropCause::UdpUnreachable, self.nodes[node_id.0].comp);
-                self.sess_drop(packet.session, DropCause::UdpUnreachable);
-                self.lineage_node_event(
-                    node_id,
+                self.drop_packet(
+                    Site::Node(node_id),
+                    DropCause::UdpUnreachable,
+                    packet.session,
                     packet.lineage,
-                    Stage::Dropped(DropCause::UdpUnreachable),
                     u32::from(datagram.dst_port),
                 );
                 let msg = IcmpMessage::DestinationUnreachable {
@@ -1194,13 +1149,11 @@ impl SimCore {
         let segment = match TcpSegment::decode(&packet.payload, packet.src, packet.dst) {
             Ok(s) => s,
             Err(_) => {
-                self.nodes[node_id.0].stats.decode_errors += 1;
-                self.ts_drop(DropCause::DecodeError, self.nodes[node_id.0].comp);
-                self.sess_drop(packet.session, DropCause::DecodeError);
-                self.lineage_node_event(
-                    node_id,
+                self.drop_packet(
+                    Site::Node(node_id),
+                    DropCause::DecodeError,
+                    packet.session,
                     packet.lineage,
-                    Stage::Dropped(DropCause::DecodeError),
                     0,
                 );
                 return;
@@ -1212,13 +1165,8 @@ impl SimCore {
             .copied()
         {
             Some(app) => {
-                self.nodes[node_id.0].stats.tcp_delivered += 1;
-                self.lineage_node_event(
-                    node_id,
-                    packet.lineage,
-                    Stage::Delivered,
-                    u32::from(segment.dst_port),
-                );
+                let (port, len) = (segment.dst_port, segment.payload.len());
+                self.deliver_packet(node_id, &packet, u32::from(port), len);
                 out.push(Delivery::Tcp {
                     app,
                     from: packet.src,
@@ -1228,13 +1176,11 @@ impl SimCore {
             None => {
                 // A real stack would answer RST; nothing in the
                 // workspace needs that, so just count it.
-                self.nodes[node_id.0].stats.tcp_unreachable += 1;
-                self.ts_drop(DropCause::TcpUnreachable, self.nodes[node_id.0].comp);
-                self.sess_drop(packet.session, DropCause::TcpUnreachable);
-                self.lineage_node_event(
-                    node_id,
+                self.drop_packet(
+                    Site::Node(node_id),
+                    DropCause::TcpUnreachable,
+                    packet.session,
                     packet.lineage,
-                    Stage::Dropped(DropCause::TcpUnreachable),
                     u32::from(segment.dst_port),
                 );
             }
@@ -1637,8 +1583,8 @@ impl Simulation {
         );
     }
 
-    /// Turn on metric recording and the flight recorder. Telemetry
-    /// never draws randomness or schedules events, so a run behaves
+    /// Set the telemetry switch ([`Obs::enabled`]). Telemetry never
+    /// draws randomness or schedules events, so a run behaves
     /// identically either way.
     pub fn enable_telemetry(&mut self) {
         self.assert_unpartitioned("enable_telemetry");
@@ -1802,24 +1748,6 @@ impl Simulation {
         match self.sharded.as_deref() {
             Some(sh) => sh.collect_metrics(registry),
             None => self.core.collect_metrics(registry),
-        }
-    }
-
-    /// Flight-recorder events as JSON Lines. A sharded run merges the
-    /// per-domain rings, reproducing a single global ring's retention
-    /// exactly (see [`turb_obs::merged_trace_jsonl`]).
-    pub fn trace_jsonl(&self) -> String {
-        match self.sharded.as_deref() {
-            Some(sh) => sh.trace_merged().0,
-            None => self.core.obs.trace_jsonl(),
-        }
-    }
-
-    /// Events evicted from the flight recorder's ring.
-    pub fn trace_evicted(&self) -> u64 {
-        match self.sharded.as_deref() {
-            Some(sh) => sh.trace_merged().1,
-            None => self.core.obs.trace.evicted(),
         }
     }
 
@@ -2008,7 +1936,7 @@ impl Simulation {
     /// sharded simulation has partitioned — the core has been split
     /// into per-domain state; use the [`Simulation`]-level accessors
     /// ([`Simulation::link`], [`Simulation::node`],
-    /// [`Simulation::trace_jsonl`], ...) which work in both modes.
+    /// [`Simulation::collect_metrics`], ...) which work in both modes.
     pub fn core(&self) -> &SimCore {
         assert!(
             self.sharded.is_none(),

@@ -1,6 +1,6 @@
 //! Fast byte-identity check for the sharded engine: the calibrated
 //! Internet scenario with ping traffic must produce identical metrics,
-//! traces, lineage, and time-series whether it runs sequentially or
+//! lineage, and time-series whether it runs sequentially or
 //! partitioned across shard domains. The exhaustive sweep lives in
 //! the workspace-level `shard_equivalence` suite; this one exists so a
 //! broken exchange protocol fails in seconds, inside this crate.
@@ -11,7 +11,6 @@ use turb_obs::{LineageDump, MetricsRegistry, SeriesDump};
 /// Everything a run can externalise, gathered from one simulation.
 struct RunOutput {
     metrics: String,
-    trace: String,
     lineage: Option<LineageDump>,
     series: Option<SeriesDump>,
     events_processed: u64,
@@ -48,7 +47,6 @@ fn run(seed: u64, shards: ShardKind) -> RunOutput {
     let stats = sim.sim_stats();
     RunOutput {
         metrics: registry.render_text(),
-        trace: sim.trace_jsonl(),
         lineage: sim.take_lineage(),
         series: sim.take_timeseries(),
         events_processed: stats.events_processed,
@@ -87,10 +85,6 @@ fn assert_identical(seed: u64, n: u16) {
     assert_eq!(
         seq.series, shd.series,
         "seed {seed} shards {n}: time-series diverge"
-    );
-    assert_eq!(
-        seq.trace, shd.trace,
-        "seed {seed} shards {n}: traces diverge"
     );
 }
 

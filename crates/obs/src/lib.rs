@@ -9,8 +9,6 @@
 //!   and mergeable [`LogHistogram`] latency sketches keyed by a
 //!   `&'static str` metric name plus an interned component label,
 //!   rendered Prometheus-style by [`MetricsRegistry::render_text`].
-//! * [`TraceRecorder`] — a bounded flight recorder of sim-time-stamped
-//!   [`TraceEvent`]s with severity and category, dumped as JSON Lines.
 //! * [`TimeSeriesRecorder`] — fixed simulated-time windows (default
 //!   1 s) over counters and gauges, ring-buffered per series, exported
 //!   as a [`SeriesDump`] for `turbulence watch` and plotting.
@@ -24,10 +22,9 @@
 //! state; recording a metric is a pure integer/float update on the
 //! side. Instrumented components either keep counters that are always
 //! on (plain `u64` increments, present whether or not anyone reads
-//! them) or gate trace emission on [`Obs::enabled`] *outside* their
-//! hot paths, so a run with telemetry on is bit-identical to the same
-//! seed with telemetry off. The workspace `tests/telemetry.rs` suite
-//! asserts this end to end.
+//! them) or gate recording on [`Obs::enabled`], so a run with
+//! telemetry on is bit-identical to the same seed with telemetry off.
+//! The workspace `tests/telemetry.rs` suite asserts this end to end.
 
 pub mod intern;
 pub mod lineage;
@@ -37,7 +34,6 @@ pub mod progress;
 mod report;
 pub mod session;
 pub mod timeseries;
-mod trace;
 
 pub use intern::{Interner, SymbolId};
 pub use lineage::{
@@ -56,16 +52,13 @@ pub use session::{
 pub use timeseries::{
     SeriesData, SeriesDump, SeriesKind, TimeSeriesRecorder, DEFAULT_WINDOW_CAP, DEFAULT_WINDOW_NS,
 };
-pub use trace::{merged_trace_jsonl, Severity, TraceEvent, TraceRecorder};
 
 use std::time::Instant;
 
 /// The telemetry context a component threads through a run: a metrics
-/// registry (owning the shared symbol table) plus a flight recorder,
-/// with a master switch.
+/// registry (owning the shared symbol table) with a master switch.
 ///
-/// When `enabled` is false every helper is a cheap no-op, and the
-/// lazy-message forms ([`Obs::trace_with`]) never build their strings.
+/// When `enabled` is false every helper is a cheap no-op.
 /// The interner inside [`Obs::metrics`] is live even while disabled,
 /// so components can pre-intern their labels at construction time and
 /// other observers (lineage, time-series) can share the table.
@@ -75,8 +68,6 @@ pub struct Obs {
     pub enabled: bool,
     /// Metrics recorded so far; also owns the shared [`Interner`].
     pub metrics: MetricsRegistry,
-    /// Flight recorder.
-    pub trace: TraceRecorder,
 }
 
 impl Obs {
@@ -85,7 +76,7 @@ impl Obs {
         Obs::default()
     }
 
-    /// An enabled context with default trace capacity.
+    /// An enabled context.
     pub fn enabled() -> Obs {
         Obs {
             enabled: true,
@@ -149,56 +140,16 @@ impl Obs {
         }
     }
 
-    /// Record a trace event when enabled, building the message lazily
-    /// so disabled runs pay no formatting cost. The component label is
-    /// interned (a hash lookup after first use — no allocation).
-    pub fn trace_with(
-        &mut self,
-        time_ns: u64,
-        severity: Severity,
-        category: &'static str,
-        component: &str,
-        message: impl FnOnce() -> String,
-    ) {
-        if self.enabled {
-            let sym = self.metrics.intern(component);
-            self.trace.emit(time_ns, severity, category, sym, message());
-        }
-    }
-
-    /// [`Obs::trace_with`] for a pre-interned component — the transit
-    /// hot path: no lookup, no allocation beyond the message itself.
-    pub fn trace_with_sym(
-        &mut self,
-        time_ns: u64,
-        severity: Severity,
-        category: &'static str,
-        component: SymbolId,
-        message: impl FnOnce() -> String,
-    ) {
-        if self.enabled {
-            self.trace
-                .emit(time_ns, severity, category, component, message());
-        }
-    }
-
-    /// The flight recorder as JSON Lines, component symbols resolved.
-    pub fn trace_jsonl(&self) -> String {
-        self.trace.to_jsonl(self.metrics.interner())
-    }
-
     /// A context for one shard domain of a partitioned simulation:
     /// same switch, an *empty* metrics registry sharing the interner
     /// (so every construction-time [`SymbolId`] stays valid in every
-    /// domain without double-counting pre-partition values at merge),
-    /// and a fresh flight recorder of the same capacity. The
-    /// partitioner hands the original `Obs` to domain 0 and one of
+    /// domain without double-counting pre-partition values at merge).
+    /// The partitioner hands the original `Obs` to domain 0 and one of
     /// these to each of the rest.
     pub fn shard_clone(&self) -> Obs {
         Obs {
             enabled: self.enabled,
             metrics: self.metrics.fork_interner(),
-            trace: TraceRecorder::with_capacity(self.trace.capacity()),
         }
     }
 
@@ -283,24 +234,14 @@ mod tests {
         obs.gauge_max("g", "x", 2.0);
         obs.histogram_observe("h", "x", SCOPE_NS_BUCKETS, 3.0);
         obs.log_observe("l_ns", "x", 4);
-        let mut called = false;
-        obs.trace_with(0, Severity::Info, "cat", "x", || {
-            called = true;
-            String::new()
-        });
         assert!(obs.metrics.is_empty());
-        assert!(obs.trace.is_empty());
-        assert!(!called, "message closure must not run when disabled");
     }
 
     #[test]
     fn enabled_obs_records() {
         let mut obs = Obs::enabled();
         obs.counter_add("c_total", "x", 2);
-        obs.trace_with(5, Severity::Warn, "cat", "x", || "hello".to_string());
         assert_eq!(obs.metrics.counter("c_total", "x"), 2);
-        assert_eq!(obs.trace.len(), 1);
-        assert!(obs.trace_jsonl().contains("\"component\":\"x\""));
     }
 
     #[test]
@@ -310,16 +251,6 @@ mod tests {
         let b = obs.intern("link:0");
         assert_eq!(a, b);
         assert_eq!(obs.interner().resolve(a), "link:0");
-    }
-
-    #[test]
-    fn sym_trace_path_matches_string_path() {
-        let mut a = Obs::enabled();
-        let sym = a.intern("link:1");
-        a.trace_with_sym(9, Severity::Info, "link", sym, || "tx".to_string());
-        let mut b = Obs::enabled();
-        b.trace_with(9, Severity::Info, "link", "link:1", || "tx".to_string());
-        assert_eq!(a.trace_jsonl(), b.trace_jsonl());
     }
 
     #[test]

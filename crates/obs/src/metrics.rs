@@ -126,15 +126,14 @@ impl MetricsRegistry {
         MetricsRegistry::default()
     }
 
-    /// The registry's symbol table. Shared with the trace recorder and
-    /// lineage spans when the registry lives inside an
-    /// [`crate::Obs`].
+    /// The registry's symbol table. Shared with lineage spans and
+    /// time-series when the registry lives inside an [`crate::Obs`].
     pub fn interner(&self) -> &Interner {
         &self.interner
     }
 
     /// Intern a component label, returning an id usable with the
-    /// `*_sym` fast paths and with [`crate::TraceRecorder`] events.
+    /// `*_sym` fast paths and the other observers.
     pub fn intern(&mut self, component: &str) -> SymbolId {
         self.interner.intern(component)
     }

@@ -93,9 +93,6 @@ pub struct RunReport {
     pub fault_delayed: u64,
     /// Records the sniffer captured.
     pub capture_records: u64,
-    /// Flight-recorder events evicted because the trace ring was full
-    /// (0 = the full event history survived to the end of the run).
-    pub trace_dropped: u64,
     /// Per-link telemetry.
     pub links: Vec<LinkReport>,
     /// Fragmentation/reassembly telemetry.
@@ -138,7 +135,6 @@ impl RunReport {
         self.fault_induced_losses += other.fault_induced_losses;
         self.fault_delayed += other.fault_delayed;
         self.capture_records += other.capture_records;
-        self.trace_dropped += other.trace_dropped;
         self.links.extend(other.links.iter().cloned());
         self.frag.fragmented_datagrams += other.frag.fragmented_datagrams;
         self.frag.fragments_sent += other.frag.fragments_sent;
@@ -180,11 +176,6 @@ impl RunReport {
             self.fault_induced_losses, self.fault_delayed
         );
         let _ = writeln!(out, "  capture records {:>12}", self.capture_records);
-        let _ = writeln!(
-            out,
-            "  trace ring      {:>12} events evicted",
-            self.trace_dropped
-        );
         let f = &self.frag;
         let _ = writeln!(
             out,
@@ -314,7 +305,6 @@ mod tests {
             fault_induced_losses: 17,
             fault_delayed: 3,
             capture_records: 998,
-            trace_dropped: 7,
             links: vec![LinkReport {
                 component: "link:0".to_string(),
                 tx_packets: 1000,
@@ -367,7 +357,6 @@ mod tests {
         assert_eq!(total.sim_events_processed, 2_000_000);
         assert_eq!(total.transit_fastpath, 1900);
         assert_eq!(total.transit_slowpath, 60);
-        assert_eq!(total.trace_dropped, 14);
         assert_eq!(total.links.len(), 2);
         assert_eq!(total.frag.timed_out, 2);
         assert_eq!(total.label, "set1/high+set1/high");
@@ -381,7 +370,6 @@ mod tests {
         assert!(text.contains("1000000 processed"));
         assert!(text.contains("fast-path"));
         assert!(text.contains("timeout-discard"));
-        assert!(text.contains("events evicted"));
         assert!(text.contains("link:0"));
     }
 }

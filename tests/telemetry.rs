@@ -74,10 +74,6 @@ fn counters_are_identical_across_same_seed_runs() {
     assert_eq!(ca, cb);
     assert!(!ca.is_empty());
 
-    // The flight recorder is sim-time-stamped, so it is deterministic
-    // too.
-    assert_eq!(ta.trace_jsonl, tb.trace_jsonl);
-
     // And the reports agree everywhere except wall clock.
     let mut ra = ta.report.clone();
     let mut rb = tb.report.clone();
@@ -88,9 +84,9 @@ fn counters_are_identical_across_same_seed_runs() {
 
 #[test]
 fn lineage_does_not_perturb_reports_counters_or_trace() {
-    // Same seed, lineage off vs on, sequentially: the report, the
-    // counters, and the flight recorder must be byte-identical — only
-    // the dump (outside the identity set) may differ.
+    // Same seed, lineage off vs on, sequentially: the report and the
+    // counters must be byte-identical — only the dump (outside the
+    // identity set) may differ.
     let off = run_pair(&short_config(515, RateClass::Low).with_telemetry());
     let on = run_pair(&short_config(515, RateClass::Low).with_lineage());
     let toff = off.telemetry.unwrap();
@@ -118,14 +114,13 @@ fn lineage_does_not_perturb_reports_counters_or_trace() {
         .map(|(n, c, v)| (n, c.to_string(), v))
         .collect();
     assert_eq!(ca, cb);
-    assert_eq!(toff.trace_jsonl, ton.trace_jsonl);
 }
 
 #[test]
 fn lineage_identity_holds_under_the_parallel_runner() {
     // Lineage off run sequentially vs lineage on across 4 worker
-    // threads: figures, per-run reports, counters and traces must all
-    // be byte-identical, and every dump must still validate.
+    // threads: figures, per-run reports and counters must all be
+    // byte-identical, and every dump must still validate.
     use turbulence::runner;
     let mk = |lineage: bool| {
         let sets = corpus::table1();
@@ -165,7 +160,6 @@ fn lineage_identity_holds_under_the_parallel_runner() {
             .map(|(n, c, v)| (n, c.to_string(), v))
             .collect();
         assert_eq!(ca, cb);
-        assert_eq!(toff.trace_jsonl, ton.trace_jsonl);
         assert!(toff.lineage.is_none());
         ton.lineage
             .as_ref()
@@ -338,8 +332,7 @@ fn reassembly_timeouts_match_sniffer_incomplete_groups() {
 #[test]
 fn timeseries_does_not_perturb_reports_counters_or_trace() {
     // Same seed, windowed time-series off vs on, sequentially: the
-    // report, the counters, and the flight recorder must be
-    // byte-identical — only the series dump (outside the identity set,
+    // report and the counters must be byte-identical — only the series dump (outside the identity set,
     // like lineage) may differ.
     let off = run_pair(&short_config(616, RateClass::Low).with_telemetry());
     let on = run_pair(&short_config(616, RateClass::Low).with_timeseries(0));
@@ -368,7 +361,6 @@ fn timeseries_does_not_perturb_reports_counters_or_trace() {
         .map(|(n, c, v)| (n, c.to_string(), v))
         .collect();
     assert_eq!(ca, cb);
-    assert_eq!(toff.trace_jsonl, ton.trace_jsonl);
 }
 
 #[test]
