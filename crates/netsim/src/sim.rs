@@ -1495,8 +1495,14 @@ impl Simulation {
             core: SimCore {
                 now: SimTime::ZERO,
                 // Streaming runs keep thousands of in-flight events;
-                // pre-size the queue so warm-up doesn't regrow it.
-                queue: EventQueue::with_capacity(scheduler, 1024),
+                // pre-size the queue so warm-up doesn't regrow it. At
+                // 2048 slots (~208 KiB) the slab is above glibc's
+                // 128 KiB mmap threshold, so the untouched reservation
+                // is mapped rather than carved from the heap. Served
+                // from the heap, it left the heap top above the trim
+                // threshold whenever a simulation dropped, and each
+                // back-to-back construction paid a trim and re-faults.
+                queue: EventQueue::with_capacity(scheduler, 2048),
                 seq: 0,
                 nodes: Vec::new(),
                 links: Vec::new(),
