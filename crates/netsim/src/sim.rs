@@ -564,7 +564,11 @@ impl SimCore {
         };
         self.ts_counter(cause.counter(), comp, 1);
         if let (Some(sess), Some(tag)) = (self.sessions.as_deref(), session) {
-            sess.shared.lock().unwrap().record_drop(tag.id, cause);
+            let mut rec = sess
+                .shared
+                .lock()
+                .expect("no domain panics holding the recorder");
+            rec.record_drop(tag.id, cause);
         }
         if let (Some(lin), Some(span)) = (self.lineage.as_deref_mut(), span) {
             lin.rec
@@ -583,12 +587,11 @@ impl SimCore {
             _ => {}
         }
         if let (Some(sess), Some(tag)) = (self.sessions.as_deref(), packet.session) {
-            sess.shared.lock().unwrap().record_delivery(
-                tag.id,
-                payload_len as u32,
-                self.now.as_nanos(),
-                tag.born_ns,
-            );
+            let mut rec = sess
+                .shared
+                .lock()
+                .expect("no domain panics holding the recorder");
+            rec.record_delivery(tag.id, payload_len as u32, self.now.as_nanos(), tag.born_ns);
         }
         self.lineage_node_event(node, packet.lineage, Stage::Delivered, aux);
     }
