@@ -18,14 +18,19 @@
 //! newest window; there is no reordering and no timer.
 //!
 //! Series keys are `(&'static str, SymbolId)` pairs against the shared
-//! [`Interner`], so the per-event cost is a hash lookup and an integer
-//! add — no allocation once a series exists. [`TimeSeriesRecorder::finish`]
+//! [`Interner`]. The recorder finds a series through a dense slot table
+//! indexed by the component's symbol: each component lists its few
+//! series names, matched by pointer first and by content as a fallback,
+//! so the per-event cost is a short scan and an integer add — no
+//! hashing, and no allocation once a series exists. An idle gap
+//! zero-fills at most one ring's worth of windows; the rest of the gap
+//! is counted as evicted without being materialised, so memory is
+//! bounded by the ring however long the gap. [`TimeSeriesRecorder::finish`]
 //! resolves the symbols into a self-contained [`SeriesDump`] that can
 //! be exported (JSONL/CSV), merged across runs, and rendered by
 //! `turbulence watch`.
 
 use crate::intern::{Interner, SymbolId};
-use std::collections::HashMap;
 use std::collections::VecDeque;
 use std::fmt::Write as _;
 
@@ -80,7 +85,9 @@ pub struct TimeSeriesRecorder {
     window_ns: u64,
     capacity: usize,
     series: Vec<SeriesBuf>,
-    index: HashMap<(&'static str, SymbolId), u32>,
+    /// Indexed by `SymbolId::index()`: the component's series names and
+    /// their slots in `series`. Grown on demand.
+    by_comp: Vec<Vec<(&'static str, u32)>>,
 }
 
 impl TimeSeriesRecorder {
@@ -100,7 +107,7 @@ impl TimeSeriesRecorder {
             },
             capacity: capacity.max(1),
             series: Vec::new(),
-            index: HashMap::new(),
+            by_comp: Vec::new(),
         }
     }
 
@@ -144,8 +151,18 @@ impl TimeSeriesRecorder {
         comp: SymbolId,
         value: u64,
     ) {
-        let idx = match self.index.get(&(name, comp)) {
-            Some(&i) => i as usize,
+        if comp.index() >= self.by_comp.len() {
+            self.by_comp.resize_with(comp.index() + 1, Vec::new);
+        }
+        let slots = &mut self.by_comp[comp.index()];
+        // Pointer equality is the fast path; the content compare keeps
+        // one literal with two addresses (across codegen units) on one
+        // series.
+        let idx = match slots
+            .iter()
+            .find(|(n, _)| std::ptr::eq(*n, name) || *n == name)
+        {
+            Some(&(_, i)) => i as usize,
             None => {
                 let i = self.series.len();
                 self.series.push(SeriesBuf {
@@ -157,12 +174,12 @@ impl TimeSeriesRecorder {
                     evicted: 0,
                     total: 0,
                 });
-                self.index.insert((name, comp), i as u32);
+                slots.push((name, i as u32));
                 i
             }
         };
         let s = &mut self.series[idx];
-        debug_assert_eq!(s.kind, kind, "series {name} recorded with mixed kinds");
+        assert_eq!(s.kind, kind, "series {name} recorded with mixed kinds");
         let w = time_ns / self.window_ns;
         if s.values.is_empty() {
             s.first_window = w;
@@ -178,8 +195,15 @@ impl TimeSeriesRecorder {
                     SeriesKind::Gauge => *back = (*back).max(value),
                 }
             } else {
-                // Zero-fill idle windows, then open the new one.
-                for _ in 0..(w - last - 1) {
+                // Zero-fill idle windows, then open the new one. At most
+                // `capacity` zeros can survive the trim below; when the
+                // gap is longer every older window is evicted anyway, so
+                // the excess is evicted arithmetically, not pushed.
+                let gap = w - last - 1;
+                let fill = gap.min(self.capacity as u64);
+                s.first_window += gap - fill;
+                s.evicted += gap - fill;
+                for _ in 0..fill {
                     s.values.push_back(0);
                 }
                 s.values.push_back(value);
@@ -508,6 +532,78 @@ mod tests {
         let s = dump.series_for("m", "x").unwrap();
         assert_eq!(s.values, vec![1, 12, 20]);
         assert_eq!(s.total, 33);
+    }
+
+    #[test]
+    fn a_huge_idle_gap_is_evicted_without_being_materialised() {
+        let mut interner = Interner::new();
+        let sym = interner.intern("c");
+        let mut ts = TimeSeriesRecorder::with_capacity(1, 4);
+        ts.counter_add(0, "n", sym, 3);
+        ts.counter_add(1, "n", sym, 4);
+        let w = 1u64 << 40;
+        ts.counter_add(w, "n", sym, 5);
+        let dump = ts.finish(&interner);
+        let s = dump.series_for("n", "c").unwrap();
+        assert_eq!(s.first_window, w - 3);
+        assert_eq!(s.evicted, w - 3);
+        assert_eq!(s.values, vec![0, 0, 0, 5]);
+        assert_eq!(s.total, 12);
+    }
+
+    /// The recorder's original path: push every window of the gap, then
+    /// trim the ring to `cap`. Returns `(first_window, evicted, values)`.
+    fn push_then_trim(cap: usize, samples: &[(u64, u64)]) -> (u64, u64, Vec<u64>) {
+        let (mut first, mut evicted) = (samples[0].0, 0);
+        let mut values: VecDeque<u64> = VecDeque::new();
+        for &(w, v) in samples {
+            let end = first + values.len() as u64;
+            if w < end {
+                *values.back_mut().unwrap() += v;
+            } else {
+                values.extend(std::iter::repeat_n(0, (w - end) as usize));
+                values.push_back(v);
+            }
+            while values.len() > cap {
+                values.pop_front();
+                first += 1;
+                evicted += 1;
+            }
+        }
+        (first, evicted, values.into())
+    }
+
+    #[test]
+    fn gaps_around_capacity_match_push_then_trim() {
+        let mut interner = Interner::new();
+        let sym = interner.intern("c");
+        let cap = 5usize;
+        for gap in [cap - 1, cap, cap + 1] {
+            for lead in 1..=cap as u64 + 1 {
+                let mut samples: Vec<(u64, u64)> = (0..lead).map(|w| (w, w + 1)).collect();
+                let after = lead + gap as u64;
+                samples.extend([(after, 100), (after, 1), (after + 2, 7)]);
+                let mut ts = TimeSeriesRecorder::with_capacity(1, cap);
+                for &(w, v) in &samples {
+                    ts.counter_add(w, "n", sym, v);
+                }
+                let dump = ts.finish(&interner);
+                let s = dump.series_for("n", "c").unwrap();
+                assert_eq!(
+                    (s.first_window, s.evicted, s.values.clone()),
+                    push_then_trim(cap, &samples),
+                    "gap {gap}, {lead} leading windows"
+                );
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "recorded with mixed kinds")]
+    fn a_series_recorded_under_two_kinds_panics() {
+        let (mut ts, _interner, sym) = rec();
+        ts.counter_add(0, "depth", sym, 1);
+        ts.gauge_max(0, "depth", sym, 2);
     }
 
     #[test]
