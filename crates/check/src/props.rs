@@ -702,7 +702,10 @@ fn lineage_lifecycle(rng: &mut CheckRng) -> Result<(), String> {
     sim.add_app(b, Box::new(Sink), Some(6000), false);
     sim.run_until(SimTime::ZERO + SimDuration::from_secs(120));
 
-    let dump = sim.take_lineage().ok_or("lineage dump missing")?;
+    let dump = sim
+        .finish_observers()
+        .lineage
+        .ok_or("lineage dump missing")?;
     dump.validate()?;
     if dump.dropped != 0 {
         return fail(format!("recorder evicted {} events", dump.dropped));

@@ -19,6 +19,18 @@ fn loss_of(flags: &Flags) -> Result<Option<f64>, String> {
     Ok(Some(loss))
 }
 
+/// `--groups N` (scale, fleet, sessions): scale-ring groups, 2..=64.
+fn groups_of(flags: &Flags) -> Result<Option<usize>, String> {
+    let Some(raw) = flags.get("groups") else {
+        return Ok(None);
+    };
+    let groups: usize = raw.parse().map_err(|_| format!("bad --groups {raw:?}"))?;
+    if !(2..=64).contains(&groups) {
+        return Err(format!("--groups {groups} out of range (2..=64)"));
+    }
+    Ok(Some(groups))
+}
+
 /// The corpus configs, restricted to `--sets 1,2,5` when given.
 fn corpus_configs_of(flags: &Flags, seed: u64) -> Result<Vec<PairRunConfig>, String> {
     match flags.get("sets") {
@@ -284,9 +296,12 @@ pub fn scale(flags: &Flags) -> Result<(), String> {
     let mut scenario = ScaleConfig::default();
     if let Some(raw) = flags.get("clients") {
         scenario.clients_per_group = raw.parse().map_err(|_| format!("bad --clients {raw:?}"))?;
+        if !(1..=60_000).contains(&scenario.clients_per_group) {
+            return Err(format!("--clients {raw} out of range (1..=60000)"));
+        }
     }
-    if let Some(raw) = flags.get("groups") {
-        scenario.groups = raw.parse().map_err(|_| format!("bad --groups {raw:?}"))?;
+    if let Some(groups) = groups_of(flags)? {
+        scenario.groups = groups;
     }
     if let Some(raw) = flags.get("packets") {
         scenario.packets_per_client = raw.parse().map_err(|_| format!("bad --packets {raw:?}"))?;
@@ -401,13 +416,16 @@ fn fleet_config_of(flags: &Flags) -> Result<turbulence::FleetRunConfig, String> 
         config.duration = DurationDist::parse(raw)?;
     }
     config.diurnal = flags.contains_key("diurnal");
-    if let Some(raw) = flags.get("groups") {
-        config.groups = raw.parse().map_err(|_| format!("bad --groups {raw:?}"))?;
+    if let Some(groups) = groups_of(flags)? {
+        config.groups = groups;
     }
     if let Some(raw) = flags.get("wmp-permille") {
         config.wmp_permille = raw
             .parse()
             .map_err(|_| format!("bad --wmp-permille {raw:?}"))?;
+        if config.wmp_permille > 1000 {
+            return Err("--wmp-permille is per 1000 sessions (0..=1000)".into());
+        }
     }
     // For the fleet, `--background` is the background-class share of
     // the population, per 1000 sessions.
@@ -816,7 +834,14 @@ pub fn friendly(flags: &Flags) -> Result<(), String> {
         None => vec![300, 400, 600, 1000, 2000],
         Some(list) => list
             .split(',')
-            .map(|s| s.trim().parse().map_err(|_| format!("bad kbps {s:?}")))
+            .map(|s| match s.trim().parse::<u64>() {
+                Ok(kbps) if (1..=u64::MAX / 1000).contains(&kbps) => Ok(kbps),
+                Ok(_) => Err(format!(
+                    "--kbps {s:?} out of range (1..={})",
+                    u64::MAX / 1000
+                )),
+                Err(_) => Err(format!("bad kbps {s:?}")),
+            })
             .collect::<Result<_, _>>()?,
     };
     let sets = turb_media::corpus::table1();
@@ -1283,7 +1308,12 @@ pub fn watch(flags: &Flags) -> Result<(), String> {
                     "--window {raw} must be a positive number of seconds"
                 ));
             }
-            (secs * 1e9) as u64
+            // 0 ns would select the recorder's 1 s default.
+            let ns = (secs * 1e9) as u64;
+            if ns == 0 {
+                return Err(format!("--window {raw} is shorter than 1 ns"));
+            }
+            ns
         }
     };
     // A bare `--metrics` parses as "true" (the flag doubles as the

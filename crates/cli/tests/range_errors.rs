@@ -1,0 +1,51 @@
+//! Out-of-range flag values fail closed: a one-line `error:` on stderr
+//! and exit 1, like any other bad flag, never a panic.
+
+use std::process::Command;
+
+fn assert_rejected(args: &[&str]) {
+    let output = Command::new(env!("CARGO_BIN_EXE_turbulence"))
+        .args(args)
+        .output()
+        .expect("run turbulence");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(1), "{args:?}: stderr {stderr}");
+    assert!(stderr.starts_with("error:"), "{args:?}: stderr {stderr}");
+    assert_eq!(stderr.lines().count(), 1, "{args:?}: stderr {stderr}");
+    assert!(!stderr.contains("panicked"), "{args:?}: stderr {stderr}");
+    assert!(!stderr.contains("internal failure"), "{args:?}: {stderr}");
+}
+
+#[test]
+fn groups_outside_the_ring_range_are_rejected() {
+    for groups in ["0", "1", "65"] {
+        assert_rejected(&["fleet", "--groups", groups, "--sessions", "10"]);
+        assert_rejected(&["sessions", "--groups", groups, "--sessions", "10"]);
+        assert_rejected(&["scale", "--groups", groups]);
+    }
+}
+
+#[test]
+fn clients_outside_the_group_range_are_rejected() {
+    assert_rejected(&["scale", "--clients", "0"]);
+    assert_rejected(&["scale", "--clients", "60001"]);
+}
+
+#[test]
+fn wmp_share_above_one_thousand_permille_is_rejected() {
+    assert_rejected(&["fleet", "--wmp-permille", "1001", "--sessions", "10"]);
+    assert_rejected(&["sessions", "--wmp-permille", "5000", "--sessions", "10"]);
+}
+
+#[test]
+fn zero_link_rate_is_rejected() {
+    assert_rejected(&["friendly", "--kbps", "0"]);
+    assert_rejected(&["friendly", "--kbps", "300,0"]);
+}
+
+#[test]
+fn sub_nanosecond_window_is_rejected() {
+    // 1e-10 s truncates to 0 ns, the recorder's "use the 1 s default".
+    assert_rejected(&["watch", "--set", "2", "--window", "1e-10"]);
+    assert_rejected(&["watch", "--set", "2", "--window", "0.0000000009"]);
+}

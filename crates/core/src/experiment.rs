@@ -251,13 +251,10 @@ pub fn run_pair(config: &PairRunConfig) -> PairRunResult {
     );
     let timer = ScopeTimer::start("pair_run_wall_ns", &label);
     let mut sim = Simulation::with_scheduler(config.seed, config.scheduler);
-    if config.telemetry {
-        sim.enable_telemetry();
-    }
     if config.lineage {
         sim.enable_lineage();
     }
-    let session_recorder = config.sessions.then(|| {
+    if config.sessions {
         let mut rec = turb_obs::SessionRecorder::new();
         let real_class = rec.add_class("real");
         let wmp_class = rec.add_class("wmp");
@@ -270,10 +267,8 @@ pub fn run_pair(config: &PairRunConfig) -> PairRunResult {
         let wmp_id = rec.add_session(wmp_class, wmp_interval_us);
         debug_assert_eq!(real_id, turb_players::REAL_SESSION_ID);
         debug_assert_eq!(wmp_id, turb_players::WMP_SESSION_ID);
-        let shared = std::sync::Arc::new(std::sync::Mutex::new(rec));
-        sim.enable_sessions(shared.clone(), None);
-        shared
-    });
+        sim.enable_sessions(rec, None);
+    }
     if config.timeseries {
         sim.enable_timeseries(config.ts_window_ns);
     }
@@ -436,16 +431,8 @@ pub fn run_pair(config: &PairRunConfig) -> PairRunResult {
         )
     });
     if let Some(t) = telemetry.as_mut() {
-        t.lineage = sim.take_lineage();
-        t.series = sim.take_timeseries();
-        if let Some(shared) = session_recorder {
-            sim.release_sessions();
-            let rec = std::sync::Arc::try_unwrap(shared)
-                .expect("simulation released every recorder handle")
-                .into_inner()
-                .expect("session recorder lock poisoned");
-            t.sessions = Some(rec.finish());
-        }
+        let dumps = sim.finish_observers();
+        (t.lineage, t.series, t.sessions) = (dumps.lineage, dumps.series, dumps.sessions);
     }
     let result = PairRunResult {
         set_id: config.set_id,

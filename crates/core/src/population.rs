@@ -22,13 +22,13 @@
 
 use crate::parallel;
 use crate::scale::fnv1a;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use turb_flowgen::lower::aggregate_session_schedule;
 use turb_netsim::fleet::{FleetScenario, SessionSpec, FLEET_WINDOW_NS};
 use turb_netsim::topology::{ScaleConfig, ScaleScenario};
 use turb_netsim::{
-    EngineKind, FluidDiag, FluidFlow, LineageDump, ShardDiag, ShardKind, SimDuration, SimRng,
-    SimTime, Simulation,
+    EngineKind, FluidDiag, FluidFlow, LineageDump, ObserverDumps, ShardDiag, ShardKind,
+    SimDuration, SimRng, SimTime, Simulation,
 };
 use turb_obs::intern::Interner;
 use turb_obs::{MetricsRegistry, ProgressMeter, SessionDump, SessionRecorder, SessionSampler};
@@ -356,7 +356,6 @@ pub fn run_fleet(config: &FleetRunConfig) -> FleetRunResult {
     let windows = (horizon_ns / FLEET_WINDOW_NS + 2) as usize;
 
     let mut sim = Simulation::new(config.seed);
-    sim.enable_telemetry();
     if config.lineage {
         sim.enable_lineage();
     }
@@ -366,7 +365,7 @@ pub fn run_fleet(config: &FleetRunConfig) -> FleetRunResult {
     // the lineage recorder bounded: only a hash-selected permille of
     // sessions get full per-packet spans. An explicit `lineage` flag
     // wins — it means "record everything", so no sampler is installed.
-    let session_recorder = config.rollups.then(|| {
+    if config.rollups {
         let mut rec = SessionRecorder::new();
         let classes = [
             rec.add_class("real"),
@@ -387,10 +386,8 @@ pub fn run_fleet(config: &FleetRunConfig) -> FleetRunResult {
         if sampler.is_some() {
             sim.enable_lineage();
         }
-        let shared = Arc::new(Mutex::new(rec));
-        sim.enable_sessions(Arc::clone(&shared), sampler);
-        shared
-    });
+        sim.enable_sessions(rec, sampler);
+    }
     sim.set_shards(config.shards);
     let base = ScaleScenario::build(
         &mut sim,
@@ -441,22 +438,14 @@ pub fn run_fleet(config: &FleetRunConfig) -> FleetRunResult {
     sim.run_to_idle(limit);
     let wall_ns = start.elapsed().as_nanos() as u64;
 
-    // Detach observability products before the figures are rendered:
-    // the recorder is harvested by value (every shard domain's handle
-    // is released first so the Arc unwraps), and the lineage dump is
-    // whatever the sampler admitted.
-    let session_memory_bytes = session_recorder
-        .as_ref()
-        .map_or(0, |shared| shared.lock().unwrap().memory_bytes());
-    let session_dump = session_recorder.map(|shared| {
-        sim.release_sessions();
-        Arc::try_unwrap(shared)
-            .expect("simulation released every recorder handle")
-            .into_inner()
-            .expect("session recorder lock poisoned")
-            .finish()
-    });
-    let lineage_dump = sim.take_lineage();
+    // Detach observability products before the figures are rendered;
+    // the lineage dump is whatever the sampler admitted.
+    let ObserverDumps {
+        lineage: lineage_dump,
+        sessions: session_dump,
+        ..
+    } = sim.finish_observers();
+    let session_memory_bytes = session_dump.as_ref().map_or(0, |d| d.memory_bytes);
 
     let mut registry = MetricsRegistry::new();
     sim.collect_metrics(&mut registry);

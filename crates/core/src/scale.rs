@@ -77,7 +77,6 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 /// Execute one scale run.
 pub fn run_scale(config: &ScaleRunConfig) -> ScaleRunResult {
     let mut sim = Simulation::new(config.seed);
-    sim.enable_telemetry();
     sim.set_shards(config.shards);
     let scenario = ScaleScenario::build(&mut sim, &config.scenario);
 

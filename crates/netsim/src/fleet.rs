@@ -321,7 +321,6 @@ mod tests {
 
     fn run(shards: ShardKind, background_as_packets: bool) -> (Vec<u32>, u64, u64, u64) {
         let mut sim = Simulation::new(5);
-        sim.enable_telemetry();
         sim.set_shards(shards);
         let base = ScaleScenario::build(&mut sim, &base_config());
         let specs: Vec<SessionSpec> = (0..40)

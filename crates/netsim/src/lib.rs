@@ -21,6 +21,10 @@
 //!   the packet path sees them as reduced residual link capacity.
 //! * [`sim`] — the engine: event queue, [`Application`] trait,
 //!   [`Ctx`] capability handle, sniffer taps.
+//! * [`ObserverDumps`] — what a run's observers (lineage, time
+//!   series, session rollups) recorded, from
+//!   [`Simulation::finish_observers`]; one observer set per shard
+//!   domain, merged once.
 //! * [`wheel`] — deterministic hierarchical timing wheel backing the
 //!   default event queue ([`SchedulerKind::Heap`] keeps the old heap
 //!   as the equivalence tests' reference).
@@ -65,6 +69,7 @@ pub mod fleet;
 pub mod fluid;
 pub mod link;
 pub mod node;
+mod observers;
 pub mod red;
 pub mod rng;
 pub mod shard;
@@ -81,6 +86,7 @@ pub use fleet::{FleetLedger, FleetScenario, SessionSpec, FLEET_WINDOW_NS};
 pub use fluid::{EngineKind, FlowClass, FluidDiag, FluidFlow, RateSchedule};
 pub use link::{Link, LinkConfig, LinkId, LinkStats, NodeId};
 pub use node::{AppId, Node, NodeKind, NodeStats};
+pub use observers::ObserverDumps;
 pub use red::RedQueue;
 pub use rng::SimRng;
 pub use shard::{ShardDiag, ShardDomainStats, ShardKind};

@@ -37,17 +37,14 @@ use crate::link::{Link, LinkId, NodeId};
 use crate::node::{AppId, Node};
 use crate::sim::{
     collect_link_metrics, collect_node_metrics, collect_sim_metrics, AppSlot, Application,
-    Delivery, Event, EventQueue, LineageState, SchedulerKind, SessionState, SimCore, SimStats,
-    Simulation,
+    Delivery, Event, EventQueue, SchedulerKind, SimCore, SimStats, Simulation,
 };
 use crate::time::SimTime;
 use crate::wheel::SchedStats;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::SeqCst};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::Instant;
-use turb_obs::lineage::{LineageDump, LineagePart, LineageRecorder};
-use turb_obs::timeseries::TimeSeriesRecorder;
-use turb_obs::{MetricsRegistry, ProgressMeter, SeriesDump, SPAN_DOMAIN_SHIFT};
+use turb_obs::{MetricsRegistry, ProgressMeter};
 
 /// How a [`Simulation`]'s `run_*` calls execute.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -340,7 +337,7 @@ impl DomainTiming {
 pub struct ShardedEngine {
     /// One inner simulation per domain (each `ShardKind::Sequential`,
     /// so the outer dispatch never recurses).
-    domains: Vec<Simulation>,
+    pub(crate) domains: Vec<Simulation>,
     /// Global node id → owning domain.
     node_domain: Arc<Vec<u16>>,
     /// Global link id → domain owning the live copy (the transmitting
@@ -540,42 +537,11 @@ impl ShardedEngine {
         let now = core.now;
 
         // Per-domain observers. Domain 0 inherits the originals (with
-        // any pre-partition recordings); the rest get empty recorders
-        // sharing the interned symbol table, with lineage span ids
-        // namespaced by domain (see `SPAN_DOMAIN_SHIFT`).
-        let obs_list: Vec<turb_obs::Obs> = (1..n).map(|_| core.obs.shard_clone()).collect();
-        let lineage_list: Vec<Option<Box<LineageState>>> = match core.lineage.as_deref() {
-            None => (1..n).map(|_| None).collect(),
-            Some(orig) => (1..n)
-                .map(|d| {
-                    let mut rec = LineageRecorder::with_capacity(orig.rec.capacity());
-                    rec.set_span_base((d as u64) << SPAN_DOMAIN_SHIFT);
-                    Some(Box::new(LineageState {
-                        rec,
-                        pending_meta: None,
-                        current_span: None,
-                    }))
-                })
-                .collect(),
-        };
-        // Session state shares one recorder across all domains (the
-        // `Arc<Mutex<..>>` ledger idiom): per-session updates commute,
-        // so one dense table serves every shard count identically.
-        let session_shared = core
-            .sessions
-            .as_deref()
-            .map(|s| (Arc::clone(&s.shared), s.sampler));
-        let ts_list: Vec<Option<Box<TimeSeriesRecorder>>> = match core.timeseries.as_deref() {
-            None => (1..n).map(|_| None).collect(),
-            Some(orig) => (1..n)
-                .map(|_| {
-                    Some(Box::new(TimeSeriesRecorder::with_capacity(
-                        orig.window_ns(),
-                        orig.capacity(),
-                    )))
-                })
-                .collect(),
-        };
+        // any pre-partition recordings); the rest get forks.
+        let mut forks = (1..n)
+            .map(|d| core.obs.fork(d as u16))
+            .collect::<Vec<_>>()
+            .into_iter();
 
         // Dismember the core. Nodes, links, taps, and the original
         // observers move to their owning domains; every domain keeps
@@ -612,9 +578,6 @@ impl ShardedEngine {
             })
             .collect();
 
-        let mut obs_iter = obs_list.into_iter();
-        let mut lineage_iter = lineage_list.into_iter();
-        let mut ts_iter = ts_list.into_iter();
         let mut domains: Vec<Simulation> = (0..n)
             .map(|d| {
                 let domain_nodes: Vec<Node> = (0..node_count)
@@ -674,28 +637,7 @@ impl ShardedEngine {
                         obs: if d == 0 {
                             std::mem::take(&mut core.obs)
                         } else {
-                            obs_iter.next().unwrap()
-                        },
-                        lineage: if d == 0 {
-                            core.lineage.take()
-                        } else {
-                            lineage_iter.next().unwrap()
-                        },
-                        sessions: if d == 0 {
-                            core.sessions.take()
-                        } else {
-                            session_shared.as_ref().map(|(shared, sampler)| {
-                                Box::new(SessionState {
-                                    shared: Arc::clone(shared),
-                                    pending: None,
-                                    sampler: *sampler,
-                                })
-                            })
-                        },
-                        timeseries: if d == 0 {
-                            core.timeseries.take()
-                        } else {
-                            ts_iter.next().unwrap()
+                            forks.next().unwrap()
                         },
                         shard: Some(Box::new(ShardCtx {
                             domain: d as u16,
@@ -1059,68 +1001,6 @@ impl ShardedEngine {
         for id in 0..self.node_count() {
             collect_node_metrics(self.node(NodeId(id)), registry);
         }
-    }
-
-    pub(crate) fn lineage_enabled(&self) -> bool {
-        self.domains[0].core.lineage.is_some()
-    }
-
-    pub(crate) fn timeseries_enabled(&self) -> bool {
-        self.domains[0].core.timeseries.is_some()
-    }
-
-    pub(crate) fn sessions_enabled(&self) -> bool {
-        self.domains[0].core.sessions.is_some()
-    }
-
-    /// Drop every domain's reference to the shared session recorder so
-    /// the caller's own `Arc` clone becomes the sole owner.
-    pub(crate) fn release_sessions(&mut self) {
-        for sim in &mut self.domains {
-            sim.core.sessions = None;
-        }
-    }
-
-    /// Detach and canonically merge every domain's lineage recording;
-    /// see [`LineageDump::merge_domains`]. The part order must be the
-    /// domain order — span ids carry their origin domain in the high
-    /// bits.
-    pub(crate) fn take_lineage(&mut self) -> Option<LineageDump> {
-        if !self.lineage_enabled() {
-            return None;
-        }
-        let parts: Vec<LineagePart> = self
-            .domains
-            .iter_mut()
-            .map(|sim| {
-                let lin = sim.core.lineage.take().expect("all domains record lineage");
-                lin.rec.finish(sim.core.obs.interner())
-            })
-            .collect();
-        Some(LineageDump::merge_domains(parts))
-    }
-
-    /// Detach and merge every domain's time-series. Components are
-    /// owned by exactly one domain, so the merged dump is identical to
-    /// a sequential recorder's.
-    pub(crate) fn take_timeseries(&mut self) -> Option<SeriesDump> {
-        if !self.timeseries_enabled() {
-            return None;
-        }
-        let mut merged: Option<SeriesDump> = None;
-        for sim in &mut self.domains {
-            let ts = sim
-                .core
-                .timeseries
-                .take()
-                .expect("all domains record series");
-            let dump = ts.finish(sim.core.obs.interner());
-            match merged.as_mut() {
-                None => merged = Some(dump),
-                Some(m) => m.merge(&dump),
-            }
-        }
-        merged
     }
 
     /// Engine diagnostics; see [`ShardDiag`].

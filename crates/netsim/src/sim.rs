@@ -13,6 +13,7 @@
 
 use crate::link::{Link, LinkConfig, LinkId, NodeId, TxOutcome};
 use crate::node::{AppId, Node, NodeKind, NodeStats};
+use crate::observers::{LineageState, ObserverDumps, Observers, SessionState};
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
 use crate::wheel::{SchedStats, TimingWheel};
@@ -21,11 +22,9 @@ use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::net::Ipv4Addr;
 use std::sync::{Arc, Mutex};
-use turb_obs::lineage::{DropCause, LineageDump, LineageRecorder, PacketizeMeta, Stage};
+use turb_obs::lineage::{DropCause, LineageRecorder, PacketizeMeta, Stage};
 use turb_obs::timeseries::TimeSeriesRecorder;
-use turb_obs::{
-    MetricsRegistry, Obs, ProgressMeter, SeriesDump, SessionRecorder, SessionSampler, SymbolId,
-};
+use turb_obs::{MetricsRegistry, ProgressMeter, SessionRecorder, SessionSampler, SymbolId};
 use turb_wire::icmp::IcmpMessage;
 use turb_wire::ipv4::{IpProtocol, Ipv4Packet, SessionTag, IPV4_HEADER_LEN};
 use turb_wire::tcp::TcpSegment;
@@ -425,44 +424,6 @@ pub struct SimStats {
     pub transit_slowpath: u64,
 }
 
-/// Causal lineage tracing state, present only when
-/// [`Simulation::enable_lineage`] was called. Hooks behind the
-/// `Option` never draw randomness, never schedule events, and never
-/// alter control flow, so lineage on/off cannot perturb a run.
-pub(crate) struct LineageState {
-    pub(crate) rec: LineageRecorder,
-    /// Packetisation metadata staged by [`Ctx::lineage_packetize`],
-    /// consumed when the next originated packet's span is born.
-    pub(crate) pending_meta: Option<PacketizeMeta>,
-    /// Span of the packet whose deliveries are currently dispatching,
-    /// readable by applications via [`Ctx::lineage_current_span`].
-    pub(crate) current_span: Option<u64>,
-}
-
-/// Session-rollup accumulation state, present only when
-/// [`Simulation::enable_sessions`] was called. Follows the same
-/// no-perturbation discipline as [`LineageState`]: hooks behind the
-/// `Option` never draw randomness, never schedule events, and never
-/// alter control flow. The recorder itself sits behind an
-/// `Arc<Mutex<..>>` shared by every shard domain (the `FleetLedger`
-/// idiom), so one dense ≤128 B/session table exists regardless of
-/// shard count; per-session events are totally ordered by sim time at
-/// a single driver/sink pair and every update commutes across
-/// sessions, so the dump is deterministic under shard interleaving.
-pub(crate) struct SessionState {
-    /// The shared rollup table.
-    pub(crate) shared: Arc<Mutex<SessionRecorder>>,
-    /// `(session id, payload bytes)` staged by
-    /// [`Ctx::session_packetize`], consumed (and stamped onto the
-    /// packet as a [`SessionTag`]) by the next originated datagram.
-    pub(crate) pending: Option<(u32, u32)>,
-    /// When set, per-packet lineage spans are only born for sessions
-    /// this sampler admits — the deterministic hash-selected subset
-    /// that keeps the lineage recorder within bounds at fleet scale.
-    /// `None` preserves the full always-trace lineage behaviour.
-    pub(crate) sampler: Option<SessionSampler>,
-}
-
 /// All network state: everything an [`Application`] can touch through
 /// its [`Ctx`].
 pub struct SimCore {
@@ -474,20 +435,9 @@ pub struct SimCore {
     pub(crate) taps: Vec<(NodeId, Tap)>,
     pub(crate) rng: SimRng,
     pub(crate) stats: SimStats,
-    /// Telemetry context: the switch and the shared symbol table.
-    /// Nothing in it touches the RNG or the event queue, so enabling
-    /// it cannot change simulation results.
-    pub obs: Obs,
-    /// Packet-lineage recorder; `None` unless lineage tracing is on.
-    pub(crate) lineage: Option<Box<LineageState>>,
-    /// Session-rollup state; `None` unless session observability is
-    /// on. See [`SessionState`].
-    pub(crate) sessions: Option<Box<SessionState>>,
-    /// Windowed time-series recorder; `None` unless
-    /// [`Simulation::enable_timeseries`] was called. Hooks behind the
-    /// `Option` follow the same discipline as lineage: no randomness,
-    /// no scheduled events, no control-flow changes.
-    pub(crate) timeseries: Option<Box<TimeSeriesRecorder>>,
+    /// The symbol table and the optional recorders; see
+    /// [`crate::observers`].
+    pub(crate) obs: Observers,
     /// Present only inside one domain of a sharded run (see
     /// [`crate::shard`]): tells the transmit path which nodes are
     /// foreign so cross-domain deliveries are diverted into the
@@ -512,7 +462,7 @@ impl SimCore {
     /// with `node`'s component. No-op unless lineage tracing is on.
     fn lineage_record_at(&mut self, node: NodeId, span: u64, time_ns: u64, stage: Stage, aux: u32) {
         let comp = self.nodes[node.0].comp;
-        let Some(lin) = self.lineage.as_deref_mut() else {
+        let Some(lin) = self.obs.lineage.as_deref_mut() else {
             return;
         };
         lin.rec.record(span, time_ns, comp, stage, aux);
@@ -521,7 +471,7 @@ impl SimCore {
     /// Add to a windowed counter series at the current sim time. No-op
     /// unless time-series recording is on.
     fn ts_counter(&mut self, name: &'static str, comp: SymbolId, delta: u64) {
-        if let Some(ts) = self.timeseries.as_deref_mut() {
+        if let Some(ts) = self.obs.timeseries.as_deref_mut() {
             ts.counter_add(self.now.as_nanos(), name, comp, delta);
         }
     }
@@ -529,7 +479,7 @@ impl SimCore {
     /// Raise a windowed high-water gauge at the current sim time.
     /// No-op unless time-series recording is on.
     fn ts_gauge(&mut self, name: &'static str, comp: SymbolId, value: u64) {
-        if let Some(ts) = self.timeseries.as_deref_mut() {
+        if let Some(ts) = self.obs.timeseries.as_deref_mut() {
             ts.gauge_max(self.now.as_nanos(), name, comp, value);
         }
     }
@@ -563,14 +513,14 @@ impl SimCore {
             Site::Link(link) => self.links[link.0].comp,
         };
         self.ts_counter(cause.counter(), comp, 1);
-        if let (Some(sess), Some(tag)) = (self.sessions.as_deref(), session) {
+        if let (Some(sess), Some(tag)) = (self.obs.sessions.as_deref(), session) {
             let mut rec = sess
                 .shared
                 .lock()
                 .expect("no domain panics holding the recorder");
             rec.record_drop(tag.id, cause);
         }
-        if let (Some(lin), Some(span)) = (self.lineage.as_deref_mut(), span) {
+        if let (Some(lin), Some(span)) = (self.obs.lineage.as_deref_mut(), span) {
             lin.rec
                 .record(span, self.now.as_nanos(), comp, Stage::Dropped(cause), aux);
         }
@@ -586,7 +536,7 @@ impl SimCore {
             IpProtocol::Tcp => stats.tcp_delivered += 1,
             _ => {}
         }
-        if let (Some(sess), Some(tag)) = (self.sessions.as_deref(), packet.session) {
+        if let (Some(sess), Some(tag)) = (self.obs.sessions.as_deref(), packet.session) {
             let mut rec = sess
                 .shared
                 .lock()
@@ -602,7 +552,7 @@ impl SimCore {
     /// traffic records no lineage at all, which is what bounds the
     /// recorder at fleet scale.
     fn session_lineage_admits(&self, tag: Option<SessionTag>) -> bool {
-        match self.sessions.as_deref().and_then(|s| s.sampler) {
+        match self.obs.sessions.as_deref().and_then(|s| s.sampler) {
             Some(sampler) => tag.is_some_and(|t| sampler.admits(t.id)),
             None => true,
         }
@@ -610,7 +560,7 @@ impl SimCore {
 
     /// Record a lineage stage at the current sim time against a node.
     fn lineage_node_event(&mut self, node: NodeId, span: Option<u64>, stage: Stage, aux: u32) {
-        if self.lineage.is_some() {
+        if self.obs.lineage.is_some() {
             if let Some(span) = span {
                 let now_ns = self.now.as_nanos();
                 self.lineage_record_at(node, span, now_ns, stage, aux);
@@ -621,7 +571,7 @@ impl SimCore {
     /// Record a lineage stage at the current sim time against a link.
     fn lineage_link_event(&mut self, link: LinkId, span: Option<u64>, stage: Stage, aux: u32) {
         let comp = self.links[link.0].comp;
-        let Some(lin) = self.lineage.as_deref_mut() else {
+        let Some(lin) = self.obs.lineage.as_deref_mut() else {
             return;
         };
         let Some(span) = span else {
@@ -766,9 +716,9 @@ impl SimCore {
         // originated datagram, before the routing decision, so packets
         // that drop on NoRoute still count as sent. Forwarded packets
         // already carry their tag and keep it.
-        if self.sessions.is_some() && packet.session.is_none() {
+        if self.obs.sessions.is_some() && packet.session.is_none() {
             let now_ns = self.now.as_nanos();
-            let sess = self.sessions.as_deref_mut().expect("checked above");
+            let sess = self.obs.sessions.as_deref_mut().expect("checked above");
             if let Some((id, bytes)) = sess.pending.take() {
                 packet.session = Some(SessionTag {
                     id,
@@ -785,7 +735,7 @@ impl SimCore {
         // spans — but the staged packetize metadata is consumed either
         // way so it cannot leak onto a later packet.
         let sampled = self.session_lineage_admits(packet.session);
-        if let Some(lin) = self.lineage.as_deref_mut() {
+        if let Some(lin) = self.obs.lineage.as_deref_mut() {
             if packet.lineage.is_none() {
                 let comp = self.nodes[node.0].comp;
                 let meta = lin.pending_meta.take();
@@ -853,7 +803,7 @@ impl SimCore {
         self.lineage_link_event(link_id, packet.lineage, Stage::LinkTx, offset);
         let outcome = self.links[link_id.0].transmit(self.now, bytes);
         let link_comp = self.links[link_id.0].comp;
-        if self.timeseries.is_some() {
+        if self.obs.timeseries.is_some() {
             // Faulted packets consumed transmit bandwidth before being
             // lost, so they count toward tx bytes exactly as the
             // always-on `LinkStats` do; the windowed series must agree
@@ -1017,7 +967,7 @@ impl SimCore {
         if was_fragment {
             self.lineage_node_event(node_id, packet.lineage, Stage::Reassembled, 0);
         }
-        if let Some(lin) = self.lineage.as_deref_mut() {
+        if let Some(lin) = self.obs.lineage.as_deref_mut() {
             // Applications read the delivering packet's span through
             // `Ctx::lineage_current_span` while `out` is dispatched.
             lin.current_span = packet.lineage;
@@ -1366,13 +1316,13 @@ impl<'a> Ctx<'a> {
     /// Whether packet-lineage tracing is on. Apps use this to skip the
     /// (cheap but non-free) metadata bookkeeping on untraced runs.
     pub fn lineage_enabled(&self) -> bool {
-        self.core.lineage.is_some()
+        self.core.obs.lineage.is_some()
     }
 
     /// Whether session-rollup recording is on. Apps use this to skip
     /// the attribution call on un-instrumented runs.
     pub fn sessions_enabled(&self) -> bool {
-        self.core.sessions.is_some()
+        self.core.obs.sessions.is_some()
     }
 
     /// Attribute the next `send_*` call's datagram to session `id`
@@ -1380,14 +1330,9 @@ impl<'a> Ctx<'a> {
     /// originated packet (the tag then rides every fragment) and
     /// ignored entirely when session recording is off.
     pub fn session_packetize(&mut self, id: u32, bytes: u32) {
-        if let Some(sess) = self.core.sessions.as_deref_mut() {
+        if let Some(sess) = self.core.obs.sessions.as_deref_mut() {
             sess.pending = Some((id, bytes));
         }
-    }
-
-    /// Whether windowed time-series recording is on.
-    pub fn timeseries_enabled(&self) -> bool {
-        self.core.timeseries.is_some()
     }
 
     /// Add to a windowed counter series labelled with `component`,
@@ -1397,7 +1342,7 @@ impl<'a> Ctx<'a> {
     /// resolve different ids. No-op (beyond interning) when
     /// time-series recording is off.
     pub fn ts_counter(&mut self, name: &'static str, component: &str, delta: u64) {
-        let comp = self.core.obs.intern(component);
+        let comp = self.core.obs.interner.intern(component);
         self.core.ts_counter(name, comp, delta);
     }
 
@@ -1405,7 +1350,7 @@ impl<'a> Ctx<'a> {
     /// the current sim time; interning behaves as in
     /// [`Ctx::ts_counter`].
     pub fn ts_gauge(&mut self, name: &'static str, component: &str, value: u64) {
-        let comp = self.core.obs.intern(component);
+        let comp = self.core.obs.interner.intern(component);
         self.core.ts_gauge(name, comp, value);
     }
 
@@ -1414,7 +1359,7 @@ impl<'a> Ctx<'a> {
     /// consumed by the first send and ignored entirely when lineage
     /// tracing is off.
     pub fn lineage_packetize(&mut self, meta: PacketizeMeta) {
-        if let Some(lin) = self.core.lineage.as_deref_mut() {
+        if let Some(lin) = self.core.obs.lineage.as_deref_mut() {
             lin.pending_meta = Some(meta);
         }
     }
@@ -1423,7 +1368,11 @@ impl<'a> Ctx<'a> {
     /// (`on_udp` / `on_icmp` / `on_tcp`), `None` for timer callbacks or
     /// when lineage tracing is off.
     pub fn lineage_current_span(&self) -> Option<u64> {
-        self.core.lineage.as_deref().and_then(|l| l.current_span)
+        self.core
+            .obs
+            .lineage
+            .as_deref()
+            .and_then(|l| l.current_span)
     }
 
     /// Record that `span`'s payload entered this node's playback
@@ -1512,10 +1461,7 @@ impl Simulation {
                 taps: Vec::new(),
                 rng: SimRng::new(seed),
                 stats: SimStats::default(),
-                obs: Obs::disabled(),
-                lineage: None,
-                sessions: None,
-                timeseries: None,
+                obs: Observers::default(),
                 shard: None,
                 fluid_applied: 0,
             },
@@ -1567,10 +1513,7 @@ impl Simulation {
                 taps: Vec::new(),
                 rng: SimRng::new(0),
                 stats: SimStats::default(),
-                obs: Obs::disabled(),
-                lineage: None,
-                sessions: None,
-                timeseries: None,
+                obs: Observers::default(),
                 shard: None,
                 fluid_applied: 0,
             },
@@ -1592,22 +1535,19 @@ impl Simulation {
         );
     }
 
-    /// Set the telemetry switch ([`Obs::enabled`]). Telemetry never
-    /// draws randomness or schedules events, so a run behaves
-    /// identically either way.
-    pub fn enable_telemetry(&mut self) {
-        self.assert_unpartitioned("enable_telemetry");
-        self.core.obs.enabled = true;
-    }
+    /// Has no effect. Every counter a run reports is always on and
+    /// every observer has its own `enable_*` call; this stays only so
+    /// existing callers keep compiling.
+    pub fn enable_telemetry(&mut self) {}
 
-    /// Turn on per-packet lifecycle tracing. Like telemetry, lineage
-    /// recording never draws randomness, never schedules events, and
-    /// never changes control flow, so a traced run is byte-identical
-    /// to an untraced one. Idempotent.
+    /// Turn on per-packet lifecycle tracing. Lineage recording never
+    /// draws randomness, never schedules events, and never changes
+    /// control flow, so a traced run is byte-identical to an untraced
+    /// one. Idempotent.
     pub fn enable_lineage(&mut self) {
         self.assert_unpartitioned("enable_lineage");
-        if self.core.lineage.is_none() {
-            self.core.lineage = Some(Box::new(LineageState {
+        if self.core.obs.lineage.is_none() {
+            self.core.obs.lineage = Some(Box::new(LineageState {
                 rec: LineageRecorder::default(),
                 pending_meta: None,
                 current_span: None,
@@ -1615,72 +1555,22 @@ impl Simulation {
         }
     }
 
-    /// Whether lifecycle tracing is on.
-    pub fn lineage_enabled(&self) -> bool {
-        match self.sharded.as_deref() {
-            Some(sh) => sh.lineage_enabled(),
-            None => self.core.lineage.is_some(),
-        }
-    }
-
-    /// Detach the lineage recording, leaving tracing off. `None` when
-    /// [`Simulation::enable_lineage`] was never called.
-    ///
-    /// The dump is canonicalized through
-    /// [`LineageDump::merge_domains`] on both paths, so a sharded
-    /// run's merged dump and a sequential run's dump come out
-    /// byte-identical.
-    pub fn take_lineage(&mut self) -> Option<LineageDump> {
-        if let Some(sh) = self.sharded.as_deref_mut() {
-            return sh.take_lineage();
-        }
-        let lin = self.core.lineage.take()?;
-        Some(LineageDump::merge_domains(vec![lin
-            .rec
-            .finish(self.core.obs.interner())]))
-    }
-
-    /// Turn on session-rollup recording against a shared recorder, and
+    /// Turn on session-rollup recording into `recorder`, and
     /// optionally restrict lineage span creation to sessions `sampler`
-    /// admits. Callers keep their own `Arc` clone, then call
-    /// [`Simulation::release_sessions`] after the run to reclaim sole
-    /// ownership and `finish()` the recorder. Like lineage, the hooks
-    /// never draw randomness, never schedule events, and never change
-    /// control flow, so an instrumented run is byte-identical to a
-    /// plain one. Idempotent; the first recorder wins.
-    pub fn enable_sessions(
-        &mut self,
-        recorder: Arc<Mutex<SessionRecorder>>,
-        sampler: Option<SessionSampler>,
-    ) {
+    /// admits. [`Simulation::finish_observers`] hands the finished
+    /// table back. Like lineage, the hooks never draw randomness, never
+    /// schedule events, and never change control flow, so an
+    /// instrumented run is byte-identical to a plain one. Idempotent;
+    /// the first recorder wins.
+    pub fn enable_sessions(&mut self, recorder: SessionRecorder, sampler: Option<SessionSampler>) {
         self.assert_unpartitioned("enable_sessions");
-        if self.core.sessions.is_none() {
-            self.core.sessions = Some(Box::new(SessionState {
-                shared: recorder,
+        if self.core.obs.sessions.is_none() {
+            self.core.obs.sessions = Some(Box::new(SessionState {
+                shared: Arc::new(Mutex::new(recorder)),
                 pending: None,
                 sampler,
             }));
         }
-    }
-
-    /// Whether session-rollup recording is on.
-    pub fn sessions_enabled(&self) -> bool {
-        match self.sharded.as_deref() {
-            Some(sh) => sh.sessions_enabled(),
-            None => self.core.sessions.is_some(),
-        }
-    }
-
-    /// Drop every reference this simulation holds to the shared
-    /// session recorder (all shard domains in a partitioned run),
-    /// leaving recording off, so the caller's own `Arc` clone becomes
-    /// the sole owner and `Arc::try_unwrap` succeeds.
-    pub fn release_sessions(&mut self) {
-        if let Some(sh) = self.sharded.as_deref_mut() {
-            sh.release_sessions();
-            return;
-        }
-        self.core.sessions = None;
     }
 
     /// Install a live-run heartbeat: a periodic stderr line with
@@ -1697,29 +1587,21 @@ impl Simulation {
     /// unrecorded one. Idempotent; the first window width wins.
     pub fn enable_timeseries(&mut self, window_ns: u64) {
         self.assert_unpartitioned("enable_timeseries");
-        if self.core.timeseries.is_none() {
-            self.core.timeseries = Some(Box::new(TimeSeriesRecorder::new(window_ns)));
+        if self.core.obs.timeseries.is_none() {
+            self.core.obs.timeseries = Some(Box::new(TimeSeriesRecorder::new(window_ns)));
         }
     }
 
-    /// Whether windowed time-series recording is on.
-    pub fn timeseries_enabled(&self) -> bool {
-        match self.sharded.as_deref() {
-            Some(sh) => sh.timeseries_enabled(),
-            None => self.core.timeseries.is_some(),
+    /// Detach and finish every observer, leaving them all off: lineage,
+    /// time series and session rollups, each `None` when it was never
+    /// enabled. A sharded run merges its domains' parts in domain
+    /// order and a sequential run is a merge of one part, so both
+    /// engines produce byte-identical dumps.
+    pub fn finish_observers(&mut self) -> ObserverDumps {
+        match self.sharded.as_deref_mut() {
+            Some(sh) => Observers::merge(sh.domains.iter_mut().map(|sim| &mut sim.core.obs)),
+            None => Observers::merge([&mut self.core.obs]),
         }
-    }
-
-    /// Detach the recorded time-series, leaving recording off. `None`
-    /// when [`Simulation::enable_timeseries`] was never called. A
-    /// sharded run's per-domain series are disjoint by component, so
-    /// the merged dump is byte-identical to a sequential run's.
-    pub fn take_timeseries(&mut self) -> Option<SeriesDump> {
-        if let Some(sh) = self.sharded.as_deref_mut() {
-            return sh.take_timeseries();
-        }
-        let ts = self.core.timeseries.take()?;
-        Some(ts.finish(self.core.obs.interner()))
     }
 
     /// Event-loop counters (always on). For a sharded run the counters
@@ -1857,7 +1739,7 @@ impl Simulation {
         // Intern the component label once, at construction time, so
         // every observer shares one id and the symbol table is a pure
         // function of topology construction order.
-        node.comp = self.core.obs.intern(&node.trace_component);
+        node.comp = self.core.obs.interner.intern(&node.trace_component);
         // Per-node stream forked off the seed, so application draws
         // depend on the seed (unlike the construction-time fallback
         // seeding in `Node::new`) but not on other nodes' behaviour.
@@ -1871,7 +1753,7 @@ impl Simulation {
         self.assert_unpartitioned("add_link");
         let id = LinkId(self.core.links.len());
         let mut link = Link::new(id, from, to, config);
-        link.comp = self.core.obs.intern(&link.trace_component);
+        link.comp = self.core.obs.interner.intern(&link.trace_component);
         // Per-link stream, same reasoning as the per-node fork above
         // (fault injection and RED draws stay seed-dependent but
         // independent of every other component's traffic).
@@ -2034,7 +1916,7 @@ impl Simulation {
         debug_assert!(time >= self.core.now, "time must not run backwards");
         self.core.now = time;
         self.core.stats.events_processed += 1;
-        if let Some(lin) = self.core.lineage.as_deref_mut() {
+        if let Some(lin) = self.core.obs.lineage.as_deref_mut() {
             // Timers and app starts are not caused by a packet; only an
             // arrival (below, via `handle_arrival`) sets the span that
             // apps read through `Ctx::lineage_current_span`.
@@ -2268,7 +2150,7 @@ mod tests {
             false,
         );
         sim.run_until(SimTime(10_000_000_000));
-        let dump = sim.take_lineage().expect("lineage was enabled");
+        let dump = sim.finish_observers().lineage.expect("lineage was enabled");
         dump.validate().expect("dump is well-formed");
         assert_eq!(dump.origins.len(), 2, "ping and pong each get a span");
         for tl in dump.reconstruct() {
@@ -2364,7 +2246,7 @@ mod tests {
         );
         sim.add_app(b, Box::new(Sink { got: got.clone() }), Some(6000), false);
         sim.run_until(SimTime(10_000_000_000));
-        let dump = sim.take_lineage().unwrap();
+        let dump = sim.finish_observers().lineage.unwrap();
         dump.validate().unwrap();
         assert_eq!(dump.origins.len(), 1);
         // The receiving app saw the span of the reassembled datagram.

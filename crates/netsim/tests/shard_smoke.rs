@@ -21,7 +21,6 @@ struct RunOutput {
 fn run(seed: u64, shards: ShardKind) -> RunOutput {
     let mut sim = Simulation::new(seed);
     let mut rng = SimRng::new(seed);
-    sim.enable_telemetry();
     sim.enable_lineage();
     sim.enable_timeseries(0);
     sim.set_shards(shards);
@@ -45,10 +44,11 @@ fn run(seed: u64, shards: ShardKind) -> RunOutput {
     let mut registry = MetricsRegistry::new();
     sim.collect_metrics(&mut registry);
     let stats = sim.sim_stats();
+    let dumps = sim.finish_observers();
     RunOutput {
         metrics: registry.render_text(),
-        lineage: sim.take_lineage(),
-        series: sim.take_timeseries(),
+        lineage: dumps.lineage,
+        series: dumps.series,
         events_processed: stats.events_processed,
         events_scheduled: stats.events_scheduled,
         ping_received: reports.iter().map(|r| r.lock().unwrap().received).collect(),
@@ -115,7 +115,6 @@ fn scale_scenario_matches_sequential() {
     use turb_netsim::topology::{ScaleConfig, ScaleScenario};
     let run = |shards: ShardKind| {
         let mut sim = Simulation::new(11);
-        sim.enable_telemetry();
         sim.set_shards(shards);
         let scenario = ScaleScenario::build(
             &mut sim,
@@ -160,7 +159,6 @@ fn isolated_node_at_max_shards_yields_an_empty_domain_without_stalling() {
     let run = |shards: ShardKind| {
         let mut sim = Simulation::new(13);
         let mut rng = SimRng::new(13);
-        sim.enable_telemetry();
         sim.set_shards(shards);
         let a = sim.add_host("a", Ipv4Addr::new(10, 0, 0, 1));
         let b = sim.add_host("b", b_addr);
@@ -245,7 +243,6 @@ fn linkless_partition_with_unbounded_lookahead_terminates() {
     use std::sync::Arc;
     let run = |shards: ShardKind| {
         let mut sim = Simulation::new(17);
-        sim.enable_telemetry();
         sim.set_shards(shards);
         let fired = Arc::new(AtomicU64::new(0));
         for i in 0..4u8 {

@@ -126,28 +126,10 @@ impl MetricsRegistry {
         MetricsRegistry::default()
     }
 
-    /// The registry's symbol table. Shared with lineage spans and
-    /// time-series when the registry lives inside an [`crate::Obs`].
-    pub fn interner(&self) -> &Interner {
-        &self.interner
-    }
-
     /// Intern a component label, returning an id usable with the
     /// `*_sym` fast paths and the other observers.
     pub fn intern(&mut self, component: &str) -> SymbolId {
         self.interner.intern(component)
-    }
-
-    /// An empty registry sharing this one's symbol table: the interner
-    /// is cloned (so every construction-time [`SymbolId`] stays valid)
-    /// but no metric values come along. This is what each extra shard
-    /// domain starts from, so merging the per-domain registries back
-    /// together never double-counts anything recorded pre-partition.
-    pub fn fork_interner(&self) -> MetricsRegistry {
-        MetricsRegistry {
-            interner: self.interner.clone(),
-            ..MetricsRegistry::default()
-        }
     }
 
     /// Add `delta` to a counter, creating it at zero first.

@@ -295,12 +295,12 @@ impl SessionSampler {
 
 /// Accumulates one [`SessionRollup`] per session at event time.
 ///
-/// Shard domains share one recorder behind `Arc<Mutex<..>>` (the
-/// fleet-ledger idiom): every mutation is either commutative across
-/// sessions or ordered within a session by the simulation itself
-/// (a session's sends happen at one driver node, its deliveries at one
-/// sink node, both in sim-time order), so the finished dump is
-/// identical under any shard interleaving. Memory stays at exactly one
+/// A sharded simulation keeps one recorder for all of its domains:
+/// every mutation is either commutative across sessions or ordered
+/// within a session by the simulation itself (a session's sends
+/// happen at one driver node, its deliveries at one sink node, both in
+/// sim-time order), so the finished dump is identical under any shard
+/// interleaving. Memory stays at exactly one
 /// record per session regardless of shard count.
 #[derive(Debug, Default)]
 pub struct SessionRecorder {

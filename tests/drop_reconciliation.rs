@@ -11,7 +11,6 @@
 
 use bytes::Bytes;
 use std::net::Ipv4Addr;
-use std::sync::{Arc, Mutex};
 use turb_netsim::prelude::*;
 use turb_netsim::{DropCause, RedQueue};
 use turb_obs::lineage::post_mortem;
@@ -26,12 +25,11 @@ const BEYOND_B: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 3);
 const NOWHERE: Ipv4Addr = Ipv4Addr::new(192, 0, 2, 1);
 const SINK_PORT: u16 = 6000;
 
-/// The line topology plus the session recorder it reports into.
+/// The line topology, with every observer on.
 struct Line {
     sim: Simulation,
     a: NodeId,
     a_to_r: LinkId,
-    recorder: Arc<Mutex<SessionRecorder>>,
     ident: u16,
 }
 
@@ -63,15 +61,13 @@ impl Line {
         let mut rec = SessionRecorder::new();
         let class = rec.add_class("probe");
         assert_eq!(rec.add_session(class, 0), 0);
-        let recorder = Arc::new(Mutex::new(rec));
         sim.enable_lineage();
         sim.enable_timeseries(1_000_000_000);
-        sim.enable_sessions(Arc::clone(&recorder), None);
+        sim.enable_sessions(rec, None);
         Line {
             sim,
             a,
             a_to_r,
-            recorder,
             ident: 0,
         }
     }
@@ -117,14 +113,10 @@ impl Line {
     fn observed(mut self, cause: DropCause) -> [u64; 4] {
         let mut registry = MetricsRegistry::new();
         self.sim.collect_metrics(&mut registry);
-        let series = self.sim.take_timeseries().expect("series are on");
-        let lineage = self.sim.take_lineage().expect("lineage is on");
-        self.sim.release_sessions();
-        let rollups = Arc::try_unwrap(self.recorder)
-            .expect("the simulation released the recorder")
-            .into_inner()
-            .unwrap()
-            .finish();
+        let dumps = self.sim.finish_observers();
+        let series = dumps.series.expect("series are on");
+        let lineage = dumps.lineage.expect("lineage is on");
+        let rollups = dumps.sessions.expect("rollups are on");
         let slot = DropCause::ALL.iter().position(|c| *c == cause).unwrap();
         [
             registry.counter_total(cause.counter()),

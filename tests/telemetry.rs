@@ -224,7 +224,6 @@ fn lossy_link_sim(
     blaster: Blaster,
 ) -> (Simulation, NodeId, NodeId, turb_capture::CaptureHandle) {
     let mut sim = Simulation::new(seed);
-    sim.enable_telemetry();
     let a = sim.add_host("a", Ipv4Addr::new(10, 0, 0, 1));
     let b = sim.add_host("b", Ipv4Addr::new(10, 0, 0, 2));
     let config = LinkConfig {
@@ -416,7 +415,7 @@ fn windowed_loss_reconciles_on_a_lossy_link() {
 
     let mut registry = turb_obs::MetricsRegistry::new();
     sim.collect_metrics(&mut registry);
-    let dump = sim.take_timeseries().expect("series dump present");
+    let dump = sim.finish_observers().series.expect("series dump present");
 
     let mut dropped = 0u64;
     for cause in turb_obs::lineage::DropCause::ALL {
