@@ -127,6 +127,8 @@ impl Observers {
     /// let go of it.
     pub(crate) fn merge<'a>(parts: impl IntoIterator<Item = &'a mut Observers>) -> ObserverDumps {
         let mut parts: Vec<&mut Observers> = parts.into_iter().collect();
+        // Every domain holds a handle to the one table: take them all,
+        // keeping only the last, which then owns it alone.
         let mut shared = None;
         for part in &mut parts {
             if let Some(sess) = part.sessions.take() {
@@ -164,5 +166,61 @@ impl Observers {
             series,
             sessions,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A set with every recorder on and one registered session.
+    fn all_on() -> Observers {
+        let mut rec = SessionRecorder::new();
+        let class = rec.add_class("probe");
+        rec.add_session(class, 1);
+        let mut obs = Observers::default();
+        obs.interner.intern("node:a");
+        obs.lineage = Some(Box::new(LineageState {
+            rec: LineageRecorder::default(),
+            pending_meta: None,
+            current_span: None,
+        }));
+        obs.sessions = Some(Box::new(SessionState {
+            shared: Arc::new(Mutex::new(rec)),
+            pending: None,
+            sampler: None,
+        }));
+        obs.timeseries = Some(Box::new(TimeSeriesRecorder::new(0)));
+        obs
+    }
+
+    #[test]
+    fn forks_share_the_session_table_and_namespace_spans() {
+        let mut d0 = all_on();
+        let mut d1 = d0.fork(1);
+        let comp = d1
+            .interner
+            .get("node:a")
+            .expect("the fork keeps the symbols");
+        for (domain, part) in [&mut d0, &mut d1].into_iter().enumerate() {
+            let now_ns = 10 * domain as u64;
+            let sess = part.sessions.as_deref().expect("sessions forked");
+            sess.shared.lock().unwrap().record_send(0, 100, now_ns);
+            let lin = part.lineage.as_deref_mut().expect("lineage forked");
+            let span = lin.rec.begin_span(now_ns, comp, None, 100);
+            assert_eq!(span >> SPAN_DOMAIN_SHIFT, domain as u64);
+        }
+        let dumps = Observers::merge([&mut d0, &mut d1]);
+        assert_eq!(dumps.sessions.unwrap().totals().datagrams_sent, 2);
+        assert_eq!(dumps.lineage.unwrap().origins.len(), 2);
+        assert!(dumps.series.is_some());
+        assert!(d0.sessions.is_none() && d1.lineage.is_none() && d1.timeseries.is_none());
+    }
+
+    #[test]
+    fn a_set_with_nothing_on_merges_to_no_dumps() {
+        let mut obs = Observers::default();
+        let dumps = Observers::merge([&mut obs]);
+        assert!(dumps.lineage.is_none() && dumps.series.is_none() && dumps.sessions.is_none());
     }
 }
