@@ -3,7 +3,7 @@
 
 use crate::fault::FaultInjector;
 use crate::red::RedQueue;
-use crate::time::{SimDuration, SimTime};
+use crate::time::{mul_div, SimDuration, SimTime};
 use turb_obs::SymbolId;
 
 /// Identifier of a link within a [`crate::sim::Simulation`].
@@ -191,8 +191,11 @@ impl Link {
     /// serialise at the current residual rate.
     pub fn backlog_bytes(&self, now: SimTime) -> usize {
         let busy = self.next_free.since(now);
-        ((busy.as_nanos() as u128 * self.effective_rate_bps() as u128) / (8 * 1_000_000_000))
-            as usize
+        mul_div(
+            busy.as_nanos(),
+            self.effective_rate_bps(),
+            8 * 1_000_000_000,
+        ) as usize
     }
 
     /// Offer an IP packet of `bytes` for transmission at `now`.
@@ -284,6 +287,18 @@ mod tests {
         assert_eq!(l.backlog_bytes(SimTime::ZERO), 2000);
         assert_eq!(l.backlog_bytes(SimTime(1_000_000)), 1000);
         assert_eq!(l.backlog_bytes(SimTime(2_000_000)), 0);
+    }
+
+    /// At 1 bps a 1500 B packet keeps the link busy 12,000 s, and the
+    /// backlog read back from that busy time is exact.
+    #[test]
+    fn backlog_is_exact_at_one_bit_per_second() {
+        let mut l = link(1, 0, 1 << 20);
+        l.transmit(SimTime::ZERO, 1500);
+        assert_eq!(l.next_free(), SimTime(12_000 * 1_000_000_000));
+        assert_eq!(l.backlog_bytes(SimTime::ZERO), 1500);
+        assert_eq!(l.backlog_bytes(SimTime(6_000 * 1_000_000_000)), 750);
+        assert_eq!(l.backlog_bytes(l.next_free()), 0);
     }
 
     #[test]

@@ -707,15 +707,15 @@ impl SimCore {
         }
     }
 
-    /// Originate or forward an IP packet from `node`: route, tap,
-    /// fragment to the link MTU if needed, and put every resulting
-    /// packet on the wire.
+    /// Originate an IP packet at `node`, then route and transmit it.
+    /// Every packet the simulation creates enters here (player media,
+    /// pings, traceroute probes, and router-generated ICMP errors
+    /// alike), so this is the one place a send is observed.
     pub fn send_ip(&mut self, node: NodeId, mut packet: Ipv4Packet) {
-        // Session tags are stamped here too: a pending
-        // `session_packetize` attribution is consumed by the first
-        // originated datagram, before the routing decision, so packets
-        // that drop on NoRoute still count as sent. Forwarded packets
-        // already carry their tag and keep it.
+        // A pending `session_packetize` attribution is consumed by the
+        // first originated datagram, before the routing decision, so
+        // packets that drop on NoRoute still count as sent. A packet
+        // that already carries a tag keeps it.
         if self.obs.sessions.is_some() && packet.session.is_none() {
             let now_ns = self.now.as_nanos();
             let sess = self.obs.sessions.as_deref_mut().expect("checked above");
@@ -727,13 +727,10 @@ impl SimCore {
                 sess.shared.lock().unwrap().record_send(id, bytes, now_ns);
             }
         }
-        // Lineage spans are born here, at the single point every
-        // originated packet funnels through (player media, pings,
-        // traceroute probes, and router-generated ICMP errors alike).
-        // Forwarded packets already carry their span and keep it.
-        // With session sampling active, only admitted sessions get
-        // spans — but the staged packetize metadata is consumed either
-        // way so it cannot leak onto a later packet.
+        // Lineage spans are born here too. With session sampling
+        // active, only admitted sessions get spans — but the staged
+        // packetize metadata is consumed either way so it cannot leak
+        // onto a later packet.
         let sampled = self.session_lineage_admits(packet.session);
         if let Some(lin) = self.obs.lineage.as_deref_mut() {
             if packet.lineage.is_none() {
@@ -750,6 +747,14 @@ impl SimCore {
                 }
             }
         }
+        self.route_and_transmit(node, packet);
+    }
+
+    /// Route a packet from `node`, fragment it to the link MTU if
+    /// needed, and put every resulting packet on the wire. `forward`
+    /// enters here directly: a forwarded packet keeps the session tag
+    /// and span its origin gave it.
+    fn route_and_transmit(&mut self, node: NodeId, packet: Ipv4Packet) {
         let Some(link_id) = self.nodes[node.0].route(packet.dst) else {
             self.drop_packet(
                 Site::Node(node),
@@ -1005,7 +1010,7 @@ impl SimCore {
             return;
         }
         packet.ttl -= 1;
-        self.send_ip(node_id, packet);
+        self.route_and_transmit(node_id, packet);
     }
 
     fn deliver_icmp(&mut self, node_id: NodeId, packet: Ipv4Packet, out: &mut Vec<Delivery>) {

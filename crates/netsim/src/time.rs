@@ -60,13 +60,23 @@ impl SimDuration {
     /// The time needed to serialise `bytes` onto a link of `bits_per_sec`.
     pub fn transmission(bytes: usize, bits_per_sec: u64) -> Self {
         assert!(bits_per_sec > 0, "link rate must be positive");
-        let bits = bytes as u128 * 8;
-        SimDuration(((bits * 1_000_000_000) / bits_per_sec as u128) as u64)
+        SimDuration(mul_div(bytes as u64, 8 * 1_000_000_000, bits_per_sec))
     }
 
     /// Saturating multiply by an integer factor.
     pub fn saturating_mul(self, k: u64) -> Self {
         SimDuration(self.0.saturating_mul(k))
+    }
+}
+
+/// `a * b / d`, floored, truncated to `u64` as the `u128` formula is.
+/// Exact in `u64` whenever the product fits, which covers every
+/// per-packet rate computation; the `u128` division runs only past
+/// that.
+pub(crate) fn mul_div(a: u64, b: u64, d: u64) -> u64 {
+    match a.checked_mul(b) {
+        Some(product) => product / d,
+        None => (u128::from(a) * u128::from(b) / u128::from(d)) as u64,
     }
 }
 
@@ -172,6 +182,37 @@ mod tests {
         assert_eq!(SimDuration::transmission(1, 8), SimDuration::from_secs(1));
         // Zero bytes take zero time.
         assert_eq!(SimDuration::transmission(0, 56_000), SimDuration::ZERO);
+    }
+
+    /// The u64 fast path and the u128 fallback both equal the u128
+    /// formula, on either side of the u64 overflow boundary.
+    #[test]
+    fn mul_div_matches_the_u128_formula_at_the_edges() {
+        let formula = |a: u64, b: u64, d: u64| (a as u128 * b as u128 / d as u128) as u64;
+        let bit_ns = 8 * 1_000_000_000;
+        let boundary = u64::MAX / bit_ns;
+        for bytes in [0, 1, 1500, boundary, boundary + 1, u64::MAX] {
+            for bps in [1, 8, 56_000, 10_000_000, 1_000_000_000, u64::MAX] {
+                assert_eq!(
+                    mul_div(bytes, bit_ns, bps),
+                    formula(bytes, bit_ns, bps),
+                    "{bytes} B at {bps} bps"
+                );
+                assert_eq!(
+                    mul_div(bytes, bps, bit_ns),
+                    formula(bytes, bps, bit_ns),
+                    "{bytes} ns busy at {bps} bps"
+                );
+            }
+        }
+        assert!(boundary.checked_mul(bit_ns).is_some());
+        assert!((boundary + 1).checked_mul(bit_ns).is_none());
+        // 1 B at 1 bps: 8 s; the boundary at 1 bps stays exact in u64.
+        assert_eq!(SimDuration::transmission(1, 1), SimDuration::from_secs(8));
+        assert_eq!(
+            SimDuration::transmission(boundary as usize, 1).as_nanos(),
+            boundary * bit_ns
+        );
     }
 
     #[test]

@@ -40,7 +40,7 @@ pub use intern::{Interner, SymbolId};
 pub use lineage::{
     DropCause, EventLog, LineageDump, LineageEvent, LineagePart, LineageRecorder, PacketizeMeta,
     PostMortem, SpanEvents, SpanOrigin, SpanOutcome, SpanTimeline, Stage, StageSamples,
-    SPAN_DOMAIN_SHIFT, SPAN_LOCAL_MASK,
+    StagedEvents, SPAN_DOMAIN_SHIFT, SPAN_LOCAL_MASK,
 };
 pub use loghist::LogHistogram;
 pub use metrics::{Histogram, MetricKey, MetricsRegistry, SCOPE_NS_BUCKETS};

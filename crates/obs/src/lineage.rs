@@ -30,18 +30,28 @@ use std::fmt::Write as _;
 
 /// Default cap on recorded stage events; past it events are counted in
 /// [`LineageRecorder::dropped`] instead of recorded. A full recorder
-/// holds 128 MB (32-B [`LineageEvent`]s); its frozen [`EventLog`]
-/// holds 64 MB (16-B rows).
+/// stages 96 MB (24-B records in fixed-size chunks); its frozen
+/// [`EventLog`] holds about 32 MB (8-B rows, plus a 16-B spill row for
+/// each event that does not pack).
 pub const DEFAULT_EVENT_CAPACITY: usize = 4_000_000;
 
-/// Low bits of a packed row's tag that hold the [`Stage`] code; the
+/// Low bits of a packed tag that hold the [`Stage`] code; the
 /// component id sits above them.
 const STAGE_BITS: u32 = 5;
-/// Component ids must fit the tag's upper 27 bits.
+const STAGE_MASK: u32 = (1 << STAGE_BITS) - 1;
+/// Component ids must fit a tag's upper 27 bits.
 const MAX_COMPONENTS: u32 = 1 << (32 - STAGE_BITS);
 /// Codes 0..10 are the lifecycle stages; one more per drop cause.
 const DROP_CODE_BASE: u32 = 10;
-const _: () = assert!(DROP_CODE_BASE as usize + DropCause::ALL.len() <= 1 << STAGE_BITS);
+/// Stage code marking an 8-B row whose event sits in the spill table.
+const SPILL_CODE: u32 = STAGE_MASK;
+const _: () = assert!(DROP_CODE_BASE + (DropCause::ALL.len() as u32) <= SPILL_CODE);
+/// Records per staging chunk: 2 Mi records, 48 MiB. A chunk this size
+/// is past the largest threshold glibc's malloc ever serves from its
+/// heap (32 MiB), so each chunk is its own mapping: pages not yet
+/// written cost no RSS, and a freed chunk goes straight back to the OS
+/// instead of leaving a hole that fragments the heap across runs.
+const STAGE_CHUNK: usize = 1 << 21;
 
 /// What killed a wire packet. Every variant reconciles against exactly
 /// one always-on simulator counter (see [`DropCause::counter`]), which
@@ -244,9 +254,9 @@ pub struct SpanOrigin {
     pub meta: Option<PacketizeMeta>,
 }
 
-/// One stage transition of one span. Recorders store events in this
-/// form; a [`LineageDump`] packs them into 16-B rows and decodes them
-/// back on read.
+/// One stage transition of one span. Recorders stage events as 24-B
+/// records and a [`LineageDump`] packs them into 8-B rows; both decode
+/// back to this form on read.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LineageEvent {
     /// The span this event belongs to. In a [`LineagePart`] this is the
@@ -274,7 +284,7 @@ pub struct LineageEvent {
 #[derive(Debug)]
 pub struct LineageRecorder {
     origins: Vec<SpanOrigin>,
-    events: Vec<LineageEvent>,
+    events: StagedEvents,
     capacity: usize,
     dropped: u64,
     /// OR-ed into every allocated span id. Zero for a sequential run;
@@ -302,7 +312,7 @@ impl LineageRecorder {
     pub fn with_capacity(capacity: usize) -> LineageRecorder {
         LineageRecorder {
             origins: Vec::new(),
-            events: Vec::new(),
+            events: StagedEvents::default(),
             capacity: capacity.max(1),
             dropped: 0,
             span_base: 0,
@@ -352,12 +362,9 @@ impl LineageRecorder {
             self.dropped += 1;
             return;
         }
-        self.events.push(LineageEvent {
+        self.events.push(Staged {
             span,
-            time_ns,
-            comp,
-            stage,
-            aux,
+            wide: WideRow::pack(time_ns, comp.0, stage, aux),
         });
     }
 
@@ -403,12 +410,75 @@ pub struct LineagePart {
     pub origins: Vec<SpanOrigin>,
     /// Every stage transition this recorder saw, in recording order,
     /// under domain-tagged span ids.
-    pub events: Vec<LineageEvent>,
+    pub events: StagedEvents,
     /// Component names in [`SymbolId`] order — a snapshot of the
     /// recorder's interner.
     pub components: Vec<String>,
     /// Events discarded past the recorder capacity.
     pub dropped: u64,
+}
+
+/// A recorder's events in recording order, staged as 24-B records in
+/// fixed-size chunks: growing never copies what is already staged, and
+/// [`LineageDump::merge_domains`] frees each chunk as soon as its
+/// events are laid out. Iterating yields decoded [`LineageEvent`]s.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct StagedEvents {
+    chunks: Vec<Vec<Staged>>,
+    len: usize,
+}
+
+/// One staged event: its domain-tagged span id and its event in the
+/// recording part's symbol table.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Staged {
+    span: u64,
+    wide: WideRow,
+}
+
+impl StagedEvents {
+    fn push(&mut self, ev: Staged) {
+        match self.chunks.last_mut() {
+            Some(chunk) if chunk.len() < STAGE_CHUNK => chunk.push(ev),
+            _ => {
+                let mut chunk = Vec::with_capacity(STAGE_CHUNK);
+                chunk.push(ev);
+                self.chunks.push(chunk);
+            }
+        }
+        self.len += 1;
+    }
+
+    /// Events staged.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// True when nothing is staged.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The events in recording order, decoded.
+    pub fn iter(&self) -> impl Iterator<Item = LineageEvent> + '_ {
+        self.chunks
+            .iter()
+            .flatten()
+            .map(|ev| ev.wide.decode(ev.span))
+    }
+}
+
+impl FromIterator<LineageEvent> for StagedEvents {
+    fn from_iter<I: IntoIterator<Item = LineageEvent>>(events: I) -> StagedEvents {
+        let mut staged = StagedEvents::default();
+        for ev in events {
+            staged.push(Staged {
+                span: ev.span,
+                wide: WideRow::pack(ev.time_ns, ev.comp.0, ev.stage, ev.aux),
+            });
+        }
+        staged
+    }
 }
 
 /// The frozen output of a traced run.
@@ -427,85 +497,187 @@ pub struct LineageDump {
     pub dropped: u64,
 }
 
-/// One packed event of an [`EventLog`]. The span is the row's
-/// position in the log, so it is not stored.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-struct Row {
+/// An event with its full time: a staged record's body, and an
+/// [`EventLog`] spill row.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct WideRow {
     time_ns: u64,
     /// `comp << STAGE_BITS | stage code`.
     tag: u32,
     aux: u32,
 }
 
-impl Row {
-    /// Pack `ev` at component `comp`. Panics when `comp` does not fit
-    /// the tag.
-    fn pack(ev: &LineageEvent, comp: u32) -> Row {
+impl WideRow {
+    /// Panics when `comp` does not fit the tag.
+    fn pack(time_ns: u64, comp: u32, stage: Stage, aux: u32) -> WideRow {
         assert!(
             comp < MAX_COMPONENTS,
             "lineage component id {comp} does not fit the packed event tag (limit {MAX_COMPONENTS})"
         );
-        Row {
-            time_ns: ev.time_ns,
-            tag: comp << STAGE_BITS | ev.stage.code(),
-            aux: ev.aux,
+        WideRow {
+            time_ns,
+            tag: comp << STAGE_BITS | stage.code(),
+            aux,
         }
+    }
+
+    fn comp(self) -> u32 {
+        self.tag >> STAGE_BITS
     }
 
     fn decode(self, span: u64) -> LineageEvent {
         LineageEvent {
             span,
             time_ns: self.time_ns,
-            comp: SymbolId(self.tag >> STAGE_BITS),
-            stage: Stage::from_code(self.tag & ((1 << STAGE_BITS) - 1))
-                .expect("rows hold only packed stage codes"),
+            comp: SymbolId(self.comp()),
+            stage: decode_stage(self.tag & STAGE_MASK),
             aux: self.aux,
         }
     }
 }
 
-/// A dump's events, span-major: each span's events sit together as
-/// 16-B rows, in time order. Iterating yields decoded
-/// [`LineageEvent`]s, span by span.
-#[derive(Debug, Clone, PartialEq, Eq)]
+fn decode_stage(code: u32) -> Stage {
+    Stage::from_code(code).expect("rows hold only packed stage codes")
+}
+
+/// One 8-B event of an [`EventLog`]. The span is the row's position in
+/// the log, so it is not stored.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+struct Row {
+    /// Nanoseconds after the span's birth; for a spilled row, the index
+    /// of its event in the spill table.
+    offset: u32,
+    /// `aux << (STAGE_BITS + comp_bits) | comp << STAGE_BITS | stage
+    /// code`, or [`SPILL_CODE`] alone for a spilled row.
+    packed: u32,
+}
+
+impl Row {
+    /// The event's time, for a row of a span born at `base`.
+    fn time_ns(self, base: u64, spill: &[WideRow]) -> u64 {
+        if self.packed & STAGE_MASK == SPILL_CODE {
+            spill[self.offset as usize].time_ns
+        } else {
+            base + u64::from(self.offset)
+        }
+    }
+}
+
+/// The widths of a packed row's fields, fixed per log by its component
+/// count: the component field is as narrow as the ids allow and `aux`
+/// gets the rest.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+struct Layout {
+    comp_bits: u32,
+}
+
+impl Layout {
+    /// Panics when `components` ids do not fit a tag.
+    fn for_components(components: usize) -> Layout {
+        assert!(
+            components <= MAX_COMPONENTS as usize,
+            "{components} lineage components do not fit the packed event tag (limit {MAX_COMPONENTS})"
+        );
+        Layout {
+            comp_bits: usize::BITS - components.saturating_sub(1).leading_zeros(),
+        }
+    }
+
+    fn aux_shift(self) -> u32 {
+        STAGE_BITS + self.comp_bits
+    }
+
+    /// `ev` as an 8-B row of a span born at `base`, or `None` when its
+    /// time is not within `u32` ns after birth or its aux is too wide.
+    fn pack(self, ev: WideRow, base: u64) -> Option<Row> {
+        let offset = u32::try_from(ev.time_ns.checked_sub(base)?).ok()?;
+        let packed = u64::from(ev.aux) << self.aux_shift() | u64::from(ev.tag);
+        Some(Row {
+            offset,
+            packed: u32::try_from(packed).ok()?,
+        })
+    }
+
+    /// The event `row` holds, as span `span` born at `base`.
+    fn decode(self, row: Row, span: u64, base: u64, spill: &[WideRow]) -> LineageEvent {
+        let code = row.packed & STAGE_MASK;
+        if code == SPILL_CODE {
+            return spill[row.offset as usize].decode(span);
+        }
+        let comp_mask = (1u64 << self.comp_bits) - 1;
+        LineageEvent {
+            span,
+            time_ns: base + u64::from(row.offset),
+            comp: SymbolId((u64::from(row.packed >> STAGE_BITS) & comp_mask) as u32),
+            stage: decode_stage(code),
+            aux: (u64::from(row.packed) >> self.aux_shift()) as u32,
+        }
+    }
+}
+
+/// A dump's events, span-major: each span's events sit together, in
+/// time order, as 8-B rows timed from the span's birth. Events that do
+/// not pack sit whole in a spill table their row points into.
+/// Iterating yields decoded [`LineageEvent`]s, span by span.
+#[derive(Debug, Clone)]
 pub struct EventLog {
     /// Span `s` owns `rows[starts[s]..starts[s + 1]]`: one entry per
     /// span, plus one.
     starts: Vec<u32>,
+    /// Span `s`'s birth time; its rows' offsets count from here.
+    bases: Vec<u64>,
     rows: Vec<Row>,
+    /// Events more than `u32::MAX` ns after (or before) their span's
+    /// birth, or with an aux too wide for the layout.
+    spill: Vec<WideRow>,
+    layout: Layout,
 }
 
 impl Default for EventLog {
     fn default() -> Self {
         EventLog {
             starts: vec![0],
+            bases: Vec::new(),
             rows: Vec::new(),
+            spill: Vec::new(),
+            layout: Layout::default(),
         }
     }
 }
 
+/// Two logs are equal when they hold the same events in the same
+/// spans, however they packed them.
+impl PartialEq for EventLog {
+    fn eq(&self, other: &EventLog) -> bool {
+        self.starts == other.starts && self.iter().eq(other.iter())
+    }
+}
+
+impl Eq for EventLog {}
+
 impl EventLog {
-    /// Lay the parts' events out span-major. `parts` pairs each part's
-    /// events with its component remap; `canonical` maps a
-    /// domain-tagged span id to its index below `spans`, or `None` when
-    /// the id is outside the origin tables. A counting sort by span
-    /// keeps each span's events in part order, then recording order;
-    /// a stable sort by time runs only on the spans whose events are
-    /// out of order. That is the order a global stable sort by
-    /// `(time, span)` gives each span.
+    /// Lay the parts' events out span-major. `bases` holds each span's
+    /// birth time, `components` the size of the canonical symbol table,
+    /// and `parts` pairs each part's events with its component remap;
+    /// `canonical` maps a domain-tagged span id to its index below
+    /// `bases.len()`, or `None` when the id is outside the origin
+    /// tables. A counting sort by span keeps each span's events in
+    /// part order, then recording order; a stable sort by time runs
+    /// only on the spans whose events are out of order. That is the
+    /// order a global stable sort by `(time, span)` gives each span.
+    /// Each staging chunk is freed once its events are packed.
     ///
     /// Panics on an event whose span or component is unknown.
     fn build(
-        spans: usize,
-        parts: Vec<(Vec<LineageEvent>, Vec<u32>)>,
+        bases: Vec<u64>,
+        components: usize,
+        parts: Vec<(StagedEvents, Vec<u32>)>,
         canonical: impl Fn(u64) -> Option<usize>,
     ) -> EventLog {
-        let span_of = |ev: &LineageEvent| {
-            canonical(ev.span).unwrap_or_else(|| {
-                panic!(
-                    "lineage event references span {:#x}, outside the origin table",
-                    ev.span
-                )
+        let spans = bases.len();
+        let span_of = |span: u64| {
+            canonical(span).unwrap_or_else(|| {
+                panic!("lineage event references span {span:#x}, outside the origin table")
             })
         };
         let total: usize = parts.iter().map(|(events, _)| events.len()).sum();
@@ -514,34 +686,59 @@ impl EventLog {
             "{total} lineage events overflow the log's u32 offsets"
         );
         let mut starts = vec![0u32; spans + 1];
-        for ev in parts.iter().flat_map(|(events, _)| events) {
-            starts[span_of(ev) + 1] += 1;
+        for ev in parts
+            .iter()
+            .flat_map(|(events, _)| events.chunks.iter().flatten())
+        {
+            starts[span_of(ev.span) + 1] += 1;
         }
         for s in 0..spans {
             starts[s + 1] += starts[s];
         }
+        let layout = Layout::for_components(components);
         let mut cursor = starts[..spans].to_vec();
         let mut rows = vec![Row::default(); total];
+        let mut spill = Vec::new();
         for (events, comp_map) in parts {
-            for ev in &events {
-                let comp = *comp_map.get(ev.comp.index()).unwrap_or_else(|| {
-                    panic!(
-                        "lineage event references component {}, outside its part's symbol table",
-                        ev.comp.0
-                    )
-                });
-                let slot = &mut cursor[span_of(ev)];
-                rows[*slot as usize] = Row::pack(ev, comp);
-                *slot += 1;
+            for chunk in events.chunks {
+                for ev in chunk {
+                    let comp = *comp_map.get(ev.wide.comp() as usize).unwrap_or_else(|| {
+                        panic!(
+                            "lineage event references component {}, outside its part's symbol table",
+                            ev.wide.comp()
+                        )
+                    });
+                    let wide = WideRow {
+                        tag: comp << STAGE_BITS | ev.wide.tag & STAGE_MASK,
+                        ..ev.wide
+                    };
+                    let span = span_of(ev.span);
+                    let row = layout.pack(wide, bases[span]).unwrap_or_else(|| {
+                        spill.push(wide);
+                        Row {
+                            offset: (spill.len() - 1) as u32,
+                            packed: SPILL_CODE,
+                        }
+                    });
+                    rows[cursor[span] as usize] = row;
+                    cursor[span] += 1;
+                }
             }
         }
         for s in 0..spans {
             let span = &mut rows[starts[s] as usize..starts[s + 1] as usize];
-            if !span.is_sorted_by_key(|r| r.time_ns) {
-                span.sort_by_key(|r| r.time_ns);
+            let time = |r: &Row| r.time_ns(bases[s], &spill);
+            if !span.is_sorted_by_key(time) {
+                span.sort_by_key(time);
             }
         }
-        EventLog { starts, rows }
+        EventLog {
+            starts,
+            bases,
+            rows,
+            spill,
+            layout,
+        }
     }
 
     /// Events held.
@@ -562,6 +759,7 @@ impl EventLog {
     /// One span's events, in time order. Panics past [`EventLog::spans`].
     pub fn span(&self, span: usize) -> SpanEvents<'_> {
         SpanEvents {
+            log: self,
             span: span as u64,
             rows: &self.rows[self.starts[span] as usize..self.starts[span + 1] as usize],
         }
@@ -574,6 +772,11 @@ impl EventLog {
             span: 0,
             next: 0,
         }
+    }
+
+    fn decode(&self, row: Row, span: usize) -> LineageEvent {
+        self.layout
+            .decode(row, span as u64, self.bases[span], &self.spill)
     }
 }
 
@@ -604,7 +807,7 @@ impl Iterator for Events<'_> {
             self.span += 1;
         }
         self.next += 1;
-        Some(row.decode(self.span as u64))
+        Some(self.log.decode(row, self.span))
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
@@ -618,6 +821,7 @@ impl ExactSizeIterator for Events<'_> {}
 /// One span's events in an [`EventLog`], in time order.
 #[derive(Debug, Clone, Copy)]
 pub struct SpanEvents<'a> {
+    log: &'a EventLog,
     span: u64,
     rows: &'a [Row],
 }
@@ -635,7 +839,8 @@ impl<'a> SpanEvents<'a> {
 
     /// The `i`-th event.
     pub fn get(&self, i: usize) -> Option<LineageEvent> {
-        self.rows.get(i).map(|r| r.decode(self.span))
+        let row = *self.rows.get(i)?;
+        Some(self.log.decode(row, self.span as usize))
     }
 
     /// The first event.
@@ -646,7 +851,8 @@ impl<'a> SpanEvents<'a> {
     /// The events, decoded.
     pub fn iter(&self) -> SpanIter<'a> {
         SpanIter {
-            span: self.span,
+            log: self.log,
+            span: self.span as usize,
             rows: self.rows.iter(),
         }
     }
@@ -664,7 +870,8 @@ impl<'a> IntoIterator for &SpanEvents<'a> {
 /// Iterator over one span's decoded events.
 #[derive(Debug, Clone)]
 pub struct SpanIter<'a> {
-    span: u64,
+    log: &'a EventLog,
+    span: usize,
     rows: std::slice::Iter<'a, Row>,
 }
 
@@ -672,7 +879,7 @@ impl Iterator for SpanIter<'_> {
     type Item = LineageEvent;
 
     fn next(&mut self) -> Option<LineageEvent> {
-        self.rows.next().map(|r| r.decode(self.span))
+        self.rows.next().map(|r| self.log.decode(*r, self.span))
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
@@ -837,7 +1044,8 @@ impl LineageDump {
         // resolved against the recording part's own symbol table.
         let dropped = parts.iter().map(|p| p.dropped).sum();
         let events = EventLog::build(
-            origins.len(),
+            origins.iter().map(|o| o.time_ns).collect(),
+            components.len(),
             parts.into_iter().map(|p| p.events).zip(comp_maps).collect(),
             |span| {
                 let part = span_maps.get((span >> SPAN_DOMAIN_SHIFT) as usize)?;
@@ -851,6 +1059,19 @@ impl LineageDump {
             components,
             dropped,
         }
+    }
+
+    /// Bytes the dump holds for its events and spans: the event log
+    /// (rows, spill rows, per-span offsets and bases) plus the origin
+    /// table. Component names are not counted.
+    pub fn memory_bytes(&self) -> u64 {
+        use std::mem::size_of;
+        let log = &self.events;
+        (log.rows.capacity() * size_of::<Row>()
+            + log.spill.capacity() * size_of::<WideRow>()
+            + log.starts.capacity() * size_of::<u32>()
+            + log.bases.capacity() * size_of::<u64>()
+            + self.origins.capacity() * size_of::<SpanOrigin>()) as u64
     }
 
     /// One span's timeline. Panics past the origin table.
@@ -1306,13 +1527,15 @@ mod tests {
                 comp: SymbolId(0),
                 meta: None,
             }],
-            events: vec![LineageEvent {
+            events: [LineageEvent {
                 span: 0,
                 time_ns: 1,
                 comp: SymbolId(0),
                 stage: Stage::Delivered,
                 aux: 0,
-            }],
+            }]
+            .into_iter()
+            .collect(),
             components: vec!["node:a".to_string()],
             dropped: 0,
         }]);
@@ -1506,18 +1729,79 @@ mod tests {
     #[test]
     #[should_panic(expected = "does not fit the packed event tag")]
     fn packing_rejects_a_component_id_past_27_bits() {
-        let ev = LineageEvent {
-            span: 0,
-            time_ns: 0,
-            comp: SymbolId(0),
-            stage: Stage::Sent,
-            aux: 0,
-        };
-        assert_eq!(
-            Row::pack(&ev, MAX_COMPONENTS - 1).decode(0).comp.0,
-            (1 << 27) - 1
+        let last = MAX_COMPONENTS - 1;
+        let wide = WideRow::pack(7, last, Stage::Played, 0);
+        let layout = Layout::for_components(MAX_COMPONENTS as usize);
+        let row = layout.pack(wide, 0).expect("a 27-bit id packs with aux 0");
+        assert_eq!(layout.decode(row, 0, 0, &[]), wide.decode(0));
+        assert_eq!(wide.decode(0).comp.0, (1 << 27) - 1);
+        WideRow::pack(0, MAX_COMPONENTS, Stage::Sent, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "do not fit the packed event tag")]
+    fn layout_rejects_a_component_table_past_27_bits() {
+        Layout::for_components(MAX_COMPONENTS as usize + 1);
+    }
+
+    /// The component field is as wide as the table needs and aux takes
+    /// the rest; an aux one past its field, or a time a `u32` past
+    /// birth (or before it), does not pack.
+    #[test]
+    fn layout_widths_follow_the_component_count() {
+        for (components, comp_bits) in [(0, 0), (1, 0), (2, 1), (3, 2), (318, 9), (512, 9)] {
+            assert_eq!(Layout::for_components(components).comp_bits, comp_bits);
+        }
+        let layout = Layout::for_components(318);
+        let aux_max = (1 << 18) - 1;
+        let at = |time_ns, aux| WideRow::pack(time_ns, 317, Stage::Buffered, aux);
+        for (time_ns, aux) in [(100, aux_max), (100 + u64::from(u32::MAX), 0), (100, 0)] {
+            let row = layout.pack(at(time_ns, aux), 100).expect("fits");
+            assert_eq!(layout.decode(row, 3, 100, &[]), at(time_ns, aux).decode(3));
+        }
+        assert_eq!(layout.pack(at(100, aux_max + 1), 100), None);
+        assert_eq!(layout.pack(at(101 + u64::from(u32::MAX), 0), 100), None);
+        assert_eq!(layout.pack(at(99, 0), 100), None);
+    }
+
+    /// A corpus-shaped dump: 318 components, ten events a span, one
+    /// span in 60 played more than 4.29 s after birth.
+    #[test]
+    fn a_corpus_shaped_dump_holds_at_most_9_bytes_an_event() {
+        let mut interner = Interner::new();
+        let comps: Vec<SymbolId> = (0..318)
+            .map(|i| interner.intern(&format!("comp:{i:03}")))
+            .collect();
+        let mut rec = LineageRecorder::default();
+        for s in 0..6_000u64 {
+            let born = s * 20_000_000;
+            let comp = |k: u64| comps[((s * 7 + k) % 318) as usize];
+            let span = rec.begin_span(born, comp(0), Some(media_meta(s as u32)), 1_400);
+            for k in 1..8 {
+                rec.record(span, born + k * 1_000_000, comp(k), Stage::LinkTx, 0);
+            }
+            rec.record(span, born + 9_000_000, comp(8), Stage::Buffered, 60_000);
+            let played = if s % 60 == 0 {
+                5_000_000_000
+            } else {
+                900_000_000
+            };
+            rec.record(span, born + played, comp(9), Stage::Played, 60_000);
+        }
+        let dump = freeze(rec, &interner);
+        assert_eq!(dump.events.len(), 60_000);
+        assert_eq!(dump.events.spill.len(), 100);
+        let log = &dump.events;
+        let held = log.rows.capacity() * std::mem::size_of::<Row>()
+            + log.spill.capacity() * std::mem::size_of::<WideRow>();
+        assert!(
+            held as f64 / log.len() as f64 <= 9.0,
+            "{held} B of rows and spill for {} events",
+            log.len()
         );
-        Row::pack(&ev, MAX_COMPONENTS);
+        let per_span = 4 + 8 + std::mem::size_of::<SpanOrigin>();
+        assert!(dump.memory_bytes() >= (held + 6_000 * per_span) as u64);
+        dump.validate().expect("corpus-shaped dump is well-formed");
     }
 
     #[test]
@@ -1531,8 +1815,9 @@ mod tests {
     }
 
     #[test]
-    fn events_are_span_major_and_16_bytes_a_row() {
-        assert_eq!(std::mem::size_of::<Row>(), 16);
+    fn events_are_span_major_and_8_bytes_a_row() {
+        assert_eq!(std::mem::size_of::<Row>(), 8);
+        assert_eq!(std::mem::size_of::<Staged>(), 24);
         let dump = sample_dump();
         let spans: Vec<u64> = dump.events.iter().map(|e| e.span).collect();
         assert!(spans.is_sorted(), "span-major order: {spans:?}");

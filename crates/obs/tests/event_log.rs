@@ -3,10 +3,12 @@
 //!
 //! Random multi-domain recordings — spans born in one domain and
 //! recorded in another, equal timestamps inside a span and across
-//! parts, recorders that hit their capacity — are merged, and every
-//! span's decoded timeline is compared with a naive reference: remap
-//! the parts' events into one flat list, stable-sort it by
-//! `(time, span)`, then bucket it per span.
+//! parts, recorders that hit their capacity, events too late or with an
+//! aux too wide for a packed row, component tables on either side of a
+//! power of two — are merged, and every span's decoded timeline is
+//! compared with a naive reference: remap the parts' events into one
+//! flat list, stable-sort it by `(time, span)`, then bucket it per
+//! span.
 
 use std::collections::BTreeMap;
 use turb_obs::lineage::{
@@ -52,21 +54,46 @@ fn all_stages() -> Vec<Stage> {
 
 const NAMES: [&str; 6] = ["link:0", "link:1", "node:a", "node:b", "node:c", "node:d"];
 
-/// One random recording split over up to three domains.
+/// Component-table sizes the generator draws from: 1, and `2^k` and
+/// `2^k + 1` for each `k` in 1..=6.
+const TABLE_SIZES: [usize; 13] = [1, 2, 3, 4, 5, 8, 9, 16, 17, 32, 33, 64, 65];
+
+/// Bits a packed row leaves for `aux` when the merged table holds
+/// `components` names: 32, less 5 stage bits, less the bits of the
+/// largest component id.
+fn aux_bits(components: usize) -> u32 {
+    27 - (usize::BITS - (components - 1).leading_zeros())
+}
+
+/// Nanoseconds past which an event no longer fits a packed row's
+/// offset from its span's birth.
+const FAR: u64 = 1 << 32;
+
+/// One random recording split over up to three domains, over a merged
+/// table of `TABLE_SIZES` names.
 fn random_parts(rng: &mut Rng) -> Vec<LineagePart> {
     let stages = all_stages();
+    let n = TABLE_SIZES[rng.below(TABLE_SIZES.len() as u64) as usize];
+    let names: Vec<String> = (0..n).map(|i| format!("comp:{i:02}")).collect();
+    let wide = aux_bits(n);
     let domains = 1 + rng.below(3) as usize;
     let mut interners = Vec::new();
     let mut comps: Vec<Vec<SymbolId>> = Vec::new();
     let mut recorders = Vec::new();
     for d in 0..domains {
-        // Each domain interns its own subset of names, in its own
-        // order, so component ids disagree across parts.
+        // Each domain interns its own run of names, from its own
+        // starting point, so component ids disagree across parts.
+        // Domain 0 interns them all, so the union has exactly `n`.
         let mut interner = Interner::new();
         let mut ids = Vec::new();
-        let first = rng.below(NAMES.len() as u64) as usize;
-        for k in 0..1 + rng.below(NAMES.len() as u64) as usize {
-            ids.push(interner.intern(NAMES[(first + k) % NAMES.len()]));
+        let first = rng.below(n as u64) as usize;
+        let count = if d == 0 {
+            n
+        } else {
+            1 + rng.below(n as u64) as usize
+        };
+        for k in 0..count {
+            ids.push(interner.intern(&names[(first + k) % n]));
         }
         interners.push(interner);
         comps.push(ids);
@@ -83,19 +110,36 @@ fn random_parts(rng: &mut Rng) -> Vec<LineagePart> {
 
     // Each domain keeps its own clock, so a span recorded by two
     // domains interleaves out of time order across their parts. Small
-    // steps make equal timestamps common.
+    // steps make equal timestamps common; a rare jump puts a span's
+    // later events more than `u32::MAX` ns after its birth.
     let mut clocks = vec![0u64; domains];
-    let mut spans: Vec<u64> = Vec::new();
+    let mut spans: Vec<(u64, u64)> = Vec::new();
     for _ in 0..rng.below(300) {
         let d = rng.below(domains as u64) as usize;
-        clocks[d] += rng.below(3);
+        clocks[d] += match rng.below(40) {
+            0 => FAR + rng.below(3),
+            _ => rng.below(3),
+        };
         let comp = comps[d][rng.below(comps[d].len() as u64) as usize];
         if spans.is_empty() || rng.below(4) == 0 {
-            spans.push(recorders[d].begin_span(clocks[d], comp, None, rng.below(2000) as u32));
+            let span = recorders[d].begin_span(clocks[d], comp, None, rng.below(2000) as u32);
+            spans.push((span, clocks[d]));
         } else {
-            let span = spans[rng.below(spans.len() as u64) as usize];
+            let (span, born) = spans[rng.below(spans.len() as u64) as usize];
             let stage = stages[rng.below(stages.len() as u64) as usize];
-            recorders[d].record(span, clocks[d], comp, stage, rng.next() as u32);
+            // Offsets on either side of the packed row's limit.
+            let time_ns = match rng.below(20) {
+                0 => born + FAR - 1 + rng.below(2),
+                _ => clocks[d],
+            };
+            // Aux at, and one past, the widest value a row packs.
+            let aux = match rng.below(6) {
+                0 => (1 << wide) - 1,
+                1 => 1 << wide,
+                2 => rng.next() as u32,
+                _ => rng.below(1 << 10) as u32,
+            };
+            recorders[d].record(span, time_ns, comp, stage, aux);
         }
     }
     recorders
@@ -137,13 +181,13 @@ fn reference(parts: &[LineagePart]) -> (Vec<SpanOrigin>, Vec<String>, Vec<Vec<Li
     }
     let mut flat = Vec::new();
     for (part, p) in parts.iter().enumerate() {
-        for ev in &p.events {
+        for ev in p.events.iter() {
             let origin_part = (ev.span >> SPAN_DOMAIN_SHIFT) as usize;
             let local = (ev.span & SPAN_LOCAL_MASK) as usize;
             flat.push(LineageEvent {
                 span: span_maps[origin_part][local],
                 comp: comp_map(part, ev.comp),
-                ..*ev
+                ..ev
             });
         }
     }
@@ -168,8 +212,17 @@ fn check(parts: Vec<LineagePart>, case: u64) {
     assert_eq!(log.len(), total, "case {case}: event count");
     assert_eq!(log.spans(), origins.len(), "case {case}: span count");
     for (span, want) in buckets.iter().enumerate() {
-        let got: Vec<LineageEvent> = log.span(span).iter().collect();
+        let events = log.span(span);
+        let got: Vec<LineageEvent> = events.iter().collect();
         assert_eq!(&got, want, "case {case}: span {span} timeline");
+        for (i, ev) in got.iter().enumerate() {
+            assert_eq!(
+                events.get(i),
+                Some(*ev),
+                "case {case}: span {span} get({i})"
+            );
+        }
+        assert_eq!(events.get(got.len()), None);
         let timeline = dump.timeline(span);
         assert_eq!(
             timeline.events.len(),
@@ -196,20 +249,37 @@ fn merged_log_matches_the_flat_sort_reference() {
 }
 
 /// The generator exercises what the property is about: cross-domain
-/// spans whose parts interleave out of time order, ties, evictions
-/// and spans left with no event.
+/// spans whose parts interleave out of time order, ties, evictions,
+/// spans left with no event, and every reason an event spills out of
+/// a packed row.
 #[test]
 fn generator_covers_the_hard_cases() {
     let mut rng = Rng(0x5eed_1065);
     let (mut unsorted, mut evicted, mut empty, mut ties) = (0, 0, 0, 0);
+    let (mut far, mut at_limit, mut aux_full, mut aux_over) = (0, 0, 0, 0);
+    let mut table_sizes = BTreeMap::new();
     for _ in 0..400 {
         let parts = random_parts(&mut rng);
         evicted += parts.iter().filter(|p| p.dropped > 0).count();
+        let mut names: Vec<&String> = parts.iter().flat_map(|p| &p.components).collect();
+        names.sort();
+        names.dedup();
+        *table_sizes.entry(names.len()).or_insert(0) += 1;
+        let wide = aux_bits(names.len());
         // Each span's times in part-then-recording order, keyed by the
         // domain-tagged id: the order the counting sort leaves them in.
         let mut by_span: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
-        for ev in parts.iter().flat_map(|p| &p.events) {
+        for ev in parts.iter().flat_map(|p| p.events.iter()) {
             by_span.entry(ev.span).or_default().push(ev.time_ns);
+            let part = &parts[(ev.span >> SPAN_DOMAIN_SHIFT) as usize];
+            let born = part.origins[(ev.span & SPAN_LOCAL_MASK) as usize].time_ns;
+            match ev.time_ns.checked_sub(born) {
+                Some(offset) if offset >= FAR => far += 1,
+                Some(offset) if offset == FAR - 1 => at_limit += 1,
+                _ => {}
+            }
+            aux_full += usize::from(ev.aux == (1 << wide) - 1);
+            aux_over += usize::from(ev.aux == 1 << wide);
         }
         unsorted += by_span.values().filter(|times| !times.is_sorted()).count();
         ties += by_span
@@ -223,6 +293,22 @@ fn generator_covers_the_hard_cases() {
     assert!(evicted > 10, "only {evicted} evicting recorders");
     assert!(empty > 10, "only {empty} spans without events");
     assert!(ties > 100, "only {ties} equal-time neighbours");
+    assert!(far > 100, "only {far} events 2^32 ns or more after birth");
+    assert!(at_limit > 10, "only {at_limit} events at the offset limit");
+    assert!(
+        aux_full > 100,
+        "only {aux_full} aux values filling the field"
+    );
+    assert!(
+        aux_over > 100,
+        "only {aux_over} aux values one past the field"
+    );
+    for n in TABLE_SIZES {
+        assert!(
+            table_sizes.get(&n).is_some_and(|&cases| cases > 5),
+            "table of {n} names drawn in too few cases: {table_sizes:?}"
+        );
+    }
 }
 
 /// Every stage and drop cause survives the packed tag, at every
