@@ -566,7 +566,7 @@ impl Row {
 /// The widths of a packed row's fields, fixed per log by its component
 /// count: the component field is as narrow as the ids allow and `aux`
 /// gets the rest.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, Default)]
 struct Layout {
     comp_bits: u32,
 }
