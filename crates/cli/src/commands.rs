@@ -475,6 +475,7 @@ pub fn fleet(flags: &Flags) -> Result<(), String> {
         result.events_processed,
         result.digest,
     );
+    outln!("fleet: {}", render_fleet_memory(&result));
     outln!(
         "fleet: fg {}/{} datagrams delivered | bg {}/{} | loss fg {:.4} bg {:.4}",
         result.fg_delivered,
@@ -513,6 +514,25 @@ pub fn fleet(flags: &Flags) -> Result<(), String> {
         out!("{}", result.metrics);
     }
     Ok(())
+}
+
+/// A fleet run's measured memory rows: the session rollups (when on)
+/// and the event queue, in KiB and bytes per session.
+fn render_fleet_memory(result: &turbulence::population::FleetRunResult) -> String {
+    let per_session = |bytes: u64| bytes as f64 / result.sessions.max(1) as f64;
+    let queue = format!(
+        "event queue {} KiB ({:.1} B/session)",
+        result.queue_memory_bytes / 1024,
+        per_session(result.queue_memory_bytes),
+    );
+    match result.rollups {
+        Some(_) => format!(
+            "rollups {} KiB ({:.1} B/session) | {queue}",
+            result.session_memory_bytes / 1024,
+            per_session(result.session_memory_bytes),
+        ),
+        None => queue,
+    }
 }
 
 /// `turbulence sessions`: the fleet-scale QoE view. Runs the fleet
@@ -584,12 +604,11 @@ pub fn sessions(flags: &Flags) -> Result<(), String> {
     }
 
     outln!(
-        "sessions: {} sessions | {:>8.1} ms | digest {:016x} | rollups {} KiB ({:.1} B/session) | counters reconcile 1:1",
+        "sessions: {} sessions | {:>8.1} ms | digest {:016x} | {} | counters reconcile 1:1",
         result.sessions,
         result.wall_ns as f64 / 1e6,
         result.digest,
-        result.session_memory_bytes / 1024,
-        result.session_memory_bytes as f64 / result.sessions.max(1) as f64,
+        render_fleet_memory(&result),
     );
     match &result.lineage {
         Some(lin) => {

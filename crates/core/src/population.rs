@@ -222,8 +222,8 @@ pub struct FleetRunResult {
     /// Steady-state heap bytes per session, measured from the actual
     /// population containers: the shared spec row, the ledger's
     /// delivered counter and window slots, and the driver membership
-    /// tables. Scheduler events are excluded — at most one timer per
-    /// live session is in flight, and it belongs to the engine.
+    /// tables. Pending scheduler events belong to the engine and are
+    /// counted in [`FleetRunResult::queue_memory_bytes`] instead.
     pub heap_bytes_per_session: u64,
     /// FNV-1a digest over metrics text + figures + event counters.
     /// Identical digests across thread counts, shard counts, lineage
@@ -244,6 +244,10 @@ pub struct FleetRunResult {
     /// Bytes the session recorder held at harvest (rollup table +
     /// class names); zero when rollups were off.
     pub session_memory_bytes: u64,
+    /// Bytes the event queue reserved over the run: payload slabs,
+    /// free lists and keys, summed over shard domains (see
+    /// `Simulation::queue_memory_bytes`). Outside the digest.
+    pub queue_memory_bytes: u64,
 }
 
 /// Draw the population table: a pure function of the config, never of
@@ -446,6 +450,7 @@ pub fn run_fleet(config: &FleetRunConfig) -> FleetRunResult {
         ..
     } = sim.finish_observers();
     let session_memory_bytes = session_dump.as_ref().map_or(0, |d| d.memory_bytes);
+    let queue_memory_bytes = sim.queue_memory_bytes();
 
     let mut registry = MetricsRegistry::new();
     sim.collect_metrics(&mut registry);
@@ -631,6 +636,7 @@ pub fn run_fleet(config: &FleetRunConfig) -> FleetRunResult {
         rollups: session_dump,
         lineage: lineage_dump,
         session_memory_bytes,
+        queue_memory_bytes,
     }
 }
 

@@ -161,17 +161,86 @@ enum Order {
     Wheel(Box<TimingWheel<u32>>),
 }
 
-/// The engine's pending events: an [`Order`] of small keys over a slab
-/// of event payloads. Freed slots are reused last-in first-out, so the
-/// slab never outgrows the deepest the queue has been and the slots in
-/// use stay warm in cache.
-pub(crate) struct EventQueue {
-    order: Order,
-    slab: Vec<Option<Event>>,
+/// An [`Event`] that carries no packet, as the small slab stores it:
+/// 16 B of payload plus a tag, so a pending timer does not pay for an
+/// `Ipv4Packet`'s worth of slot.
+#[derive(Debug)]
+enum SmallEvent {
+    AppStart(AppId),
+    Timer { app: AppId, token: u64 },
+    FluidUpdate { link: LinkId, bps: u64 },
+}
+
+/// One event-payload slab: slots of `Option<T>` plus a free list of
+/// slot ids. Freed slots are reused last-in first-out, so the slab
+/// never outgrows the deepest its kind has been pending and the slots
+/// in use stay warm in cache.
+struct Slab<T> {
+    slots: Vec<Option<T>>,
     free: Vec<u32>,
 }
 
+impl<T> Slab<T> {
+    fn with_capacity(capacity: usize) -> Self {
+        Slab {
+            slots: Vec::with_capacity(capacity),
+            free: Vec::new(),
+        }
+    }
+
+    /// Store `value`, returning its slot id (below [`SMALL_SLAB`]).
+    fn insert(&mut self, value: T) -> u32 {
+        match self.free.pop() {
+            Some(slot) => {
+                self.slots[slot as usize] = Some(value);
+                slot
+            }
+            None => {
+                let slot = u32::try_from(self.slots.len())
+                    .ok()
+                    .filter(|&slot| slot < SMALL_SLAB)
+                    .expect("over 2^31 pending events of one kind");
+                self.slots.push(Some(value));
+                slot
+            }
+        }
+    }
+
+    fn take(&mut self, slot: u32) -> T {
+        let value = self.slots[slot as usize]
+            .take()
+            .expect("a queued key's slot holds its event");
+        self.free.push(slot);
+        value
+    }
+
+    /// Reserved bytes: slot and free-list capacity.
+    fn memory_bytes(&self) -> usize {
+        self.slots.capacity() * std::mem::size_of::<Option<T>>()
+            + self.free.capacity() * std::mem::size_of::<u32>()
+    }
+}
+
+/// The key's slot id names its slab by this top bit: clear for the
+/// packet slab, set for the small slab.
+const SMALL_SLAB: u32 = 1 << 31;
+
+/// The engine's pending events: an [`Order`] of small keys over two
+/// payload slabs sized by what an event carries. `Event::Arrival`'s
+/// link and packet go in the packet slab; timers, app starts and fluid
+/// updates go in the small slab, so the 10⁵ start timers a fleet holds
+/// at t = 0 cost a 24-B slot each instead of a packet-sized one.
+pub(crate) struct EventQueue {
+    order: Order,
+    packets: Slab<(LinkId, Ipv4Packet)>,
+    small: Slab<SmallEvent>,
+}
+
 impl EventQueue {
+    /// `capacity` pre-sizes the order and the packet slab; the small
+    /// slab gets four times as many slots, about the same bytes. At
+    /// the engine's 2048 both slabs reserve more than glibc's 128 KiB
+    /// mmap threshold (see [`Simulation::with_scheduler`]).
     pub(crate) fn with_capacity(kind: SchedulerKind, capacity: usize) -> EventQueue {
         let order = match kind {
             SchedulerKind::Heap => Order::Heap(BinaryHeap::with_capacity(capacity)),
@@ -179,21 +248,20 @@ impl EventQueue {
         };
         EventQueue {
             order,
-            slab: Vec::with_capacity(capacity),
-            free: Vec::new(),
+            packets: Slab::with_capacity(capacity),
+            small: Slab::with_capacity(4 * capacity),
         }
     }
 
     pub(crate) fn push(&mut self, time: SimTime, seq: u64, event: Event) {
-        let slot = match self.free.pop() {
-            Some(slot) => {
-                self.slab[slot as usize] = Some(event);
-                slot
+        let slot = match event {
+            Event::Arrival { link, packet } => self.packets.insert((link, packet)),
+            Event::AppStart(app) => SMALL_SLAB | self.small.insert(SmallEvent::AppStart(app)),
+            Event::Timer { app, token } => {
+                SMALL_SLAB | self.small.insert(SmallEvent::Timer { app, token })
             }
-            None => {
-                let slot = u32::try_from(self.slab.len()).expect("over 2^32 pending events");
-                self.slab.push(Some(event));
-                slot
+            Event::FluidUpdate { link, bps } => {
+                SMALL_SLAB | self.small.insert(SmallEvent::FluidUpdate { link, bps })
             }
         };
         match &mut self.order {
@@ -207,11 +275,29 @@ impl EventQueue {
             Order::Heap(heap) => heap.pop().map(|s| (s.time, s.slot)),
             Order::Wheel(wheel) => wheel.pop().map(|(time, _seq, slot)| (time, slot)),
         }?;
-        let event = self.slab[slot as usize]
-            .take()
-            .expect("a queued key's slot holds its event");
-        self.free.push(slot);
+        let event = if slot & SMALL_SLAB == 0 {
+            let (link, packet) = self.packets.take(slot);
+            Event::Arrival { link, packet }
+        } else {
+            match self.small.take(slot & !SMALL_SLAB) {
+                SmallEvent::AppStart(app) => Event::AppStart(app),
+                SmallEvent::Timer { app, token } => Event::Timer { app, token },
+                SmallEvent::FluidUpdate { link, bps } => Event::FluidUpdate { link, bps },
+            }
+        };
         Some((time, event))
+    }
+
+    /// Bytes the queue has reserved: both slabs' slots and free lists,
+    /// plus the order's keys (for the wheel, its slot vectors too).
+    /// Capacities never shrink, so read after a run this is the
+    /// queue's high-water footprint.
+    pub(crate) fn memory_bytes(&self) -> usize {
+        let order = match &self.order {
+            Order::Heap(heap) => heap.capacity() * std::mem::size_of::<Scheduled>(),
+            Order::Wheel(wheel) => std::mem::size_of::<TimingWheel<u32>>() + wheel.memory_bytes(),
+        };
+        order + self.packets.memory_bytes() + self.small.memory_bytes()
     }
 
     /// Earliest pending time. `&mut` because the wheel may advance
@@ -267,12 +353,68 @@ mod queue_tests {
         assert_eq!(std::mem::size_of::<Scheduled>(), 24);
     }
 
+    #[test]
+    fn small_slab_entry_is_at_most_24_bytes() {
+        // A fleet holds ~10^5 start timers at t = 0; each costs one
+        // small-slab slot, so a field added to `SmallEvent` is paid
+        // 10^5 times over.
+        assert!(std::mem::size_of::<Option<SmallEvent>>() <= 24);
+    }
+
+    #[test]
+    fn engine_capacity_maps_both_slabs() {
+        // Below glibc's 128 KiB mmap threshold a slab is carved from
+        // the heap, and dropping it moves the trim threshold: each of
+        // a corpus's back-to-back simulations then re-faults its heap.
+        for kind in [SchedulerKind::Heap, SchedulerKind::Wheel] {
+            let queue = EventQueue::with_capacity(kind, 2048);
+            let packets = queue.packets.slots.capacity()
+                * std::mem::size_of::<Option<(LinkId, Ipv4Packet)>>();
+            let small = queue.small.slots.capacity() * std::mem::size_of::<Option<SmallEvent>>();
+            assert!(
+                packets >= 128 << 10,
+                "{kind:?} packet slab reserves {packets} B"
+            );
+            assert!(small >= 128 << 10, "{kind:?} small slab reserves {small} B");
+        }
+    }
+
+    #[test]
+    fn pending_timer_costs_at_most_76_bytes() {
+        // 10^5 timers pending at once, as at a fleet's t = 0, spread
+        // over the wheel's first three levels. Each costs a 24-B slot,
+        // a 24-B key and a 4-B free-list entry once popped: 52 B.
+        // Vectors grow by doubling, so 10^5 entries reserve 2^17 and
+        // the queue reports 70.3 B a timer under the heap order and
+        // 71.8 B under the wheel. In a packet-sized 104-B slot a
+        // timer cost 132 B by the same arithmetic, 173 B as reserved.
+        const TIMERS: usize = 100_000;
+        for kind in [SchedulerKind::Heap, SchedulerKind::Wheel] {
+            let mut queue = EventQueue::with_capacity(kind, 2048);
+            let mut rng = SimRng::new(42);
+            for seq in 0..TIMERS as u64 {
+                let at = SimTime(rng.next_u64() % ((1 << 24) * TICK_NS));
+                queue.push(
+                    at,
+                    seq,
+                    Event::Timer {
+                        app: AppId(0),
+                        token: seq,
+                    },
+                );
+            }
+            while queue.pop().is_some() {}
+            let per_timer = queue.memory_bytes() as f64 / TIMERS as f64;
+            assert!(
+                per_timer <= 76.0,
+                "{kind:?}: {per_timer:.1} B per pending timer"
+            );
+        }
+    }
+
     /// A jump past `now` drawn from `r`: the same instant (ties),
-    /// sub-tick, level 0, levels 1-2, the bottom of level 3, or beyond
+    /// sub-tick, level 0, levels 1-2, anywhere in level 3, or beyond
     /// the horizon. Returns the jump and whether it is the latter.
-    /// Level-3 and far jumps stay within 2^20 ticks of a level's
-    /// start: the wheel walks empty stretches one 256-tick era at a
-    /// time, and a jump deep into level 3 would cost 2^24 steps.
     fn jump(r: u64) -> (u64, bool) {
         let x = r >> 3;
         match r % 6 {
@@ -280,44 +422,83 @@ mod queue_tests {
             1 => (x % TICK_NS, false),
             2 => (x % (256 * TICK_NS), false),
             3 => (x % ((1 << 24) * TICK_NS), false),
-            4 => ((1 << 24) * TICK_NS + x % ((1 << 20) * TICK_NS), false),
-            _ => (HORIZON_NS + x % ((1 << 20) * TICK_NS), true),
+            4 => (
+                (1 << 24) * TICK_NS + x % (HORIZON_NS - (1 << 24) * TICK_NS),
+                false,
+            ),
+            _ => (HORIZON_NS + x % HORIZON_NS, true),
+        }
+    }
+
+    /// The event pushed with `token`: one of the four kinds, an
+    /// arrival carrying a small packet distinct per token.
+    fn event_of(token: u64) -> Event {
+        let id = (token >> 2) as usize % 1000;
+        match token % 4 {
+            0 => Event::Timer {
+                app: AppId(id),
+                token,
+            },
+            1 => Event::AppStart(AppId(id)),
+            2 => Event::FluidUpdate {
+                link: LinkId(id),
+                bps: token,
+            },
+            _ => Event::Arrival {
+                link: LinkId(id),
+                packet: Ipv4Packet::new(
+                    Ipv4Addr::new(10, 0, 0, 1),
+                    Ipv4Addr::new(10, 0, 0, 2),
+                    IpProtocol::Udp,
+                    token as u16,
+                    Bytes::copy_from_slice(&token.to_le_bytes()),
+                ),
+            },
+        }
+    }
+
+    /// An event as a comparable value: kind, id, scalar, packet.
+    fn view(event: Event) -> (u8, usize, u64, Option<Ipv4Packet>) {
+        match event {
+            Event::Timer { app, token } => (0, app.0, token, None),
+            Event::AppStart(app) => (1, app.0, 0, None),
+            Event::FluidUpdate { link, bps } => (2, link.0, bps, None),
+            Event::Arrival { link, packet } => (3, link.0, 0, Some(packet)),
         }
     }
 
     /// Drives `kind` through `fill` pushes from `seed`, then `ops`,
     /// then a full drain, holding every pop, `len` and `next_time` to
-    /// a `BTreeMap<(time, seq), token>` reference.
+    /// a `BTreeMap<(time, seq), token>` reference. Pushes mix all four
+    /// event kinds, and each popped event must equal the pushed one.
     fn check_against_reference(kind: SchedulerKind, seed: u64, fill: usize, ops: &[(u8, u64)]) {
         let mut queue = EventQueue::with_capacity(kind, 16);
         let mut reference = BTreeMap::new();
         let mut now = SimTime::ZERO;
         let mut seq = 0u64;
         let mut overflowed = 0u64;
+        // Pending arrivals and others (indexed by `slab_of`).
+        let mut pending = [0usize; 2];
+        let slab_of = |token: u64| usize::from(token % 4 != 3);
         let mut push = |queue: &mut EventQueue,
                         reference: &mut BTreeMap<(SimTime, u64), u64>,
+                        pending: &mut [usize; 2],
                         time: SimTime| {
             let token = seq.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-            queue.push(
-                time,
-                seq,
-                Event::Timer {
-                    app: AppId(0),
-                    token,
-                },
-            );
+            queue.push(time, seq, event_of(token));
             reference.insert((time, seq), token);
+            pending[slab_of(token)] += 1;
             seq += 1;
         };
-        let pop = |queue: &mut EventQueue, reference: &mut BTreeMap<(SimTime, u64), u64>| {
-            let got = queue.pop().map(|(time, event)| match event {
-                Event::Timer { token, .. } => (time, token),
-                other => panic!("queued a timer, popped {other:?}"),
+        let pop = |queue: &mut EventQueue,
+                   reference: &mut BTreeMap<(SimTime, u64), u64>,
+                   pending: &mut [usize; 2]| {
+            let got = queue.pop().map(|(time, event)| (time, view(event)));
+            let want = reference.pop_first().map(|((time, _), token)| {
+                pending[slab_of(token)] -= 1;
+                (time, view(event_of(token)))
             });
-            let want = reference
-                .pop_first()
-                .map(|((time, _), token)| (time, token));
-            prop_assert_eq!(got, want, "{kind:?}");
+            prop_assert_eq!(&got, &want, "{kind:?}");
             want.map(|(time, _)| time)
         };
 
@@ -325,20 +506,26 @@ mod queue_tests {
         for _ in 0..fill {
             let (ns, beyond) = jump(rng.next_u64());
             overflowed += beyond as u64;
-            push(&mut queue, &mut reference, SimTime(ns));
+            push(&mut queue, &mut reference, &mut pending, SimTime(ns));
         }
-        let mut high_water = reference.len();
+        // The most of each kind pending at once.
+        let mut high_water = pending;
         for &(op, r) in ops {
             match op {
-                0..=4 => push(&mut queue, &mut reference, SimTime(now.0 + jump(r).0)),
+                0..=4 => push(
+                    &mut queue,
+                    &mut reference,
+                    &mut pending,
+                    SimTime(now.0 + jump(r).0),
+                ),
                 5 => {
                     let at = SimTime(now.0 + jump(r >> 6).0);
                     for _ in 0..=(r % 64) {
-                        push(&mut queue, &mut reference, at);
+                        push(&mut queue, &mut reference, &mut pending, at);
                     }
                 }
                 6..=8 => {
-                    if let Some(time) = pop(&mut queue, &mut reference) {
+                    if let Some(time) = pop(&mut queue, &mut reference, &mut pending) {
                         now = time;
                     }
                 }
@@ -347,16 +534,20 @@ mod queue_tests {
                     prop_assert_eq!(queue.next_time(), want);
                 }
             }
-            high_water = high_water.max(reference.len());
+            for (hw, &now_pending) in high_water.iter_mut().zip(&pending) {
+                *hw = (*hw).max(now_pending);
+            }
             prop_assert_eq!(queue.len(), reference.len());
         }
-        while pop(&mut queue, &mut reference).is_some() {}
+        while pop(&mut queue, &mut reference, &mut pending).is_some() {}
         prop_assert_eq!(queue.len(), 0);
         prop_assert_eq!(queue.next_time(), None);
-        // Freed slots are reused before the slab grows, so it holds
-        // exactly as many slots as were ever pending at once.
-        prop_assert_eq!(queue.slab.len(), high_water);
-        prop_assert_eq!(queue.free.len(), high_water);
+        // Freed slots are reused before a slab grows, so each slab
+        // holds exactly as many slots as its kind ever had pending.
+        prop_assert_eq!(queue.packets.slots.len(), high_water[0]);
+        prop_assert_eq!(queue.packets.free.len(), high_water[0]);
+        prop_assert_eq!(queue.small.slots.len(), high_water[1]);
+        prop_assert_eq!(queue.small.free.len(), high_water[1]);
         if kind == SchedulerKind::Wheel {
             prop_assert!(queue.sched_stats().overflow_events >= overflowed);
         }
@@ -630,6 +821,12 @@ impl SimCore {
     /// outside the cross-scheduler identity set (see DESIGN.md).
     pub fn sched_stats(&self) -> SchedStats {
         self.queue.sched_stats()
+    }
+
+    /// Bytes the event queue has reserved (see
+    /// [`Simulation::queue_memory_bytes`]).
+    pub fn queue_memory_bytes(&self) -> u64 {
+        self.queue.memory_bytes() as u64
     }
 
     /// Harvest every component's counters into `registry`: engine
@@ -1453,10 +1650,11 @@ impl Simulation {
                 now: SimTime::ZERO,
                 // Streaming runs keep thousands of in-flight events;
                 // pre-size the queue so warm-up doesn't regrow it. At
-                // 2048 slots (~208 KiB) the slab is above glibc's
-                // 128 KiB mmap threshold, so the untouched reservation
-                // is mapped rather than carved from the heap. Served
-                // from the heap, it left the heap top above the trim
+                // 2048 packet slots (208 KiB) and 8192 small slots
+                // (192 KiB) both slabs are above glibc's 128 KiB mmap
+                // threshold, so each untouched reservation is mapped
+                // rather than carved from the heap. Served from the
+                // heap, a slab left the heap top above the trim
                 // threshold whenever a simulation dropped, and each
                 // back-to-back construction paid a trim and re-faults.
                 queue: EventQueue::with_capacity(scheduler, 2048),
@@ -1633,6 +1831,22 @@ impl Simulation {
         match self.sharded.as_deref() {
             Some(sh) => sh.sched_stats(),
             None => self.core.sched_stats(),
+        }
+    }
+
+    /// Bytes the event queue has reserved: both payload slabs, their
+    /// free lists and the order's keys, summed over shard domains.
+    /// Capacities never shrink, so read after a run this is the
+    /// queue's high-water footprint. Engine memory, not simulated
+    /// state: outside every digest, like [`SchedStats`].
+    pub fn queue_memory_bytes(&self) -> u64 {
+        match self.sharded.as_deref() {
+            Some(sh) => sh
+                .domains
+                .iter()
+                .map(|sim| sim.core.queue_memory_bytes())
+                .sum(),
+            None => self.core.queue_memory_bytes(),
         }
     }
 

@@ -35,7 +35,11 @@
 //! for the next non-empty slot in the current 256-tick era. At an era
 //! boundary it cascades the next level-1 slot (re-dispatching each
 //! entry, which now lands in level 0 or `current`), and likewise for
-//! deeper levels at their `256^l`-aligned boundaries. If the whole
+//! deeper levels at their `256^l`-aligned boundaries. When level 0 is
+//! empty it does not step era by era: it jumps straight to the
+//! earliest boundary of any occupied slot (or the horizon rollover,
+//! while far-future entries wait), since every boundary in between
+//! would cascade an empty slot. If the whole
 //! wheel is empty it jumps straight to the earliest far-future entry.
 //! Each entry is touched at most `LEVELS` times total, and slot
 //! scans are 4 × `u64` bitmap words per level — no per-slot walk.
@@ -43,7 +47,8 @@
 //! ## Payload
 //!
 //! The engine instantiates `TimingWheel<u32>`: the payload is a slot
-//! id into the event slab of `sim::EventQueue`, so an entry is 24 B
+//! id into one of `sim::EventQueue`'s two event slabs (its top bit
+//! names which), so an entry is 24 B
 //! and every dispatch, cascade and drain moves a key, never an event.
 //! `turb-bench`'s hold model drives `TimingWheel<()>` (16 B entries):
 //! like the engine's, a key with no event behind it.
@@ -160,6 +165,19 @@ impl<T> TimingWheel<T> {
 
     pub fn stats(&self) -> SchedStats {
         self.stats
+    }
+
+    /// Heap bytes reserved for entries: the current-tick heap, every
+    /// slot vector (and their headers), the overflow heap and the
+    /// drain scratch. Capacities never shrink, so this is the wheel's
+    /// high-water footprint.
+    pub fn memory_bytes(&self) -> usize {
+        let entries = self.current.capacity()
+            + self.overflow.capacity()
+            + self.scratch.capacity()
+            + self.slots.iter().map(Vec::capacity).sum::<usize>();
+        entries * std::mem::size_of::<Entry<T>>()
+            + self.slots.capacity() * std::mem::size_of::<Vec<Entry<T>>>()
     }
 
     fn tick_of(time: SimTime) -> u64 {
@@ -288,9 +306,11 @@ impl<T> TimingWheel<T> {
                 self.drain_slot(0, slot);
                 return; // the slot was non-empty ⇒ current is too
             }
-            // Era exhausted: step to the boundary and cascade every
-            // level whose slot boundary we just crossed.
-            let next_era = (self.current_tick | SLOT_MASK) + 1;
+            // Era exhausted: jump to the next era boundary where work
+            // is filed and cascade every level whose slot boundary
+            // lands there. The boundaries jumped over would each have
+            // cascaded an empty slot, so this matches a walk.
+            let next_era = self.next_boundary();
             self.current_tick = next_era;
             for level in 1..LEVELS {
                 if next_era & ((1u64 << (BITS * level as u32)) - 1) != 0 {
@@ -318,6 +338,42 @@ impl<T> TimingWheel<T> {
                 return;
             }
         }
+    }
+
+    /// The first era boundary after `current_tick` at which `advance`
+    /// has work: the next era when level 0 holds entries (all of them
+    /// lie in it), else the earliest boundary of an occupied slot in a
+    /// higher level, or the horizon rollover while overflow entries
+    /// wait. An entry in level `l` slot `s` is filed less than
+    /// `256^(l+1)` ticks ahead, so its boundary is the first
+    /// `256^l`-aligned tick past `current_tick` with level index `s`.
+    fn next_boundary(&self) -> u64 {
+        let next_era = (self.current_tick | SLOT_MASK) + 1;
+        if self.occupied[0].iter().any(|&w| w != 0) {
+            return next_era;
+        }
+        let mut best = if self.overflow.is_empty() {
+            u64::MAX
+        } else {
+            (self.current_tick | (HORIZON_TICKS - 1)) + 1
+        };
+        for level in 1..LEVELS {
+            let shift = BITS * level as u32;
+            let cursor = ((self.current_tick >> shift) & SLOT_MASK) as usize;
+            let round = self.current_tick >> (shift + BITS) << (shift + BITS);
+            let boundary = match self.next_occupied(level, cursor + 1) {
+                Some(slot) => round | (slot as u64) << shift,
+                // Every occupied slot at or before the cursor belongs
+                // to the next round of this level.
+                None => match self.next_occupied(level, 0) {
+                    Some(slot) => round + (1u64 << (shift + BITS)) + ((slot as u64) << shift),
+                    None => continue,
+                },
+            };
+            best = best.min(boundary);
+        }
+        debug_assert!(best != u64::MAX, "advance with nothing filed past current");
+        best
     }
 
     /// Re-dispatch overflow entries that now fall inside the horizon.
@@ -454,9 +510,9 @@ mod tests {
             assert_eq!(drain(&mut wheel), heap_order(items), "flip = {flip}");
         }
 
-        // 2. The era-rollover sweep: the wheel walks eras (levels
-        //    still occupied) across a horizon-aligned boundary and
-        //    sweeps the pair back in mid-walk.
+        // 2. The era-rollover sweep: the wheel advances (levels still
+        //    occupied) to a horizon-aligned boundary and sweeps the
+        //    pair back in there.
         let mut wheel = TimingWheel::new();
         let mut items = Vec::new();
         // Seed entry moves current_tick off zero so later pushes can
@@ -465,7 +521,8 @@ mod tests {
         wheel.push(SimTime(300 * TICK_NS), 0, 0);
         assert_eq!(wheel.pop(), Some((SimTime(300 * TICK_NS), 0, 0)));
         // A wheel-resident entry past the boundary keeps the levels
-        // occupied, forcing the walk (not the jump) across it...
+        // occupied, forcing the era advance (not the empty-wheel
+        // jump) onto it...
         let in_wheel = (HORIZON_TICKS + 100) * TICK_NS;
         // ...while the duplicate-time pair sits exactly one horizon
         // away from current_tick: delta == HORIZON_TICKS overflows.
@@ -547,6 +604,30 @@ mod tests {
             assert_eq!(wheel.pop(), Some((e.time, e.seq, e.value)));
         }
         assert!(wheel.pop().is_none());
+    }
+
+    #[test]
+    fn lone_deep_entries_jump_and_cascade_once_per_level() {
+        // A lone entry deep in level 3, up to ~2^32 ticks out: the
+        // wheel must jump to its boundaries instead of stepping up to
+        // 2^24 eras, and still cascade it once per level whose digit
+        // of its tick is set (level 3 always; 2 and 1 when non-zero).
+        for (l3, l2, l1, l0, cascades) in [
+            (200u64, 123u64, 45u64, 7u64, 3u64),
+            (255, 0, 0, 0, 1),
+            (255, 0, 9, 0, 2),
+            (1, 255, 255, 255, 3),
+        ] {
+            let mut wheel = TimingWheel::new();
+            let t = (l3 << 24 | l2 << 16 | l1 << 8 | l0) * TICK_NS + 3;
+            wheel.push(SimTime(t), 0, 0u32);
+            assert_eq!(wheel.pop(), Some((SimTime(t), 0, 0)));
+            assert_eq!(
+                wheel.stats().cascades,
+                cascades,
+                "tick digits {l3} {l2} {l1} {l0}"
+            );
+        }
     }
 
     #[test]
