@@ -372,7 +372,12 @@ impl<T> TimingWheel<T> {
             };
             best = best.min(boundary);
         }
-        debug_assert!(best != u64::MAX, "advance with nothing filed past current");
+        // Monotone: a boundary at or before the cursor would re-cascade
+        // slots out of turn and change `SchedStats::cascades`.
+        debug_assert!(
+            best != u64::MAX && best > self.current_tick,
+            "no boundary past the cursor"
+        );
         best
     }
 
@@ -628,6 +633,30 @@ mod tests {
                 "tick digits {l3} {l2} {l1} {l0}"
             );
         }
+    }
+
+    #[test]
+    fn jump_stops_at_the_horizon_rollover_for_overflow() {
+        // An overflow entry filed early can be due before the boundary
+        // of a level-3 entry filed later. The jump past the horizon
+        // rollover must stop there to sweep it in, or it pops late.
+        let mut wheel = TimingWheel::new();
+        let at = |tick: u64| SimTime(tick * TICK_NS);
+        wheel.push(at(300), 0, 0u32);
+        assert_eq!(wheel.pop(), Some((at(300), 0, 0)));
+        let overflowed = at(HORIZON_TICKS + 300);
+        wheel.push(overflowed, 1, 1);
+        assert_eq!(wheel.stats().overflow_events, 1);
+        wheel.push(at(1 << 25), 2, 2);
+        assert_eq!(wheel.pop(), Some((at(1 << 25), 2, 2)));
+        // Level 3, slot 1 of the next round: its boundary is past the
+        // rollover, and past the overflow entry.
+        let late = at((1 << 25) + HORIZON_TICKS - 1);
+        wheel.push(late, 3, 3);
+        assert_eq!(
+            drain(&mut wheel),
+            vec![(overflowed.as_nanos(), 1, 1), (late.as_nanos(), 3, 3)]
+        );
     }
 
     #[test]
