@@ -31,7 +31,8 @@ fn groups_of(flags: &Flags) -> Result<Option<usize>, String> {
     Ok(Some(groups))
 }
 
-/// The corpus configs, restricted to `--sets 1,2,5` when given.
+/// The corpus configs, restricted to `--sets 1,2,5` when given. Every
+/// listed id must be a Table 1 data set.
 fn corpus_configs_of(flags: &Flags, seed: u64) -> Result<Vec<PairRunConfig>, String> {
     match flags.get("sets") {
         None => Ok(runner::corpus_configs(seed)),
@@ -40,6 +41,11 @@ fn corpus_configs_of(flags: &Flags, seed: u64) -> Result<Vec<PairRunConfig>, Str
                 .split(',')
                 .map(|s| s.trim().parse().map_err(|_| format!("bad set {s:?}")))
                 .collect::<Result<_, _>>()?;
+            let table1 = turb_media::corpus::table1();
+            let unknown = sets.iter().find(|&&id| table1.iter().all(|s| s.id != id));
+            if let Some(id) = unknown {
+                return Err(format!("data set {id} does not exist (1-6)"));
+            }
             Ok(runner::corpus_configs_for_sets(seed, &sets))
         }
     }
@@ -232,7 +238,8 @@ pub fn obs(flags: &Flags) -> Result<(), String> {
     Ok(())
 }
 
-/// `turbulence figures`: every table and figure's data rows.
+/// `turbulence figures`: every table and figure's data rows, then the
+/// ablation tables.
 pub fn figures_cmd(flags: &Flags) -> Result<(), String> {
     let seed = seed_of(flags)?;
     let engine = engine_of(flags)?;
@@ -244,6 +251,7 @@ pub fn figures_cmd(flags: &Flags) -> Result<(), String> {
     }
     let result = runner::run_configs_parallel(&configs, threads_of(flags)?);
     out!("{}", paper::render(&paper::ALL, &result, seed));
+    out!("{}", paper::render(&paper::ABLATIONS, &result, seed));
     Ok(())
 }
 
@@ -1351,6 +1359,9 @@ pub fn watch(flags: &Flags) -> Result<(), String> {
     let mut configs = if corpus_mode {
         corpus_configs_of(flags, seed)?
     } else {
+        if flags.contains_key("sets") {
+            return Err("--sets needs --corpus (use --set N for one pair run)".into());
+        }
         let (set, pair) = pair_of(flags)?;
         vec![PairRunConfig::new(seed, set, pair)]
     };

@@ -7,8 +7,8 @@
 //!                       [--seed N] [--pcap FILE] [--loss P] [--telemetry]
 //! turbulence obs        --set N [--class C] [--seed N] [--loss P]
 //!                       [--metrics] [--trace FILE]    one pair run, telemetry report
-//! turbulence figures    [--seed N] [--threads N]      Table 1, Figures 1-15 and
-//!                                                     §IV: every data row
+//! turbulence figures    [--seed N] [--threads N]      Table 1, Figures 1-15, §IV
+//!                                                     and the ablations: every data row
 //! turbulence flowgen    --set N --class C --player real|wmp
 //!                       [--seed N] [--out FILE]       fit, generate, validate, export
 //! turbulence friendly   [--kbps N,...] [--seed N]     §VI TCP-friendliness sweep
@@ -69,6 +69,7 @@ macro_rules! outln {
     };
 }
 
+mod ablations;
 mod commands;
 mod paper;
 
@@ -85,7 +86,8 @@ COMMANDS:
                 headline figures
     pair        run one clip pair and summarise what both trackers measured
     obs         run one clip pair with telemetry and print the run report
-    figures     run the corpus and print Table 1, Figures 1-15 and §IV
+    figures     run the corpus and print Table 1, Figures 1-15 and §IV,
+                then the ablation tables
     flowgen     fit a Section-IV turbulence model and export an ns-style trace
     friendly    run the §VI TCP-friendliness sweep
     ping        check the simulated paths to all six server sites

@@ -1,9 +1,12 @@
 //! The paper's data as text: Table 1, Figures 1–15 and the §IV
 //! flow-generation validation, each one headed block computed from a
-//! corpus result. `turbulence figures` prints every block and
+//! corpus result, then the ablations, which run their own fixed-seed
+//! scenarios. `turbulence figures` prints every block and
 //! `turbulence corpus` its headline subset, through the same renderers.
-//! EXPERIMENTS.md records these blocks at seed 42.
+//! EXPERIMENTS.md records these blocks at seed 42, and
+//! `crates/cli/tests/experiments_doc.rs` checks that it does.
 
+use crate::ablations;
 use std::fmt::Write as _;
 use turbulence::{figures, report, tables, CorpusResult};
 
@@ -135,6 +138,35 @@ const SEC4: Block = Block {
     heading: "Section IV: synthetic flow generation validated against fitted distributions",
     render: sec4,
 };
+
+/// The ablations, in the order `figures` prints them after §IV. Each
+/// ignores the corpus and the seed.
+pub const ABLATIONS: [Block; 6] = [
+    Block {
+        heading: "Ablation: access loss vs delivered goodput (set 2 high)",
+        render: |_, _| ablations::loss_vs_goodput(),
+    },
+    Block {
+        heading: "Ablation: bottleneck vs RealServer buffering ratio (637 Kbit/s clip)",
+        render: |_, _| ablations::bottleneck_vs_beta(),
+    },
+    Block {
+        heading: "Ablation: link jitter vs interarrival spread (CBR source)",
+        render: |_, _| ablations::jitter_vs_interarrival_spread(),
+    },
+    Block {
+        heading: "Ablation: RED vs drop-tail (greedy TCP vs 600 Kbit/s firehose, 1 Mbit/s link)",
+        render: |_, _| ablations::red_vs_droptail(),
+    },
+    Block {
+        heading: "Ablation: interleaving vs app-layer burstiness (set 5 high WMP)",
+        render: |_, _| ablations::interleaving_burstiness(),
+    },
+    Block {
+        heading: "Ablation: independent vs bursty loss on fragmented WMP (set 2 high)",
+        render: |_, _| ablations::burst_loss_vs_fragmentation(),
+    },
+];
 
 fn table1(corpus: &CorpusResult) -> String {
     let rows: Vec<Vec<String>> = tables::table1_measured(corpus)

@@ -49,3 +49,16 @@ fn sub_nanosecond_window_is_rejected() {
     assert_rejected(&["watch", "--set", "2", "--window", "1e-10"]);
     assert_rejected(&["watch", "--set", "2", "--window", "0.0000000009"]);
 }
+
+#[test]
+fn sets_outside_table_1_are_rejected() {
+    assert_rejected(&["corpus", "--sets", "9"]);
+    assert_rejected(&["corpus", "--sets", "1,0"]);
+    assert_rejected(&["watch", "--corpus", "--sets", "9"]);
+    assert_rejected(&["watch", "--corpus", "--sets", "2,7"]);
+}
+
+#[test]
+fn sets_without_corpus_are_rejected_on_watch() {
+    assert_rejected(&["watch", "--set", "2", "--sets", "3"]);
+}

@@ -1,5 +1,6 @@
 //! Cross-crate methodology tests: determinism, capture export,
-//! model-fit round trips, and route-check behaviour.
+//! model-fit round trips, route-check behaviour, and the Figure 5
+//! fragmentation sweep against its analytic prediction.
 
 use turb_media::{corpus, PlayerId, RateClass};
 use turbulence::{run_pair, PairRunConfig};
@@ -143,4 +144,83 @@ fn route_check_detects_a_changed_path() {
     let mut tampered = result;
     tampered.tracert_after.hops.push(None);
     assert!(!tampered.route_stable());
+}
+
+/// Analytic fragment fraction: a 100 ms application frame of
+/// `rate × 0.1 / 8` bytes (minimum 880) plus the 8-byte UDP header
+/// splits into `ceil(len / 1480)` wire packets, of which all but one
+/// display as fragments.
+fn predicted_fragment_fraction(kbps: f64) -> f64 {
+    let unit = (kbps * 1000.0 * 0.1 / 8.0).max(880.0);
+    let frames = ((unit + 8.0) / 1480.0).ceil();
+    (frames - 1.0) / frames
+}
+
+/// The fragment fraction of a 30 s MediaPlayer stream at `kbps`, as the
+/// client-side sniffer sees it over one 10 Mbit/s link.
+fn measured_fragment_fraction(kbps: f64) -> f64 {
+    use std::net::Ipv4Addr;
+    use turb_capture::{Filter, FragmentGroups, Sniffer};
+    use turb_netsim::prelude::*;
+    use turb_players::{spawn_stream, StreamConfig};
+
+    let server_addr = Ipv4Addr::new(204, 71, 0, 33);
+    let client_addr = Ipv4Addr::new(130, 215, 36, 10);
+    let mut clip = corpus::table1()[0]
+        .pair(RateClass::High)
+        .unwrap()
+        .wmp
+        .clone();
+    clip.encoded_kbps = kbps;
+    clip.advertised_kbps = kbps;
+    clip.duration_secs = 30.0;
+    let mut sim = Simulation::new(kbps as u64);
+    let server = sim.add_host("server", server_addr);
+    let client = sim.add_host("client", client_addr);
+    let (sc, cs) = sim.add_duplex(
+        server,
+        client,
+        LinkConfig::ethernet_10m(SimDuration::from_millis(20)),
+    );
+    sim.core_mut().node_mut(server).default_route = Some(sc);
+    sim.core_mut().node_mut(client).default_route = Some(cs);
+    let capture = Sniffer::attach(&mut sim, client);
+    let config = StreamConfig {
+        clip,
+        server_addr,
+        server_port: 1755,
+        client_addr,
+        client_port: 7000,
+        bottleneck_bps: 10_000_000,
+    };
+    spawn_stream(&mut sim, server, client, config, &mut SimRng::new(0));
+    sim.run_to_idle(SimTime::ZERO + SimDuration::from_secs(120));
+
+    let capture = capture.lock().unwrap();
+    let records = capture.filtered(&Filter::stream_from(server_addr));
+    FragmentGroups::build(records).stats().fragment_fraction()
+}
+
+/// Figure 5 beyond the corpus: simulated end to end at rates the paper
+/// did not stream, MediaPlayer's fragment fraction stays within 0.5
+/// percentage points of the MTU arithmetic, and nothing fragments at or
+/// below 117 Kbit/s (the first frame past 1472 B is at 117.8 Kbit/s).
+#[test]
+fn wmp_fragmentation_follows_the_mtu_arithmetic_off_corpus() {
+    for kbps in [
+        28.0, 49.8, 102.3, 117.0, 118.0, 150.0, 200.0, 250.4, 307.2, 400.0, 500.0, 636.9, 731.3,
+        900.0, 1200.0,
+    ] {
+        let measured = measured_fragment_fraction(kbps);
+        let predicted = predicted_fragment_fraction(kbps);
+        assert!(
+            (measured - predicted).abs() <= 0.005,
+            "{kbps} Kbit/s: measured {:.1}%, predicted {:.1}%",
+            measured * 100.0,
+            predicted * 100.0
+        );
+        if kbps <= 117.0 {
+            assert_eq!(measured, 0.0, "{kbps} Kbit/s fragments");
+        }
+    }
 }
