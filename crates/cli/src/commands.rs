@@ -569,6 +569,35 @@ pub fn sessions(flags: &Flags) -> Result<(), String> {
         None => None,
         Some(raw) => Some(raw.parse().map_err(|_| format!("bad --session {raw:?}"))?),
     };
+    // The drill-down target is a function of the config alone, so a
+    // bad one fails before the fleet runs.
+    let sampler = (config.sample_permille > 0 && !config.lineage)
+        .then(|| turb_obs::SessionSampler::new(config.seed, config.sample_permille));
+    if let Some(sid) = drill {
+        if usize::try_from(sid).unwrap() >= config.sessions {
+            return Err(format!(
+                "--session {sid} out of range (fleet has {} sessions)",
+                config.sessions,
+            ));
+        }
+        if !(config.lineage || sampler.as_ref().is_some_and(|s| s.admits(sid))) {
+            let examples: Vec<String> = sampler
+                .as_ref()
+                .map(|s| {
+                    (0..config.sessions as u32)
+                        .filter(|&id| s.admits(id))
+                        .take(8)
+                        .map(|id| id.to_string())
+                        .collect()
+                })
+                .unwrap_or_default();
+            return Err(format!(
+                "session {sid} is not in the sampled set; sampled ids start {:?} \
+                 (raise --sample-permille, up to 1000, to widen the set)",
+                examples,
+            ));
+        }
+    }
 
     let result = run_fleet(&config);
     let dump = result
@@ -690,8 +719,6 @@ pub fn sessions(flags: &Flags) -> Result<(), String> {
 
     // Top-K worst sessions under the badness key — the triage list.
     let worst = dump.worst(top, &by);
-    let sampler = (config.sample_permille > 0 && !config.lineage)
-        .then(|| turb_obs::SessionSampler::new(config.seed, config.sample_permille));
     let rows: Vec<Vec<String>> = worst
         .iter()
         .map(|&(id, score)| {
@@ -731,29 +758,6 @@ pub fn sessions(flags: &Flags) -> Result<(), String> {
 
     // Drill-down: the sampled session's full per-packet lineage.
     if let Some(sid) = drill {
-        if usize::try_from(sid).unwrap() >= dump.rollups.len() {
-            return Err(format!(
-                "--session {sid} out of range (fleet has {} sessions)",
-                dump.rollups.len(),
-            ));
-        }
-        if !(config.lineage || sampler.as_ref().is_some_and(|s| s.admits(sid))) {
-            let examples: Vec<String> = sampler
-                .as_ref()
-                .map(|s| {
-                    (0..result.sessions as u32)
-                        .filter(|&id| s.admits(id))
-                        .take(8)
-                        .map(|id| id.to_string())
-                        .collect()
-                })
-                .unwrap_or_default();
-            return Err(format!(
-                "session {sid} is not in the sampled set; sampled ids start {:?} \
-                 (raise --sample-permille, up to 1000, to widen the set)",
-                examples,
-            ));
-        }
         let lin = result
             .lineage
             .as_ref()

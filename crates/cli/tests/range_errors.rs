@@ -3,7 +3,8 @@
 
 use std::process::Command;
 
-fn assert_rejected(args: &[&str]) {
+/// Runs `args`, asserts the rejection and returns what went to stdout.
+fn assert_rejected(args: &[&str]) -> String {
     let output = Command::new(env!("CARGO_BIN_EXE_turbulence"))
         .args(args)
         .output()
@@ -14,6 +15,7 @@ fn assert_rejected(args: &[&str]) {
     assert_eq!(stderr.lines().count(), 1, "{args:?}: stderr {stderr}");
     assert!(!stderr.contains("panicked"), "{args:?}: stderr {stderr}");
     assert!(!stderr.contains("internal failure"), "{args:?}: {stderr}");
+    String::from_utf8_lossy(&output.stdout).into_owned()
 }
 
 #[test]
@@ -61,4 +63,22 @@ fn sets_outside_table_1_are_rejected() {
 #[test]
 fn sets_without_corpus_are_rejected_on_watch() {
     assert_rejected(&["watch", "--set", "2", "--sets", "3"]);
+}
+
+#[test]
+fn bad_drill_down_session_fails_before_the_fleet_runs() {
+    // Out of range, outside the seed-keyed sampled set, and with
+    // sampling off: each is known from the flags alone, so no report
+    // may reach stdout.
+    for args in [
+        "--sessions 100 --seed 42 --session 100",
+        "--sessions 100 --seed 42 --session 1",
+        "--sessions 100 --sample-permille 0 --session 5",
+    ] {
+        let argv: Vec<&str> = std::iter::once("sessions")
+            .chain(args.split_whitespace())
+            .collect();
+        let stdout = assert_rejected(&argv);
+        assert!(stdout.is_empty(), "{args}: stdout {stdout}");
+    }
 }

@@ -10,14 +10,16 @@
 //! handed in here as [`SessionSpec`] rows. This module's job is purely
 //! mechanical: drive the table over the shared topology with one
 //! multiplexing application per group, so a session costs a table row
-//! plus one pending timer instead of a host, an app, and a port.
+//! instead of a host, an app, and a port.
 //!
 //! Memory budget per session (the 10⁵–10⁶ concurrency target):
 //!
 //! * one [`SessionSpec`] row, shared read-only across groups: 48 bytes
 //! * one live send countdown in its group's driver: 4 bytes
 //! * one delivered-datagram counter in the [`FleetLedger`]: 4 bytes
-//! * at most one pending timer event in the scheduler
+//! * one pending timer event in the scheduler while the session is
+//!   live; none after it ends, and none before it starts except the
+//!   one next start timer each driver keeps armed (see [`FleetDriver`])
 //!
 //! Determinism: drivers and sinks are ordinary [`Application`]s keyed
 //! by `(time, seq)` like everything else, the ledger only ever takes
@@ -27,7 +29,7 @@
 //! exactly like the scale scenario.
 
 use crate::sim::{Application, Ctx, Simulation};
-use crate::time::SimDuration;
+use crate::time::{SimDuration, SimTime};
 use crate::topology::ScaleScenario;
 use std::net::Ipv4Addr;
 use std::sync::{Arc, Mutex};
@@ -95,13 +97,26 @@ pub struct FleetScenario {
 
 /// One multiplexing driver per group: walks its members' send
 /// schedules with one timer per live session, token = member index.
+///
+/// Start timers are armed one at a time. `on_start` reserves one
+/// sequence number per member and arms member 0's start; each member's
+/// first send arms the next member's start, at the same instant and
+/// under the same reserved seq `seq_base + j` it would have had if all
+/// were armed at once. Members are in start order (`attach` asserts
+/// it), so every start not yet armed has key `(start_k, seq_base + k)`
+/// at or after the armed one's, and both schedulers pop exactly the
+/// sequence they would pop with every start armed at `on_start`.
 struct FleetDriver {
     specs: Arc<Vec<SessionSpec>>,
     server_addrs: Arc<Vec<Ipv4Addr>>,
-    /// Global session ids owned by this driver.
+    /// Global session ids owned by this driver, in start order.
     members: Vec<u32>,
     /// Sends left per member (parallel to `members`).
     remaining: Vec<u32>,
+    /// When `on_start` ran: start instants are offsets from it.
+    started_at: SimTime,
+    /// First of the `members.len()` seqs reserved for start timers.
+    seq_base: u64,
 }
 
 impl FleetDriver {
@@ -119,20 +134,31 @@ impl FleetDriver {
         };
         (self.server_addrs[dst_group], port)
     }
+
+    /// Arm member `j`'s start timer under its reserved seq, if `j` is
+    /// a member.
+    fn arm_start(&self, ctx: &mut Ctx<'_>, j: usize) {
+        if let Some(&m) = self.members.get(j) {
+            let at = self.started_at + SimDuration::from_nanos(self.specs[m as usize].start_ns);
+            ctx.set_timer_reserved(at, self.seq_base + j as u64, j as u64);
+        }
+    }
 }
 
 impl Application for FleetDriver {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        for (j, &m) in self.members.iter().enumerate() {
-            let spec = &self.specs[m as usize];
-            ctx.set_timer_after(SimDuration::from_nanos(spec.start_ns), j as u64);
-        }
+        self.started_at = ctx.now();
+        self.seq_base = ctx.reserve_timer_seqs(self.members.len());
+        self.arm_start(ctx, 0);
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
         let j = token as usize;
         let id = self.members[j] as usize;
         let spec = self.specs[id];
+        if self.remaining[j] == spec.packets {
+            self.arm_start(ctx, j + 1);
+        }
         let (dst, port) = self.destination(id, &spec);
         let mut payload = vec![0u8; spec.payload as usize];
         payload[0..4].copy_from_slice(&(id as u32).to_le_bytes());
@@ -217,6 +243,12 @@ impl FleetScenario {
             assert!((spec.group as usize) < groups, "session group out of range");
             assert!(spec.packets >= 1 && spec.interval_ns >= 1);
         }
+        // The drivers arm start timers one at a time, which keeps the
+        // pop order only for a table in start order.
+        assert!(
+            specs.windows(2).all(|w| w[0].start_ns <= w[1].start_ns),
+            "fleet sessions must be in start order"
+        );
 
         let windows = (horizon_ns / FLEET_WINDOW_NS + 2) as usize;
         let ledger = Arc::new(Mutex::new(FleetLedger {
@@ -261,6 +293,8 @@ impl FleetScenario {
                     server_addrs: server_addrs.clone(),
                     members: group_members,
                     remaining,
+                    started_at: SimTime::ZERO,
+                    seq_base: 0,
                 }),
                 None,
                 false,
@@ -293,7 +327,6 @@ impl FleetScenario {
 mod tests {
     use super::*;
     use crate::shard::ShardKind;
-    use crate::time::SimTime;
     use crate::topology::{ScaleConfig, ScaleScenario};
 
     fn spec(start_ms: u64, packets: u32, group: u16, background: bool) -> SessionSpec {
@@ -361,6 +394,69 @@ mod tests {
         for n in [2u16, 4] {
             assert_eq!(seq, run(ShardKind::Sharded(n), true), "{n} shards");
         }
+    }
+
+    /// Peak event-queue depth of a fleet of `n` sessions that never
+    /// overlap: each sends 4 datagrams 20 ms apart and starts 100 ms
+    /// after the previous one.
+    fn sequential_fleet_queue_high_water(n: u64) -> u64 {
+        let mut sim = Simulation::new(5);
+        let base = ScaleScenario::build(&mut sim, &base_config());
+        let specs: Vec<SessionSpec> = (0..n)
+            .map(|i| spec(i * 100, 4, (i % 4) as u16, false))
+            .collect();
+        FleetScenario::attach(&mut sim, &base, Arc::new(specs), 3_000_000_000, true);
+        sim.run_to_idle(SimTime::ZERO + SimDuration::from_secs(60));
+        sim.sim_stats().queue_high_water
+    }
+
+    #[test]
+    fn queue_depth_follows_live_sessions_not_the_population() {
+        // Start timers are armed one at a time, so sessions that have
+        // not started yet hold no event.
+        assert_eq!(
+            sequential_fleet_queue_high_water(40),
+            sequential_fleet_queue_high_water(400)
+        );
+    }
+
+    #[test]
+    fn a_start_armed_late_keeps_its_reserved_tie_break() {
+        // Sessions 0 and 1 start at t = 0 and session 2 at 20 ms, the
+        // instant of session 0's second send. Armed at `on_start`,
+        // session 2's start holds a seq below that send timer's, so it
+        // sends first. Armed at session 1's first send it must still
+        // do so; a fresh seq would put it second.
+        let mut sim = Simulation::new(5);
+        let base = ScaleScenario::build(&mut sim, &base_config());
+        sim.enable_lineage();
+        let specs = vec![
+            spec(0, 2, 0, false),
+            spec(0, 1, 0, false),
+            spec(20, 1, 0, false),
+        ];
+        FleetScenario::attach(&mut sim, &base, Arc::new(specs), 3_000_000_000, true);
+        sim.run_to_idle(SimTime::ZERO + SimDuration::from_secs(10));
+        let lineage = sim.finish_observers().lineage.expect("lineage is on");
+        // (session, send index) of each datagram sent at 20 ms, in
+        // send order.
+        let sends: Vec<(u32, u32)> = lineage
+            .origins
+            .iter()
+            .filter(|o| o.time_ns == 20_000_000)
+            .filter_map(|o| o.meta)
+            .map(|m| (m.sequence, m.media_time_ms))
+            .collect();
+        assert_eq!(sends, [(2, 0), (0, 1)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "start order")]
+    fn specs_out_of_start_order_are_rejected() {
+        let mut sim = Simulation::new(5);
+        let base = ScaleScenario::build(&mut sim, &base_config());
+        let specs = vec![spec(50, 4, 0, false), spec(10, 4, 1, false)];
+        FleetScenario::attach(&mut sim, &base, Arc::new(specs), 3_000_000_000, true);
     }
 
     #[test]

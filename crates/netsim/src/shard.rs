@@ -683,8 +683,7 @@ impl ShardedEngine {
                 Event::FluidUpdate { link, .. } => link_src_domain[link.0],
             } as usize;
             let domain_core = &mut domains[owner].core;
-            let seq = domain_core.seq;
-            domain_core.seq += 1;
+            let seq = domain_core.reserve_seqs(1);
             domain_core.queue.push(time, seq, event);
         }
 

@@ -228,8 +228,8 @@ const SMALL_SLAB: u32 = 1 << 31;
 /// The engine's pending events: an [`Order`] of small keys over two
 /// payload slabs sized by what an event carries. `Event::Arrival`'s
 /// link and packet go in the packet slab; timers, app starts and fluid
-/// updates go in the small slab, so the 10⁵ start timers a fleet holds
-/// at t = 0 cost a 24-B slot each instead of a packet-sized one.
+/// updates go in the small slab, so a pending timer costs a 24-B slot
+/// instead of a packet-sized one.
 pub(crate) struct EventQueue {
     order: Order,
     packets: Slab<(LinkId, Ipv4Packet)>,
@@ -355,9 +355,8 @@ mod queue_tests {
 
     #[test]
     fn small_slab_entry_is_at_most_24_bytes() {
-        // A fleet holds ~10^5 start timers at t = 0; each costs one
-        // small-slab slot, so a field added to `SmallEvent` is paid
-        // 10^5 times over.
+        // Every pending timer costs one small-slab slot, so a field
+        // added to `SmallEvent` is paid once per live fleet session.
         assert!(std::mem::size_of::<Option<SmallEvent>>() <= 24);
     }
 
@@ -381,12 +380,12 @@ mod queue_tests {
 
     #[test]
     fn pending_timer_costs_at_most_76_bytes() {
-        // 10^5 timers pending at once, as at a fleet's t = 0, spread
-        // over the wheel's first three levels. Each costs a 24-B slot,
-        // a 24-B key and a 4-B free-list entry once popped: 52 B.
+        // 10^5 timers pending at once, spread over the wheel's first
+        // three levels. Each costs a 24-B slot, a 24-B key and a 4-B
+        // free-list entry once popped: 52 B.
         // Vectors grow by doubling, so 10^5 entries reserve 2^17 and
         // the queue reports 70.3 B a timer under the heap order and
-        // 71.8 B under the wheel. In a packet-sized 104-B slot a
+        // 71.6 B under the wheel. In a packet-sized 104-B slot a
         // timer cost 132 B by the same arithmetic, 173 B as reserved.
         const TIMERS: usize = 100_000;
         for kind in [SchedulerKind::Heap, SchedulerKind::Wheel] {
@@ -471,24 +470,33 @@ mod queue_tests {
     /// then a full drain, holding every pop, `len` and `next_time` to
     /// a `BTreeMap<(time, seq), token>` reference. Pushes mix all four
     /// event kinds, and each popped event must equal the pushed one.
+    /// Some ops reserve a block of seqs and later push under them, as
+    /// a fleet driver arms its start timers: a reserved seq is below
+    /// keys pushed since, often at the same instant.
     fn check_against_reference(kind: SchedulerKind, seed: u64, fill: usize, ops: &[(u8, u64)]) {
         let mut queue = EventQueue::with_capacity(kind, 16);
         let mut reference = BTreeMap::new();
         let mut now = SimTime::ZERO;
-        let mut seq = 0u64;
+        let mut next_seq = 0u64;
+        // Reserved seqs not yet pushed, oldest first.
+        let mut reserved = std::collections::VecDeque::new();
         let mut overflowed = 0u64;
         // Pending arrivals and others (indexed by `slab_of`).
         let mut pending = [0usize; 2];
         let slab_of = |token: u64| usize::from(token % 4 != 3);
-        let mut push = |queue: &mut EventQueue,
-                        reference: &mut BTreeMap<(SimTime, u64), u64>,
-                        pending: &mut [usize; 2],
-                        time: SimTime| {
+        let push = |queue: &mut EventQueue,
+                    reference: &mut BTreeMap<(SimTime, u64), u64>,
+                    pending: &mut [usize; 2],
+                    time: SimTime,
+                    seq: u64| {
             let token = seq.wrapping_mul(0x9e37_79b9_7f4a_7c15);
             queue.push(time, seq, event_of(token));
             reference.insert((time, seq), token);
             pending[slab_of(token)] += 1;
-            seq += 1;
+        };
+        let mut fresh = || {
+            next_seq += 1;
+            next_seq - 1
         };
         let pop = |queue: &mut EventQueue,
                    reference: &mut BTreeMap<(SimTime, u64), u64>,
@@ -506,7 +514,13 @@ mod queue_tests {
         for _ in 0..fill {
             let (ns, beyond) = jump(rng.next_u64());
             overflowed += beyond as u64;
-            push(&mut queue, &mut reference, &mut pending, SimTime(ns));
+            push(
+                &mut queue,
+                &mut reference,
+                &mut pending,
+                SimTime(ns),
+                fresh(),
+            );
         }
         // The most of each kind pending at once.
         let mut high_water = pending;
@@ -517,11 +531,28 @@ mod queue_tests {
                     &mut reference,
                     &mut pending,
                     SimTime(now.0 + jump(r).0),
+                    fresh(),
                 ),
                 5 => {
                     let at = SimTime(now.0 + jump(r >> 6).0);
                     for _ in 0..=(r % 64) {
-                        push(&mut queue, &mut reference, &mut pending, at);
+                        push(&mut queue, &mut reference, &mut pending, at, fresh());
+                    }
+                }
+                10 => {
+                    for _ in 0..=(r % 8) {
+                        reserved.push_back(fresh());
+                    }
+                }
+                11 => {
+                    // The oldest reserved seq, at the instant of the
+                    // latest queued key (a tie it must win) or ahead.
+                    if let Some(seq) = reserved.pop_front() {
+                        let at = match reference.keys().next_back() {
+                            Some(&(time, _)) if r % 2 == 0 => time,
+                            _ => SimTime(now.0 + jump(r >> 1).0),
+                        };
+                        push(&mut queue, &mut reference, &mut pending, at, seq);
                     }
                 }
                 6..=8 => {
@@ -560,7 +591,7 @@ mod queue_tests {
         fn both_orders_pop_time_seq_order_and_reuse_slots(
             seed in any::<u64>(),
             fill in 0usize..10_000,
-            ops in proptest::collection::vec((0u8..10, any::<u64>()), 0..600),
+            ops in proptest::collection::vec((0u8..12, any::<u64>()), 0..600),
         ) {
             for kind in [SchedulerKind::Heap, SchedulerKind::Wheel] {
                 check_against_reference(kind, seed, fill, &ops);
@@ -784,9 +815,26 @@ impl SimCore {
     }
 
     pub(crate) fn schedule(&mut self, time: SimTime, event: Event) {
+        let seq = self.reserve_seqs(1);
+        self.schedule_reserved(time, seq, event);
+    }
+
+    /// Take `n` consecutive sequence numbers off the insertion counter
+    /// and return the first. An event scheduled later with one of them
+    /// breaks ties at its instant exactly as if it had been scheduled
+    /// now; only [`Self::schedule_reserved`] counts it.
+    pub(crate) fn reserve_seqs(&mut self, n: u64) -> u64 {
+        let base = self.seq;
+        self.seq += n;
+        base
+    }
+
+    /// Schedule `event` under a sequence number taken earlier from
+    /// [`Self::reserve_seqs`]. The caller uses each reserved number at
+    /// most once, so keys stay unique.
+    pub(crate) fn schedule_reserved(&mut self, time: SimTime, seq: u64, event: Event) {
+        debug_assert!(seq < self.seq, "seq {seq} was never reserved");
         let time = time.max(self.now);
-        let seq = self.seq;
-        self.seq += 1;
         self.queue.push(time, seq, event);
         self.stats.events_scheduled += 1;
         let depth = self.queue.len() as u64;
@@ -1508,6 +1556,31 @@ impl<'a> Ctx<'a> {
     pub fn set_timer_at(&mut self, at: SimTime, token: u64) {
         self.core.schedule(
             at,
+            Event::Timer {
+                app: self.app,
+                token,
+            },
+        );
+    }
+
+    /// Reserve `n` consecutive timer sequence numbers and return the
+    /// first. A timer armed later with one of them through
+    /// [`Ctx::set_timer_reserved`] ties at its instant as if it had
+    /// been armed now. The pop order is the same as arming them all
+    /// now, provided each is armed before the engine pops any event
+    /// that sorts after it.
+    pub fn reserve_timer_seqs(&mut self, n: usize) -> u64 {
+        self.core.reserve_seqs(n as u64)
+    }
+
+    /// Schedule [`Application::on_timer`] with `token` at absolute time
+    /// `at` (clamped to now) under `seq`, one of the numbers from
+    /// [`Ctx::reserve_timer_seqs`]. Arm each reserved number at most
+    /// once.
+    pub fn set_timer_reserved(&mut self, at: SimTime, seq: u64, token: u64) {
+        self.core.schedule_reserved(
+            at,
+            seq,
             Event::Timer {
                 app: self.app,
                 token,

@@ -128,8 +128,6 @@ pub struct TimingWheel<T> {
     overflow: BinaryHeap<Entry<T>>,
     /// Total entries across current + slots + overflow.
     len: usize,
-    /// Scratch buffer reused by slot drains to avoid reallocating.
-    scratch: Vec<Entry<T>>,
     stats: SchedStats,
 }
 
@@ -150,7 +148,6 @@ impl<T> TimingWheel<T> {
             occupied: [[0u64; BITMAP_WORDS]; LEVELS],
             overflow: BinaryHeap::new(),
             len: 0,
-            scratch: Vec::new(),
             stats: SchedStats::default(),
         }
     }
@@ -168,13 +165,12 @@ impl<T> TimingWheel<T> {
     }
 
     /// Heap bytes reserved for entries: the current-tick heap, every
-    /// slot vector (and their headers), the overflow heap and the
-    /// drain scratch. Capacities never shrink, so this is the wheel's
-    /// high-water footprint.
+    /// slot vector (and their headers) and the overflow heap. Each slot
+    /// keeps its own buffer and capacities never shrink, so this is the
+    /// wheel's high-water footprint.
     pub fn memory_bytes(&self) -> usize {
         let entries = self.current.capacity()
             + self.overflow.capacity()
-            + self.scratch.capacity()
             + self.slots.iter().map(Vec::capacity).sum::<usize>();
         entries * std::mem::size_of::<Entry<T>>()
             + self.slots.capacity() * std::mem::size_of::<Vec<Entry<T>>>()
@@ -185,8 +181,10 @@ impl<T> TimingWheel<T> {
     }
 
     /// Schedule `value` at `(time, seq)`. The caller guarantees `seq`
-    /// is unique and monotone (the engine's insertion counter) and
-    /// that `time` is never before an already-popped instant.
+    /// is unique and that `time` is never before an already-popped
+    /// instant. Seqs need not arrive in increasing order: ties within
+    /// a tick are ordered by the current-tick heap, whatever the order
+    /// they were pushed in.
     pub fn push(&mut self, time: SimTime, seq: u64, value: T) {
         self.len += 1;
         self.dispatch(Entry { time, seq, value });
@@ -268,15 +266,22 @@ impl<T> TimingWheel<T> {
     /// Move every entry out of `(level, slot)` and re-route it. For
     /// level 0 every entry lands in `current` (its tick equals the
     /// new `current_tick`); for higher levels entries spread across
-    /// lower levels and `current`.
+    /// lower levels and `current`. The slot gets its own emptied
+    /// buffer back, so capacity stays where it was needed instead of
+    /// wandering from slot to slot.
     fn drain_slot(&mut self, level: usize, slot: usize) {
         self.occupied[level][slot / 64] &= !(1u64 << (slot % 64));
-        let mut batch = std::mem::take(&mut self.scratch);
-        std::mem::swap(&mut batch, &mut self.slots[level * SLOTS + slot]);
+        let index = level * SLOTS + slot;
+        let mut batch = std::mem::take(&mut self.slots[index]);
         for entry in batch.drain(..) {
             self.dispatch(entry);
         }
-        self.scratch = batch; // keep the allocation for the next drain
+        // A level-`l` drain dispatches only below level `l`.
+        debug_assert!(
+            self.slots[index].is_empty(),
+            "draining level {level} slot {slot} re-filed into it"
+        );
+        self.slots[index] = batch;
     }
 
     /// Precondition: `current` empty, `len > 0`. Postcondition holds
