@@ -24,6 +24,14 @@
 //! redistributes them to the domain owning each link's live copy the
 //! same way it redistributes `AppStart`s — they are data riding the
 //! existing exchange machinery, not messages that could race.
+//!
+//! Only one update per link waits in the queue at a time. Seal time
+//! reserves one sequence number per future update, in plan order, and
+//! files the rest in [`FluidChains`], one chain per link; applying an
+//! update queues the next one of its link under its reserved number.
+//! A link's updates are in `(time, seq)` order, so every update still
+//! chained sorts after its link's queued one, and the queue pops
+//! exactly the sequence it would pop with every update queued at once.
 
 use crate::link::LinkId;
 use crate::time::SimTime;
@@ -329,6 +337,57 @@ pub fn plan_updates(flows: &[FluidFlow], capacity_of: impl Fn(LinkId) -> u64) ->
     }
     diag.updates_scheduled = updates.len() as u64;
     FluidPlan { updates, diag }
+}
+
+/// Planned updates not yet in the event queue, one chain per link in
+/// `(time, seq)` order. The owning engine queues each chain's first
+/// update and, as each is applied, the next one of its link (see the
+/// module docs).
+#[derive(Debug, Default)]
+pub(crate) struct FluidChains {
+    /// `(time, seq, bps)` of every chained update, grouped by link.
+    updates: Vec<(SimTime, u64, u64)>,
+    /// Per link id: the range of `updates` not yet taken.
+    pending: Vec<(u32, u32)>,
+}
+
+impl FluidChains {
+    /// Chain `planned` `(time, seq, link, bps)` updates, given in
+    /// `(time, seq)` order, by link.
+    pub(crate) fn new(planned: &[(SimTime, u64, LinkId, u64)]) -> FluidChains {
+        let links = planned.iter().map(|u| u.2 .0 + 1).max().unwrap_or(0);
+        let mut pending = vec![(0u32, 0u32); links];
+        for &(_, _, link, _) in planned {
+            pending[link.0].1 += 1;
+        }
+        let mut start = 0;
+        for range in &mut pending {
+            let count = range.1;
+            *range = (start, start);
+            start += count;
+        }
+        let mut updates = vec![(SimTime::ZERO, 0, 0); planned.len()];
+        for &(time, seq, link, bps) in planned {
+            let end = &mut pending[link.0].1;
+            updates[*end as usize] = (time, seq, bps);
+            *end += 1;
+        }
+        FluidChains { updates, pending }
+    }
+
+    /// One past the highest link id with a chain.
+    pub(crate) fn links(&self) -> usize {
+        self.pending.len()
+    }
+
+    /// Take `link`'s next update off its chain.
+    pub(crate) fn next(&mut self, link: LinkId) -> Option<(SimTime, u64, u64)> {
+        let (next, end) = self.pending.get_mut(link.0)?;
+        (*next < *end).then(|| {
+            *next += 1;
+            self.updates[*next as usize - 1]
+        })
+    }
 }
 
 #[cfg(test)]

@@ -645,6 +645,7 @@ impl ShardedEngine {
                             outbox: Vec::with_capacity(EXCHANGE_CAP),
                         })),
                         fluid_applied: if d == 0 { core.fluid_applied } else { 0 },
+                        fluid: crate::fluid::FluidChains::default(),
                     },
                     apps: domain_apps,
                     deliveries: if d == 0 {
@@ -670,7 +671,17 @@ impl ShardedEngine {
         // order: pops come out in canonical order and each domain
         // re-sequences locally. Raw queue pushes — the events were
         // already counted in `events_scheduled` when first scheduled.
+        // Chained fluid updates join the queue first, so they take
+        // their local seqs in the same order; each domain then chains
+        // its own links' updates again.
         let mut queue = core.queue;
+        for link in 0..core.fluid.links() {
+            let link = LinkId(link);
+            while let Some((time, seq, bps)) = core.fluid.next(link) {
+                queue.push(time, seq, Event::FluidUpdate { link, bps });
+            }
+        }
+        let mut fluid: Vec<Vec<_>> = (0..n).map(|_| Vec::new()).collect();
         while let Some((time, event)) = queue.pop() {
             let owner = match &event {
                 Event::Arrival { link, .. } => link_dst_domain[link.0],
@@ -684,7 +695,13 @@ impl ShardedEngine {
             } as usize;
             let domain_core = &mut domains[owner].core;
             let seq = domain_core.reserve_seqs(1);
-            domain_core.queue.push(time, seq, event);
+            match event {
+                Event::FluidUpdate { link, bps } => fluid[owner].push((time, seq, link, bps)),
+                event => domain_core.queue.push(time, seq, event),
+            }
+        }
+        for (sim, planned) in domains.iter_mut().zip(fluid) {
+            sim.core.arm_fluid(crate::fluid::FluidChains::new(&planned));
         }
 
         let mailboxes = (0..n)

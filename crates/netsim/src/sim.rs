@@ -289,7 +289,8 @@ impl EventQueue {
     }
 
     /// Bytes the queue has reserved: both slabs' slots and free lists,
-    /// plus the order's keys (for the wheel, its slot vectors too).
+    /// plus the order's keys (for the wheel, its node arena and slot
+    /// heads too).
     /// Capacities never shrink, so read after a run this is the
     /// queue's high-water footprint.
     pub(crate) fn memory_bytes(&self) -> usize {
@@ -669,6 +670,9 @@ pub struct SimCore {
     /// out of [`SimStats`]: it is fluid-engine diagnostics
     /// ([`crate::fluid::FluidDiag`]), not simulated-network state.
     pub(crate) fluid_applied: u64,
+    /// Planned fluid updates of this core's links not yet queued; each
+    /// link's next one is queued as its last one is applied.
+    pub(crate) fluid: crate::fluid::FluidChains,
 }
 
 /// The component a drop is charged to: the node that discarded the
@@ -814,6 +818,24 @@ impl SimCore {
         self.ts_gauge("link_fluid_bps", comp, bps);
     }
 
+    /// Make `chains` this core's planned fluid updates and queue each
+    /// link's first. They were counted in `events_scheduled` when the
+    /// plan was sealed.
+    pub(crate) fn arm_fluid(&mut self, chains: crate::fluid::FluidChains) {
+        self.fluid = chains;
+        for link in 0..self.fluid.links() {
+            self.queue_next_fluid(LinkId(link));
+        }
+    }
+
+    /// Queue `link`'s next planned update, if any, under its reserved
+    /// seq.
+    fn queue_next_fluid(&mut self, link: LinkId) {
+        if let Some((time, seq, bps)) = self.fluid.next(link) {
+            self.enqueue(time, seq, Event::FluidUpdate { link, bps });
+        }
+    }
+
     pub(crate) fn schedule(&mut self, time: SimTime, event: Event) {
         let seq = self.reserve_seqs(1);
         self.schedule_reserved(time, seq, event);
@@ -833,10 +855,16 @@ impl SimCore {
     /// [`Self::reserve_seqs`]. The caller uses each reserved number at
     /// most once, so keys stay unique.
     pub(crate) fn schedule_reserved(&mut self, time: SimTime, seq: u64, event: Event) {
+        self.stats.events_scheduled += 1;
+        self.enqueue(time, seq, event);
+    }
+
+    /// Queue `event` under a reserved `seq` without counting it in
+    /// `events_scheduled`: for an event counted when it was planned.
+    fn enqueue(&mut self, time: SimTime, seq: u64, event: Event) {
         debug_assert!(seq < self.seq, "seq {seq} was never reserved");
         let time = time.max(self.now);
         self.queue.push(time, seq, event);
-        self.stats.events_scheduled += 1;
         let depth = self.queue.len() as u64;
         if depth > self.stats.queue_high_water {
             self.stats.queue_high_water = depth;
@@ -1740,6 +1768,7 @@ impl Simulation {
                 obs: Observers::default(),
                 shard: None,
                 fluid_applied: 0,
+                fluid: crate::fluid::FluidChains::default(),
             },
             apps: Vec::new(),
             deliveries: Vec::new(),
@@ -1792,6 +1821,7 @@ impl Simulation {
                 obs: Observers::default(),
                 shard: None,
                 fluid_applied: 0,
+                fluid: crate::fluid::FluidChains::default(),
             },
         );
         let apps = std::mem::take(&mut self.apps);
@@ -1970,6 +2000,13 @@ impl Simulation {
     /// sharded run redistributes the updates to the domains owning
     /// each link's live copy). A run with no fluid flows schedules
     /// nothing — the zero-background identity guarantee.
+    ///
+    /// Every future update gets its seq now, in plan order: the seqs
+    /// `schedule` would stamp if it queued them all. Only each link's
+    /// first is queued; the rest wait in [`crate::fluid::FluidChains`]
+    /// (see the [`crate::fluid`] module docs for why the pop order is
+    /// unchanged). `events_scheduled` counts them all here, so it
+    /// does not depend on how many a run reaches.
     fn seal_fluid(&mut self) {
         if self.fluid_sealed {
             return;
@@ -1982,16 +2019,25 @@ impl Simulation {
             self.core.links[id.0].config.rate_bps
         });
         self.fluid_diag = plan.diag;
-        for (time, link, bps) in plan.updates {
-            if time <= self.core.now {
-                // Shares already in force when the run starts apply
-                // directly: ambient background is present from the
-                // first instant, ahead of any same-time app event.
-                self.core.apply_fluid_update(link, bps);
-            } else {
-                self.core.schedule(time, Event::FluidUpdate { link, bps });
-            }
+        let now = self.core.now;
+        let (due, future): (Vec<_>, Vec<_>) = plan
+            .updates
+            .into_iter()
+            .partition(|&(time, _, _)| time <= now);
+        for (_, link, bps) in due {
+            // Shares already in force when the run starts apply
+            // directly: ambient background is present from the first
+            // instant, ahead of any same-time app event.
+            self.core.apply_fluid_update(link, bps);
         }
+        let base = self.core.reserve_seqs(future.len() as u64);
+        let planned: Vec<_> = (base..)
+            .zip(future)
+            .map(|(seq, (time, link, bps))| (time, seq, link, bps))
+            .collect();
+        self.core.stats.events_scheduled += planned.len() as u64;
+        self.core
+            .arm_fluid(crate::fluid::FluidChains::new(&planned));
     }
 
     /// Fluid-engine diagnostics; `None` when no background flows were
@@ -2241,7 +2287,10 @@ impl Simulation {
                 }
                 self.deliveries = deliveries;
             }
-            Event::FluidUpdate { link, bps } => self.core.apply_fluid_update(link, bps),
+            Event::FluidUpdate { link, bps } => {
+                self.core.apply_fluid_update(link, bps);
+                self.core.queue_next_fluid(link);
+            }
         }
         true
     }
@@ -2879,6 +2928,34 @@ mod tests {
         // 10× less residual capacity → serialisation takes 10× longer;
         // the ping must arrive later under contention.
         assert!(contended > clean, "{contended:?} vs {clean:?}");
+    }
+
+    #[test]
+    fn queue_holds_one_fluid_update_per_link() {
+        // Two links with `n` planned share changes each: however many
+        // are planned, one per link waits in the queue at a time, and
+        // each is counted once in `events_scheduled`.
+        let run = |n: u64| {
+            let (mut sim, _a, _b) = two_hosts(6);
+            for link in [LinkId(0), LinkId(1)] {
+                let points = (1..=n)
+                    .map(|i| (SimTime(i * 1_000_000), 1_000_000 * (1 + i % 2)))
+                    .collect();
+                sim.add_fluid_flow(crate::fluid::FluidFlow {
+                    route: vec![link],
+                    schedule: crate::fluid::RateSchedule::from_points(points),
+                });
+            }
+            sim.run_until(SimTime((n + 1) * 1_000_000));
+            let diag = sim.fluid_diag().expect("hybrid run reports fluid diag");
+            assert_eq!(diag.updates_scheduled, 2 * n);
+            assert_eq!(diag.updates_applied, 2 * n);
+            let stats = sim.sim_stats();
+            assert_eq!(stats.events_scheduled, 2 * n);
+            stats.queue_high_water
+        };
+        assert_eq!(run(10), 2);
+        assert_eq!(run(1_000), 2);
     }
 
     #[test]

@@ -44,14 +44,32 @@
 //! Each entry is touched at most `LEVELS` times total, and slot
 //! scans are 4 × `u64` bitmap words per level — no per-slot walk.
 //!
+//! ## Storage
+//!
+//! Slot entries live in one arena of nodes shared by all 1,024 slots.
+//! Each slot is an intrusive singly linked list: `heads` holds one
+//! node index per `(level, slot)`, and each node holds the index of
+//! the next node in its slot. Freed nodes go on a free list threaded
+//! through the same link. Filing an entry takes a free node and links
+//! it at its slot's head; draining a slot walks its list and frees
+//! each node before it re-files the entry, so a cascade reuses the
+//! nodes it empties. The arena therefore grows with the most entries
+//! ever filed at once, not with the sum of every slot's peak, as
+//! per-slot buffers that keep their capacity would.
+//!
+//! A list pops its entries last-in first-out, so a slot holds an
+//! unordered set. That never reaches a pop: every drain re-files each
+//! entry, and a level-0 drain puts it into `current`, which restores
+//! the exact `(time, seq)` order.
+//!
 //! ## Payload
 //!
 //! The engine instantiates `TimingWheel<u32>`: the payload is a slot
 //! id into one of `sim::EventQueue`'s two event slabs (its top bit
-//! names which), so an entry is 24 B
-//! and every dispatch, cascade and drain moves a key, never an event.
-//! `turb-bench`'s hold model drives `TimingWheel<()>` (16 B entries):
-//! like the engine's, a key with no event behind it.
+//! names which), so an entry is 24 B, and so is a node with its link.
+//! Every dispatch, cascade and drain moves a key, never an event.
+//! `turb-bench`'s hold model drives `TimingWheel<()>` (16-B entries,
+//! 24-B nodes): like the engine's, a key with no event behind it.
 
 use crate::time::SimTime;
 use std::cmp::Ordering;
@@ -71,6 +89,8 @@ const LEVELS: usize = 4;
 const HORIZON_TICKS: u64 = 1 << (BITS * LEVELS as u32);
 /// u64 words in one level's occupancy bitmap.
 const BITMAP_WORDS: usize = SLOTS / 64;
+/// The end of a slot list or of the free list.
+const NIL: u32 = u32::MAX;
 
 /// Scheduler-internal diagnostics. These describe the *engine*, not
 /// the simulated network, so they are reported alongside telemetry
@@ -111,6 +131,15 @@ impl<T> Ord for Entry<T> {
     }
 }
 
+/// One filed entry in the arena, plus the index of the next node in
+/// its slot's list (or in the free list, once freed).
+struct Node<T> {
+    time: SimTime,
+    seq: u64,
+    value: T,
+    next: u32,
+}
+
 /// Deterministic hierarchical timing wheel. See the module docs for
 /// the layout and the determinism argument.
 pub struct TimingWheel<T> {
@@ -120,8 +149,14 @@ pub struct TimingWheel<T> {
     current_tick: u64,
     /// Entries at or before `current_tick`, exact `(time, seq)` order.
     current: BinaryHeap<Entry<T>>,
-    /// `LEVELS × SLOTS` buckets, flat-indexed `level * SLOTS + slot`.
-    slots: Vec<Vec<Entry<T>>>,
+    /// `LEVELS × SLOTS` list heads into `nodes`, flat-indexed
+    /// `level * SLOTS + slot`; `NIL` when the slot is empty.
+    heads: Vec<u32>,
+    /// Every slot entry, linked into its slot's list; freed nodes are
+    /// linked into the free list instead.
+    nodes: Vec<Node<T>>,
+    /// First node of the free list, or `NIL`.
+    free: u32,
     /// Per-level occupancy bitmaps; bit set ⇔ slot non-empty.
     occupied: [[u64; BITMAP_WORDS]; LEVELS],
     /// Entries at least `HORIZON_TICKS` past `current_tick` at insert.
@@ -131,20 +166,20 @@ pub struct TimingWheel<T> {
     stats: SchedStats,
 }
 
-impl<T> TimingWheel<T> {
+impl<T: Copy> TimingWheel<T> {
     pub fn new() -> Self {
         Self::with_capacity(0)
     }
 
-    /// `capacity` pre-sizes the current-tick heap, the stand-in for
-    /// the old scheduler's pre-sized `BinaryHeap`.
+    /// `capacity` pre-sizes the current-tick heap and the node arena,
+    /// the stand-ins for the old scheduler's pre-sized `BinaryHeap`.
     pub fn with_capacity(capacity: usize) -> Self {
-        let mut slots = Vec::with_capacity(LEVELS * SLOTS);
-        slots.resize_with(LEVELS * SLOTS, Vec::new);
         TimingWheel {
             current_tick: 0,
             current: BinaryHeap::with_capacity(capacity),
-            slots,
+            heads: vec![NIL; LEVELS * SLOTS],
+            nodes: Vec::with_capacity(capacity),
+            free: NIL,
             occupied: [[0u64; BITMAP_WORDS]; LEVELS],
             overflow: BinaryHeap::new(),
             len: 0,
@@ -164,16 +199,14 @@ impl<T> TimingWheel<T> {
         self.stats
     }
 
-    /// Heap bytes reserved for entries: the current-tick heap, every
-    /// slot vector (and their headers) and the overflow heap. Each slot
-    /// keeps its own buffer and capacities never shrink, so this is the
-    /// wheel's high-water footprint.
+    /// Heap bytes reserved for entries: the current-tick heap, the
+    /// node arena, the slot heads and the overflow heap. Capacities
+    /// never shrink, so this is the wheel's high-water footprint; the
+    /// arena's share follows the most entries ever filed at once.
     pub fn memory_bytes(&self) -> usize {
-        let entries = self.current.capacity()
-            + self.overflow.capacity()
-            + self.slots.iter().map(Vec::capacity).sum::<usize>();
-        entries * std::mem::size_of::<Entry<T>>()
-            + self.slots.capacity() * std::mem::size_of::<Vec<Entry<T>>>()
+        (self.current.capacity() + self.overflow.capacity()) * std::mem::size_of::<Entry<T>>()
+            + self.nodes.capacity() * std::mem::size_of::<Node<T>>()
+            + self.heads.capacity() * std::mem::size_of::<u32>()
     }
 
     fn tick_of(time: SimTime) -> u64 {
@@ -234,7 +267,26 @@ impl<T> TimingWheel<T> {
         }
         let slot = ((tick >> (BITS * level as u32)) & SLOT_MASK) as usize;
         self.occupied[level][slot / 64] |= 1u64 << (slot % 64);
-        self.slots[level * SLOTS + slot].push(entry);
+        let head = &mut self.heads[level * SLOTS + slot];
+        let node = Node {
+            time: entry.time,
+            seq: entry.seq,
+            value: entry.value,
+            next: *head,
+        };
+        *head = if self.free == NIL {
+            let id = u32::try_from(self.nodes.len())
+                .ok()
+                .filter(|&id| id != NIL)
+                .expect("over 2^32 - 1 entries filed in the wheel");
+            self.nodes.push(node);
+            id
+        } else {
+            let id = self.free;
+            self.free = self.nodes[id as usize].next;
+            self.nodes[id as usize] = node;
+            id
+        };
     }
 
     /// First occupied slot of `level` at index ≥ `from`, if any.
@@ -266,22 +318,29 @@ impl<T> TimingWheel<T> {
     /// Move every entry out of `(level, slot)` and re-route it. For
     /// level 0 every entry lands in `current` (its tick equals the
     /// new `current_tick`); for higher levels entries spread across
-    /// lower levels and `current`. The slot gets its own emptied
-    /// buffer back, so capacity stays where it was needed instead of
-    /// wandering from slot to slot.
+    /// lower levels and `current`. Each node is freed before its entry
+    /// is re-filed, so a cascade re-files into the nodes it empties.
     fn drain_slot(&mut self, level: usize, slot: usize) {
         self.occupied[level][slot / 64] &= !(1u64 << (slot % 64));
         let index = level * SLOTS + slot;
-        let mut batch = std::mem::take(&mut self.slots[index]);
-        for entry in batch.drain(..) {
+        let mut id = std::mem::replace(&mut self.heads[index], NIL);
+        while id != NIL {
+            let node = &mut self.nodes[id as usize];
+            let entry = Entry {
+                time: node.time,
+                seq: node.seq,
+                value: node.value,
+            };
+            let next = std::mem::replace(&mut node.next, self.free);
+            self.free = id;
+            id = next;
             self.dispatch(entry);
         }
         // A level-`l` drain dispatches only below level `l`.
         debug_assert!(
-            self.slots[index].is_empty(),
+            self.heads[index] == NIL,
             "draining level {level} slot {slot} re-filed into it"
         );
-        self.slots[index] = batch;
     }
 
     /// Precondition: `current` empty, `len > 0`. Postcondition holds
@@ -399,7 +458,7 @@ impl<T> TimingWheel<T> {
     }
 }
 
-impl<T> Default for TimingWheel<T> {
+impl<T: Copy> Default for TimingWheel<T> {
     fn default() -> Self {
         Self::new()
     }
@@ -662,6 +721,42 @@ mod tests {
             drain(&mut wheel),
             vec![(overflowed.as_nanos(), 1, 1), (late.as_nanos(), 3, 3)]
         );
+    }
+
+    #[test]
+    fn memory_follows_what_is_pending() {
+        // K entries pending at once, all in one slot: filed in level 3,
+        // then cascaded through levels 2, 1 and 0 into `current`. Each
+        // round files them in a different slot of every level. Buffers
+        // that kept each slot's peak would end up holding K entries in
+        // hundreds of slots; the arena holds K nodes.
+        const K: usize = 32;
+        let mut wheel: TimingWheel<u32> = TimingWheel::new();
+        let bound = wheel.memory_bytes() + 4 * K * std::mem::size_of::<Node<u32>>();
+        let mut seq = 0u64;
+        for round in 0..100u64 {
+            // Level 3 digit 2r+2, so the gap from the last round's
+            // target is over 2^24 ticks; the lower digits are non-zero,
+            // so every level below cascades it too.
+            let digit = |mult: u64| (round * mult) % 255 + 1;
+            let tick = (2 * round + 2) << 24 | digit(37) << 16 | digit(91) << 8 | digit(13);
+            let at = SimTime(tick * TICK_NS + round);
+            for _ in 0..K {
+                wheel.push(at, seq, seq as u32);
+                seq += 1;
+            }
+            let cascades = wheel.stats().cascades;
+            for k in (0..K as u64).rev() {
+                assert_eq!(wheel.pop(), Some((at, seq - 1 - k, (seq - 1 - k) as u32)));
+                assert!(
+                    wheel.memory_bytes() <= bound,
+                    "round {round}: {} B for {K} pending entries",
+                    wheel.memory_bytes()
+                );
+            }
+            assert_eq!(wheel.stats().cascades - cascades, 3, "round {round}");
+        }
+        assert!(wheel.is_empty());
     }
 
     #[test]
