@@ -245,7 +245,8 @@ pub struct FleetRunResult {
     /// class names); zero when rollups were off.
     pub session_memory_bytes: u64,
     /// Bytes the event queue reserved over the run: payload slabs,
-    /// free lists and keys, summed over shard domains (see
+    /// free lists and the wheel's node arena and slot heads, summed
+    /// over shard domains (see
     /// `Simulation::queue_memory_bytes`). Outside the digest.
     pub queue_memory_bytes: u64,
 }

@@ -355,6 +355,10 @@ impl FluidChains {
     /// Chain `planned` `(time, seq, link, bps)` updates, given in
     /// `(time, seq)` order, by link.
     pub(crate) fn new(planned: &[(SimTime, u64, LinkId, u64)]) -> FluidChains {
+        assert!(
+            u32::try_from(planned.len()).is_ok(),
+            "over 2^32 - 1 fluid updates planned"
+        );
         let links = planned.iter().map(|u| u.2 .0 + 1).max().unwrap_or(0);
         let mut pending = vec![(0u32, 0u32); links];
         for &(_, _, link, _) in planned {

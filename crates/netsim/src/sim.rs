@@ -382,12 +382,14 @@ mod queue_tests {
     #[test]
     fn pending_timer_costs_at_most_76_bytes() {
         // 10^5 timers pending at once, spread over the wheel's first
-        // three levels. Each costs a 24-B slot, a 24-B key and a 4-B
-        // free-list entry once popped: 52 B.
+        // three levels. Each costs a 24-B slot, a 24-B key (the
+        // heap's `Scheduled`, or a node in the wheel's arena) and a
+        // 4-B free-list entry once popped: 52 B.
         // Vectors grow by doubling, so 10^5 entries reserve 2^17 and
         // the queue reports 70.3 B a timer under the heap order and
-        // 71.6 B under the wheel. In a packet-sized 104-B slot a
-        // timer cost 132 B by the same arithmetic, 173 B as reserved.
+        // 70.8 B under the wheel, whose 4-KiB slot heads and current-
+        // tick heap come on top. In a packet-sized 104-B slot a timer
+        // cost 132 B by the same arithmetic, 173 B as reserved.
         const TIMERS: usize = 100_000;
         for kind in [SchedulerKind::Heap, SchedulerKind::Wheel] {
             let mut queue = EventQueue::with_capacity(kind, 2048);
@@ -1938,7 +1940,8 @@ impl Simulation {
     }
 
     /// Bytes the event queue has reserved: both payload slabs, their
-    /// free lists and the order's keys, summed over shard domains.
+    /// free lists and the order's keys (the wheel's node arena and
+    /// slot heads), summed over shard domains.
     /// Capacities never shrink, so read after a run this is the
     /// queue's high-water footprint. Engine memory, not simulated
     /// state: outside every digest, like [`SchedStats`].
