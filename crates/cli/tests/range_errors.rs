@@ -82,3 +82,30 @@ fn bad_drill_down_session_fails_before_the_fleet_runs() {
         assert!(stdout.is_empty(), "{args}: stdout {stdout}");
     }
 }
+
+#[test]
+fn loss_outside_a_probability_is_rejected() {
+    assert_rejected(&["pair", "--set", "2", "--loss", "1.5"]);
+    assert_rejected(&["watch", "--set", "2", "--loss", "-0.1"]);
+}
+
+#[test]
+fn set_and_class_outside_table_1_are_rejected() {
+    assert_rejected(&["pair", "--set", "7"]);
+    // Set 1 has no very-high pair.
+    assert_rejected(&["pair", "--set", "1", "--class", "vh"]);
+}
+
+#[test]
+fn fleet_counts_outside_their_range_are_rejected() {
+    assert_rejected(&["fleet", "--sessions", "0"]);
+    assert_rejected(&["fleet", "--sample-permille", "1001", "--sessions", "10"]);
+    assert_rejected(&["fleet", "--background", "1001", "--sessions", "10"]);
+    assert_rejected(&["fleet", "--shards", "0", "--sessions", "10"]);
+}
+
+#[test]
+fn unparsable_shared_knobs_are_rejected() {
+    assert_rejected(&["corpus", "--threads", "lots"]);
+    assert_rejected(&["ping", "--seed", "x"]);
+}
