@@ -1,73 +1,15 @@
 //! The CLI subcommand implementations.
 
-use crate::{
-    background_of, class_of, engine_of, pair_of, paper, seed_of, shards_of, threads_of, Flags,
-};
+use crate::{paper, spec::RunSpec};
 use turb_media::PlayerId;
 use turb_netsim::{EngineKind, FluidDiag, ShardDiag, ShardKind};
-use turbulence::{report, runner, PairRunConfig};
-
-/// `--loss P`, validated to a probability.
-fn loss_of(flags: &Flags) -> Result<Option<f64>, String> {
-    let Some(raw) = flags.get("loss") else {
-        return Ok(None);
-    };
-    let loss: f64 = raw.parse().map_err(|_| format!("bad --loss {raw:?}"))?;
-    if !(0.0..=1.0).contains(&loss) {
-        return Err(format!("--loss {loss} out of range (0..=1)"));
-    }
-    Ok(Some(loss))
-}
-
-/// `--groups N` (scale, fleet, sessions): scale-ring groups, 2..=64.
-fn groups_of(flags: &Flags) -> Result<Option<usize>, String> {
-    let Some(raw) = flags.get("groups") else {
-        return Ok(None);
-    };
-    let groups: usize = raw.parse().map_err(|_| format!("bad --groups {raw:?}"))?;
-    if !(2..=64).contains(&groups) {
-        return Err(format!("--groups {groups} out of range (2..=64)"));
-    }
-    Ok(Some(groups))
-}
-
-/// The corpus configs, restricted to `--sets 1,2,5` when given. Every
-/// listed id must be a Table 1 data set.
-fn corpus_configs_of(flags: &Flags, seed: u64) -> Result<Vec<PairRunConfig>, String> {
-    match flags.get("sets") {
-        None => Ok(runner::corpus_configs(seed)),
-        Some(list) => {
-            let sets: Vec<u8> = list
-                .split(',')
-                .map(|s| s.trim().parse().map_err(|_| format!("bad set {s:?}")))
-                .collect::<Result<_, _>>()?;
-            let table1 = turb_media::corpus::table1();
-            let unknown = sets.iter().find(|&&id| table1.iter().all(|s| s.id != id));
-            if let Some(id) = unknown {
-                return Err(format!("data set {id} does not exist (1-6)"));
-            }
-            Ok(runner::corpus_configs_for_sets(seed, &sets))
-        }
-    }
-}
+use turbulence::{report, runner};
 
 /// `turbulence corpus`: run the corpus and print Table 1 and the
 /// figures that any subset of data sets supports.
-pub fn corpus(flags: &Flags) -> Result<(), String> {
-    let seed = seed_of(flags)?;
-    let threads = threads_of(flags)?;
-    let telemetry = flags.contains_key("telemetry");
-    let mut configs = corpus_configs_of(flags, seed)?;
-    let engine = engine_of(flags)?;
-    let background = background_of(flags)?;
-    let progress = flags.contains_key("progress");
-    for config in &mut configs {
-        config.telemetry = telemetry;
-        config.engine = engine;
-        config.background_flows = background;
-        config.progress = progress;
-    }
-    let result = runner::run_configs_parallel(&configs, threads);
+pub fn corpus(spec: &RunSpec) -> Result<(), String> {
+    let seed = spec.seed;
+    let result = runner::run_configs_parallel(&spec.pair_configs(), spec.threads);
     outln!(
         "{} pair runs completed (seed {seed}, {} worker thread{}).",
         result.runs.len(),
@@ -88,7 +30,7 @@ pub fn corpus(flags: &Flags) -> Result<(), String> {
             seed
         )
     );
-    if telemetry {
+    if spec.telemetry {
         // Per-run wall clock first: which pairs dominate the corpus time.
         let rows: Vec<Vec<String>> = result
             .runs
@@ -120,17 +62,8 @@ pub fn corpus(flags: &Flags) -> Result<(), String> {
 }
 
 /// `turbulence pair`: one run, human summary, optional pcap.
-pub fn pair(flags: &Flags) -> Result<(), String> {
-    let seed = seed_of(flags)?;
-    let (set, pair) = pair_of(flags)?;
-    let mut config = PairRunConfig::new(seed, set, pair);
-    if let Some(loss) = loss_of(flags)? {
-        config.access_loss = loss;
-    }
-    config.telemetry = flags.contains_key("telemetry");
-    config.engine = engine_of(flags)?;
-    config.background_flows = background_of(flags)?;
-    let result = turbulence::run_pair(&config);
+pub fn pair(spec: &RunSpec) -> Result<(), String> {
+    let result = turbulence::run_pair(&spec.pair_configs()[0]);
 
     outln!(
         "path: {} hops to {}, ping median {:.1} ms, route stable: {}",
@@ -169,7 +102,7 @@ pub fn pair(flags: &Flags) -> Result<(), String> {
             stats.fragment_fraction() * 100.0
         );
     }
-    if let Some(path) = flags.get("pcap") {
+    if let Some(path) = spec.text("pcap") {
         let mut file = std::fs::File::create(path).map_err(|e| format!("create {path}: {e}"))?;
         turb_capture::pcap::write_pcap(&mut file, result.capture.records())
             .map_err(|e| format!("write {path}: {e}"))?;
@@ -185,20 +118,12 @@ pub fn pair(flags: &Flags) -> Result<(), String> {
 }
 
 /// `turbulence obs`: one pair run with telemetry on, report printed.
-pub fn obs(flags: &Flags) -> Result<(), String> {
-    let seed = seed_of(flags)?;
-    let (set, pair) = pair_of(flags)?;
-    let mut config = PairRunConfig::new(seed, set, pair).with_telemetry();
-    if let Some(loss) = loss_of(flags)? {
-        config.access_loss = loss;
-    }
-    config.engine = engine_of(flags)?;
-    config.background_flows = background_of(flags)?;
-    if flags.contains_key("rollups") {
+pub fn obs(spec: &RunSpec) -> Result<(), String> {
+    let mut config = spec.pair_configs().remove(0).with_telemetry();
+    if spec.switch("rollups") {
         config = config.with_sessions();
     }
-    config.lineage = flags.contains_key("trace");
-    config.progress = flags.contains_key("progress");
+    config.lineage = spec.switch("trace");
     let result = turbulence::run_pair(&config);
     let telemetry = result
         .telemetry
@@ -223,10 +148,10 @@ pub fn obs(flags: &Flags) -> Result<(), String> {
     if let Some(diag) = &telemetry.fluid {
         out!("{}", render_fluid_diag(diag));
     }
-    if flags.contains_key("metrics") {
+    if spec.switch("metrics") {
         outln!("{}", telemetry.metrics.render_text());
     }
-    if let Some(path) = flags.get("trace") {
+    if let Some(path) = spec.text("trace") {
         let dump = telemetry.lineage.as_ref().expect("--trace records lineage");
         let trace = turb_obs::lineage::to_chrome_trace(dump);
         std::fs::write(path, trace).map_err(|e| format!("write {path}: {e}"))?;
@@ -240,18 +165,10 @@ pub fn obs(flags: &Flags) -> Result<(), String> {
 
 /// `turbulence figures`: every table and figure's data rows, then the
 /// ablation tables.
-pub fn figures_cmd(flags: &Flags) -> Result<(), String> {
-    let seed = seed_of(flags)?;
-    let engine = engine_of(flags)?;
-    let background = background_of(flags)?;
-    let mut configs = runner::corpus_configs(seed);
-    for config in &mut configs {
-        config.engine = engine;
-        config.background_flows = background;
-    }
-    let result = runner::run_configs_parallel(&configs, threads_of(flags)?);
-    out!("{}", paper::render(&paper::ALL, &result, seed));
-    out!("{}", paper::render(&paper::ABLATIONS, &result, seed));
+pub fn figures_cmd(spec: &RunSpec) -> Result<(), String> {
+    let result = runner::run_configs_parallel(&spec.pair_configs(), spec.threads);
+    out!("{}", paper::render(&paper::ALL, &result, spec.seed));
+    out!("{}", paper::render(&paper::ABLATIONS, &result, spec.seed));
     Ok(())
 }
 
@@ -296,30 +213,22 @@ fn render_fluid_diag(diag: &FluidDiag) -> String {
 /// `turbulence scale`: the replicated-client scale scenario run
 /// sequentially and sharded back to back — byte-identity asserted via
 /// result digests, speedup and partition diagnostics printed.
-pub fn scale(flags: &Flags) -> Result<(), String> {
+pub fn scale(spec: &RunSpec) -> Result<(), String> {
     use turb_netsim::topology::ScaleConfig;
     use turbulence::scale::{run_scale, ScaleRunConfig};
 
-    let seed = seed_of(flags)?;
+    let seed = spec.seed;
     let mut scenario = ScaleConfig::default();
-    if let Some(raw) = flags.get("clients") {
-        scenario.clients_per_group = raw.parse().map_err(|_| format!("bad --clients {raw:?}"))?;
-        if !(1..=60_000).contains(&scenario.clients_per_group) {
-            return Err(format!("--clients {raw} out of range (1..=60000)"));
-        }
-    }
-    if let Some(groups) = groups_of(flags)? {
-        scenario.groups = groups;
-    }
-    if let Some(raw) = flags.get("packets") {
-        scenario.packets_per_client = raw.parse().map_err(|_| format!("bad --packets {raw:?}"))?;
-    }
-    scenario.background_flows = background_of(flags)? as usize;
-    scenario.engine = engine_of(flags)?;
+    scenario.clients_per_group = spec.number("clients", scenario.clients_per_group, 1..=60_000)?;
+    scenario.groups = spec.groups.unwrap_or(scenario.groups);
+    scenario.packets_per_client =
+        spec.number("packets", scenario.packets_per_client, 0..=u32::MAX)?;
+    scenario.background_flows = spec.background as usize;
+    scenario.engine = spec.engine;
     // Default to one domain per group: the ring cuts are the natural
     // partition, and more domains than groups would split a group's
     // zero-latency access links.
-    let shard_n = match shards_of(flags)? {
+    let shard_n = match spec.shards {
         ShardKind::Sharded(n) => n,
         ShardKind::Sequential => scenario.groups as u16,
     };
@@ -327,7 +236,7 @@ pub fn scale(flags: &Flags) -> Result<(), String> {
         .map(|n| n.get())
         .unwrap_or(1);
 
-    let progress = flags.contains_key("progress");
+    let progress = spec.progress;
     let sequential = run_scale(&ScaleRunConfig {
         seed,
         scenario: scenario.clone(),
@@ -407,66 +316,13 @@ pub fn scale(flags: &Flags) -> Result<(), String> {
     Ok(())
 }
 
-/// Shared flag parsing for `fleet` and `sessions`.
-fn fleet_config_of(flags: &Flags) -> Result<turbulence::FleetRunConfig, String> {
-    use turbulence::{ArrivalProcess, DurationDist, FleetRunConfig};
-    let mut config = FleetRunConfig::new(seed_of(flags)?);
-    if let Some(raw) = flags.get("sessions") {
-        config.sessions = raw.parse().map_err(|_| format!("bad --sessions {raw:?}"))?;
-        if config.sessions == 0 {
-            return Err("--sessions must be at least 1".into());
-        }
-    }
-    if let Some(raw) = flags.get("arrival") {
-        config.arrival = ArrivalProcess::parse(raw)?;
-    }
-    if let Some(raw) = flags.get("duration-dist") {
-        config.duration = DurationDist::parse(raw)?;
-    }
-    config.diurnal = flags.contains_key("diurnal");
-    if let Some(groups) = groups_of(flags)? {
-        config.groups = groups;
-    }
-    if let Some(raw) = flags.get("wmp-permille") {
-        config.wmp_permille = raw
-            .parse()
-            .map_err(|_| format!("bad --wmp-permille {raw:?}"))?;
-        if config.wmp_permille > 1000 {
-            return Err("--wmp-permille is per 1000 sessions (0..=1000)".into());
-        }
-    }
-    // For the fleet, `--background` is the background-class share of
-    // the population, per 1000 sessions.
-    if flags.contains_key("background") {
-        config.background_permille = background_of(flags)?;
-        if config.background_permille > 1000 {
-            return Err("--background is per 1000 sessions (0..=1000)".into());
-        }
-    }
-    config.shards = shards_of(flags)?;
-    config.engine = engine_of(flags)?;
-    config.threads = threads_of(flags)?;
-    config.lineage = flags.contains_key("lineage");
-    config.rollups = flags.contains_key("rollups");
-    if let Some(raw) = flags.get("sample-permille") {
-        config.sample_permille = raw
-            .parse()
-            .map_err(|_| format!("bad --sample-permille {raw:?}"))?;
-        if config.sample_permille > 1000 {
-            return Err("--sample-permille is per 1000 sessions (0..=1000)".into());
-        }
-    }
-    config.progress = flags.contains_key("progress");
-    Ok(config)
-}
-
 /// `turbulence fleet`: a session population — Poisson/MMPP arrivals,
 /// heavy-tailed lifetimes — multiplexed over the scale ring, with the
 /// heavy-traffic figures printed and (when sharded) byte-identity
 /// against the sequential twin asserted.
-pub fn fleet(flags: &Flags) -> Result<(), String> {
+pub fn fleet(spec: &RunSpec) -> Result<(), String> {
     use turbulence::population::run_fleet;
-    let config = fleet_config_of(flags)?;
+    let config = spec.fleet_config()?;
     let result = run_fleet(&config);
     outln!(
         "fleet: {} sessions over {} groups | {:?} arrivals | {:?} lifetimes{} | {} engine",
@@ -484,14 +340,25 @@ pub fn fleet(flags: &Flags) -> Result<(), String> {
         result.digest,
     );
     outln!("fleet: {}", render_fleet_memory(&result));
+    let loss = |delivered: u64, offered: u64| 1.0 - delivered as f64 / offered.max(1) as f64;
+    let fg_loss = loss(result.fg_delivered, result.fg_offered);
+    // Fluid-carried background sends no datagrams, so it has no loss
+    // to report; say how it was carried and what it would have sent.
+    let (bg, bg_loss) = if result.fluid.as_ref().is_some_and(|d| d.flows > 0) {
+        (
+            format!("carried=fluid ({} would-be)", result.bg_offered),
+            String::new(),
+        )
+    } else {
+        (
+            format!("{}/{}", result.bg_delivered, result.bg_offered),
+            format!(" bg {:.4}", loss(result.bg_delivered, result.bg_offered)),
+        )
+    };
     outln!(
-        "fleet: fg {}/{} datagrams delivered | bg {}/{} | loss fg {:.4} bg {:.4}",
+        "fleet: fg {}/{} datagrams delivered | bg {bg} | loss fg {fg_loss:.4}{bg_loss}",
         result.fg_delivered,
         result.fg_offered,
-        result.bg_delivered,
-        result.bg_offered,
-        1.0 - result.fg_delivered as f64 / result.fg_offered.max(1) as f64,
-        1.0 - result.bg_delivered as f64 / result.bg_offered.max(1) as f64,
     );
     if let Some(diag) = &result.diag {
         out!("{}", render_shard_diag(diag));
@@ -517,7 +384,7 @@ pub fn fleet(flags: &Flags) -> Result<(), String> {
         outln!("\n## per-class session QoE (rollups)");
         out!("{}", dump.summary_table());
     }
-    if flags.contains_key("metrics") {
+    if spec.switch("metrics") {
         outln!();
         out!("{}", result.metrics);
     }
@@ -549,37 +416,26 @@ fn render_fleet_memory(result: &turbulence::population::FleetRunResult) -> Strin
 /// top-K worst sessions under a composable `--by` badness key.
 /// `--session ID` drills into a sampled session's lineage timeline;
 /// `--jsonl`/`--csv` export the full rollup table deterministically.
-pub fn sessions(flags: &Flags) -> Result<(), String> {
+pub fn sessions(spec: &RunSpec) -> Result<(), String> {
     use turb_obs::lineage::{SpanOutcome, Stage};
     use turb_obs::BadnessKey;
     use turb_stats::Cdf;
     use turbulence::population::run_fleet;
 
-    let mut config = fleet_config_of(flags)?;
+    let mut config = spec.fleet_config()?;
     config.rollups = true;
-    let by = match flags.get("by") {
+    let by = match spec.text("by") {
         None => BadnessKey::default(),
         Some(raw) => BadnessKey::parse(raw)?,
     };
-    let top: usize = match flags.get("top") {
-        None => 10,
-        Some(raw) => raw.parse().map_err(|_| format!("bad --top {raw:?}"))?,
-    };
-    let drill: Option<u32> = match flags.get("session") {
-        None => None,
-        Some(raw) => Some(raw.parse().map_err(|_| format!("bad --session {raw:?}"))?),
-    };
+    let top = spec.number("top", 10, 0..=usize::MAX)?;
+    let last = u32::try_from(config.sessions - 1).unwrap_or(u32::MAX);
+    let drill = spec.opt_number("session", 0..=last)?;
     // The drill-down target is a function of the config alone, so a
     // bad one fails before the fleet runs.
     let sampler = (config.sample_permille > 0 && !config.lineage)
         .then(|| turb_obs::SessionSampler::new(config.seed, config.sample_permille));
     if let Some(sid) = drill {
-        if usize::try_from(sid).unwrap() >= config.sessions {
-            return Err(format!(
-                "--session {sid} out of range (fleet has {} sessions)",
-                config.sessions,
-            ));
-        }
         if !(config.lineage || sampler.as_ref().is_some_and(|s| s.admits(sid))) {
             let examples: Vec<String> = sampler
                 .as_ref()
@@ -607,11 +463,11 @@ pub fn sessions(flags: &Flags) -> Result<(), String> {
 
     // Exports first: the files are the machine-readable contract; the
     // rendering below is for humans.
-    if let Some(path) = flags.get("jsonl") {
+    if let Some(path) = spec.text("jsonl") {
         std::fs::write(path, dump.to_jsonl()).map_err(|e| format!("write {path}: {e}"))?;
         outln!("sessions: rollup JSONL written to {path}");
     }
-    if let Some(path) = flags.get("csv") {
+    if let Some(path) = spec.text("csv") {
         std::fs::write(path, dump.to_csv()).map_err(|e| format!("write {path}: {e}"))?;
         outln!("sessions: rollup CSV written to {path}");
     }
@@ -806,19 +662,19 @@ pub fn sessions(flags: &Flags) -> Result<(), String> {
 }
 
 /// `turbulence flowgen`: fit → generate → validate → export.
-pub fn flowgen(flags: &Flags) -> Result<(), String> {
-    let seed = seed_of(flags)?;
-    let (set, pair) = pair_of(flags)?;
-    let player = match flags.get("player").map(String::as_str) {
+pub fn flowgen(spec: &RunSpec) -> Result<(), String> {
+    let seed = spec.seed;
+    let player = match spec.text("player") {
         None | Some("real") => PlayerId::RealPlayer,
         Some("wmp") | Some("media") => PlayerId::MediaPlayer,
         Some(other) => return Err(format!("unknown player {other:?} (real|wmp)")),
     };
+    let config = spec.pair_configs().remove(0);
     let clip = match player {
-        PlayerId::RealPlayer => pair.real.clone(),
-        PlayerId::MediaPlayer => pair.wmp.clone(),
+        PlayerId::RealPlayer => config.pair.real.clone(),
+        PlayerId::MediaPlayer => config.pair.wmp.clone(),
     };
-    let result = turbulence::run_pair(&PairRunConfig::new(seed, set, pair));
+    let result = turbulence::run_pair(&config);
     let model = turb_flowgen::TurbulenceModel::fit(
         &result.capture,
         result.server_addr,
@@ -847,7 +703,7 @@ pub fn flowgen(flags: &Flags) -> Result<(), String> {
         validation.passes(0.1)
     );
     let trace = turb_flowgen::FlowGenerator::export_ns_trace(&packets);
-    match flags.get("out") {
+    match spec.text("out") {
         Some(path) => {
             std::fs::write(path, trace).map_err(|e| format!("write {path}: {e}"))?;
             eprintln!("trace written to {path}");
@@ -858,26 +714,13 @@ pub fn flowgen(flags: &Flags) -> Result<(), String> {
 }
 
 /// `turbulence friendly`: the §VI sweep.
-pub fn friendly(flags: &Flags) -> Result<(), String> {
+pub fn friendly(spec: &RunSpec) -> Result<(), String> {
     use turbulence::followup::{run_tcp_friendliness, FriendlinessConfig};
-    let seed = seed_of(flags)?;
-    let sweep: Vec<u64> = match flags.get("kbps") {
-        None => vec![300, 400, 600, 1000, 2000],
-        Some(list) => list
-            .split(',')
-            .map(|s| match s.trim().parse::<u64>() {
-                Ok(kbps) if (1..=u64::MAX / 1000).contains(&kbps) => Ok(kbps),
-                Ok(_) => Err(format!(
-                    "--kbps {s:?} out of range (1..={})",
-                    u64::MAX / 1000
-                )),
-                Err(_) => Err(format!("bad kbps {s:?}")),
-            })
-            .collect::<Result<_, _>>()?,
-    };
-    let sets = turb_media::corpus::table1();
-    let clip = sets[4]
-        .pair(class_of(flags)?)
+    let sweep = spec
+        .numbers("kbps", 1..=u64::MAX / 1000)?
+        .unwrap_or_else(|| vec![300, 400, 600, 1000, 2000]);
+    let clip = turb_media::corpus::table1()[4]
+        .pair(spec.class)
         .ok_or("set 5 lacks that class")?
         .wmp
         .clone();
@@ -892,7 +735,7 @@ pub fn friendly(flags: &Flags) -> Result<(), String> {
     );
     for kbps in sweep {
         let result = run_tcp_friendliness(&FriendlinessConfig {
-            seed,
+            seed: spec.seed,
             clip: clip.clone(),
             bottleneck_bps: kbps * 1000,
             propagation: turb_netsim::SimDuration::from_millis(20),
@@ -912,9 +755,9 @@ pub fn friendly(flags: &Flags) -> Result<(), String> {
 }
 
 /// `turbulence ping`: path check against the six simulated sites.
-pub fn ping(flags: &Flags) -> Result<(), String> {
+pub fn ping(spec: &RunSpec) -> Result<(), String> {
     use turb_netsim::prelude::*;
-    let seed = seed_of(flags)?;
+    let seed = spec.seed;
     let mut sim = Simulation::new(seed);
     let mut rng = SimRng::new(seed);
     let scenario = InternetScenario::build(&mut sim, &mut rng, &ScenarioConfig::default());
@@ -963,11 +806,11 @@ pub fn ping(flags: &Flags) -> Result<(), String> {
 
 /// `turbulence check`: the wire-layer fuzz/differential campaign, or a
 /// single-case replay with `--replay`.
-pub fn check(flags: &Flags) -> Result<(), String> {
+pub fn check(spec: &RunSpec) -> Result<(), String> {
     use std::path::Path;
     use turb_check::{runner, Case, CheckConfig};
 
-    if let Some(path) = flags.get("replay") {
+    if let Some(path) = spec.text("replay") {
         let case = Case::load(Path::new(path))?;
         outln!(
             "replaying {} (prop {}, seed {:#x}{})",
@@ -988,15 +831,9 @@ pub fn check(flags: &Flags) -> Result<(), String> {
         };
     }
 
-    let seed = seed_of(flags)?;
-    let iterations: u64 = match flags.get("iterations") {
-        None => 1000,
-        Some(raw) => raw
-            .parse()
-            .map_err(|_| format!("bad --iterations {raw:?}"))?,
-    };
-    let only = flags
-        .get("props")
+    let iterations = spec.number("iterations", 1000, 0..=u64::MAX)?;
+    let only = spec
+        .text("props")
         .map(|raw| raw.split(',').map(str::to_string).collect::<Vec<_>>());
     if let Some(names) = &only {
         for name in names {
@@ -1011,7 +848,7 @@ pub fn check(flags: &Flags) -> Result<(), String> {
     }
 
     let config = CheckConfig {
-        seed,
+        seed: spec.seed,
         iterations,
         only,
     };
@@ -1022,10 +859,7 @@ pub fn check(flags: &Flags) -> Result<(), String> {
         return Ok(());
     }
     // Persist every failure as a replayable case file.
-    let dir = flags
-        .get("write-failures")
-        .map(String::as_str)
-        .unwrap_or("check-failures");
+    let dir = spec.text("write-failures").unwrap_or("check-failures");
     std::fs::create_dir_all(dir).map_err(|e| format!("creating {dir}: {e}"))?;
     for failure in &failures {
         let case = failure.to_case();
@@ -1051,33 +885,16 @@ pub fn check(flags: &Flags) -> Result<(), String> {
 /// latency CDFs in the paper's figure style, a drop post-mortem
 /// reconciled against the always-on drop counters, and an optional
 /// Perfetto-loadable trace export.
-pub fn timeline(flags: &Flags) -> Result<(), String> {
+pub fn timeline(spec: &RunSpec) -> Result<(), String> {
     use std::collections::BTreeMap;
     use turb_obs::lineage::{self, DropCause, SpanOutcome, Stage};
     use turb_stats::Cdf;
 
-    let seed = seed_of(flags)?;
-    let top: usize = match flags.get("top") {
-        None => 10,
-        Some(raw) => raw.parse().map_err(|_| format!("bad --top {raw:?}"))?,
-    };
-    let corpus_mode = flags.contains_key("corpus");
-    if corpus_mode && flags.contains_key("perfetto") {
-        return Err("--perfetto exports one run; drop --corpus or pick a --set".into());
-    }
-    let loss = loss_of(flags)?;
-    let mut configs = if corpus_mode {
-        runner::corpus_configs(seed)
-    } else {
-        let (set, pair) = pair_of(flags)?;
-        vec![PairRunConfig::new(seed, set, pair)]
-    };
+    let top = spec.number("top", 10, 0..=usize::MAX)?;
+    let mut configs = spec.pair_configs();
     for config in &mut configs {
         config.telemetry = true;
         config.lineage = true;
-        if let Some(loss) = loss {
-            config.access_loss = loss;
-        }
     }
 
     // Aggregates across runs (one run unless --corpus). Lineage dumps
@@ -1193,7 +1010,7 @@ pub fn timeline(flags: &Flags) -> Result<(), String> {
             }
         }
 
-        if let Some(path) = flags.get("perfetto") {
+        if let Some(path) = spec.text("perfetto") {
             let trace = lineage::to_chrome_trace(dump);
             std::fs::write(path, &trace).map_err(|e| format!("write {path}: {e}"))?;
             outln!(
@@ -1322,36 +1139,20 @@ fn sparkline(values: &[u64], width: usize) -> String {
 /// curves over simulated time, with deterministic JSONL/CSV exports.
 /// Windowed loss totals are cross-checked 1:1 against the always-on
 /// drop counters before anything is printed.
-pub fn watch(flags: &Flags) -> Result<(), String> {
+pub fn watch(spec: &RunSpec) -> Result<(), String> {
     use turb_obs::lineage::DropCause;
     use turb_obs::timeseries::SeriesKind;
 
-    let seed = seed_of(flags)?;
-    let threads = threads_of(flags)?;
-    let corpus_mode = flags.contains_key("corpus");
-    let loss = loss_of(flags)?;
-    let window_ns: u64 = match flags.get("window") {
-        None => 0, // recorder default: 1 simulated second
-        Some(raw) => {
-            let secs: f64 = raw.parse().map_err(|_| format!("bad --window {raw:?}"))?;
-            if !secs.is_finite() || secs <= 0.0 {
-                return Err(format!(
-                    "--window {raw} must be a positive number of seconds"
-                ));
-            }
-            // 0 ns would select the recorder's 1 s default.
-            let ns = (secs * 1e9) as u64;
-            if ns == 0 {
-                return Err(format!("--window {raw} is shorter than 1 ns"));
-            }
-            ns
-        }
-    };
+    // Absent means the recorder's default 1 s window; `max(1)` keeps the
+    // shortest accepted width from truncating into that default.
+    let window_ns = spec
+        .opt_number("window", 1e-9..=1e9)?
+        .map_or(0, |secs: f64| ((secs * 1e9) as u64).max(1));
     // A bare `--metrics` parses as "true" (the flag doubles as the
     // `obs` exposition switch); treat it as "no filter".
-    let metric_filter: Vec<String> = flags
-        .get("metrics")
-        .filter(|list| list.as_str() != "true")
+    let metric_filter: Vec<String> = spec
+        .text("metrics")
+        .filter(|list| *list != "true")
         .map(|list| {
             list.split(',')
                 .map(|m| m.trim().to_string())
@@ -1360,28 +1161,13 @@ pub fn watch(flags: &Flags) -> Result<(), String> {
         })
         .unwrap_or_default();
 
-    let mut configs = if corpus_mode {
-        corpus_configs_of(flags, seed)?
-    } else {
-        if flags.contains_key("sets") {
-            return Err("--sets needs --corpus (use --set N for one pair run)".into());
-        }
-        let (set, pair) = pair_of(flags)?;
-        vec![PairRunConfig::new(seed, set, pair)]
-    };
-    let engine = engine_of(flags)?;
-    let background = background_of(flags)?;
+    let mut configs = spec.pair_configs();
     for config in &mut configs {
         config.telemetry = true;
         config.timeseries = true;
         config.ts_window_ns = window_ns;
-        config.engine = engine;
-        config.background_flows = background;
-        if let Some(loss) = loss {
-            config.access_loss = loss;
-        }
     }
-    let result = runner::run_configs_parallel(&configs, threads);
+    let result = runner::run_configs_parallel(&configs, spec.threads);
     let metrics = result.aggregate_metrics();
     let mut dump = result
         .aggregate_series()
@@ -1434,14 +1220,14 @@ pub fn watch(flags: &Flags) -> Result<(), String> {
     // Exports carry the (possibly narrowed) view and happen before any
     // table rendering, so piping the report through `head` can never
     // truncate the files.
-    if let Some(path) = flags.get("jsonl") {
+    if let Some(path) = spec.text("jsonl") {
         std::fs::write(path, dump.to_jsonl()).map_err(|e| format!("write {path}: {e}"))?;
         outln!(
             "watch: wrote {} series to {path} (JSONL)",
             dump.series.len()
         );
     }
-    if let Some(path) = flags.get("csv") {
+    if let Some(path) = spec.text("csv") {
         std::fs::write(path, dump.to_csv()).map_err(|e| format!("write {path}: {e}"))?;
         outln!(
             "watch: wrote {} windows to {path} (CSV)",
@@ -1451,9 +1237,10 @@ pub fn watch(flags: &Flags) -> Result<(), String> {
 
     let window_secs = dump.window_ns as f64 / 1e9;
     outln!(
-        "watch: {} pair run{} (seed {seed}, {} worker thread{}) | {window_secs}s windows | {} series, {} retained windows (~{} KiB)",
+        "watch: {} pair run{} (seed {}, {} worker thread{}) | {window_secs}s windows | {} series, {} retained windows (~{} KiB)",
         result.runs.len(),
         if result.runs.len() == 1 { "" } else { "s" },
+        spec.seed,
         result.threads,
         if result.threads == 1 { "" } else { "s" },
         dump.series.len(),

@@ -1,55 +1,13 @@
 //! `turbulence` — the workspace's command-line interface.
 //!
-//! ```text
-//! turbulence corpus     [--seed N] [--sets 1,2,5]     full corpus: Table 1 and
-//!                       [--threads N] [--telemetry]   the headline figures
-//! turbulence pair       --set N --class low|high|vh   one pair run, summarised
-//!                       [--seed N] [--pcap FILE] [--loss P] [--telemetry]
-//! turbulence obs        --set N [--class C] [--seed N] [--loss P]
-//!                       [--metrics] [--trace FILE]    one pair run, telemetry report
-//! turbulence figures    [--seed N] [--threads N]      Table 1, Figures 1-15, §IV
-//!                                                     and the ablations: every data row
-//! turbulence flowgen    --set N --class C --player real|wmp
-//!                       [--seed N] [--out FILE]       fit, generate, validate, export
-//! turbulence friendly   [--kbps N,...] [--seed N]     §VI TCP-friendliness sweep
-//! turbulence ping       [--seed N]                    path check against all six sites
-//! turbulence check      [--iterations N] [--seed N]   wire-layer fuzz/differential campaign
-//!                       [--props a,b] [--replay FILE]
-//!                       [--write-failures DIR]
-//! turbulence timeline   --set N [--class C] | --corpus
-//!                       [--seed N] [--loss P] [--top K] per-packet lifecycle analysis:
-//!                       [--perfetto FILE]             slowest packets, stage CDFs,
-//!                                                     drop post-mortem, trace export
-//! turbulence watch      --set N [--class C] | --corpus
-//!                       [--seed N] [--loss P]         per-window tables + sparklines:
-//!                       [--window SECS] [--metrics M,M] bandwidth, loss by cause,
-//!                       [--jsonl FILE] [--csv FILE]   queue depth, buffer occupancy,
-//!                       [--threads N] [--sets 1,2]    reassembly backlog
-//! turbulence scale      [--seed N] [--shards N]       replicated-client scale run,
-//!                       [--clients N] [--groups N]    sequential vs sharded, with
-//!                       [--packets N] [--background N] byte-identity check + speedup;
-//!                       [--engine packet|hybrid]      fluid background population
-//! turbulence fleet      [--sessions N] [--arrival A]  session population over the
-//!                       [--duration-dist D] [--diurnal] scale ring: Poisson/MMPP
-//!                       [--groups N] [--background N] arrivals, Pareto lifetimes,
-//!                       [--engine E] [--shards N]     heavy-traffic figures
-//!                       [--threads N] [--lineage]
-//!                       [--rollups] [--progress]
-//! turbulence sessions   [fleet options] [--top K]     fleet-scale session QoE:
-//!                       [--by loss,rebuffer,...]      per-class CDFs, top-K worst
-//!                       [--session ID]                sessions, sampled-lineage
-//!                       [--jsonl FILE] [--csv FILE]   drill-down, rollup export
-//!                       [--sample-permille N]
-//! ```
-//!
-//! Each command accepts only the flags it reads; any other flag is an
-//! error. Performance is measured by the separate `turb-bench` harness
+//! `turbulence help` lists every command and flag; both come from the
+//! tables in this file and [`spec::FLAGS`]. Each command accepts only
+//! the flags it reads; any other flag is an error. Performance is
+//! measured by the separate `turb-bench` harness
 //! (`benchmark/README.md`).
 
-use std::collections::HashMap;
+use spec::{parse_flags, RunSpec, Shape, FLAGS};
 use std::process::ExitCode;
-use turb_media::{corpus, RateClass};
-use turb_netsim::{EngineKind, ShardKind};
 
 /// `print!` for command output. A reader that closes stdout early
 /// (`| head`, `| true`) ends the output quietly instead of panicking.
@@ -72,425 +30,166 @@ macro_rules! outln {
 mod ablations;
 mod commands;
 mod paper;
+mod spec;
 
-type Flags = HashMap<String, String>;
-
-fn usage() -> &'static str {
-    "turbulence — reproduce 'MediaPlayer vs RealPlayer: A Comparison of Network Turbulence'
-
-USAGE:
-    turbulence <command> [options]
-
-COMMANDS:
-    corpus      run the full 26-clip corpus and print Table 1 and the
-                headline figures
-    pair        run one clip pair and summarise what both trackers measured
-    obs         run one clip pair with telemetry and print the run report
-    figures     run the corpus and print Table 1, Figures 1-15 and §IV,
-                then the ablation tables
-    flowgen     fit a Section-IV turbulence model and export an ns-style trace
-    friendly    run the §VI TCP-friendliness sweep
-    ping        check the simulated paths to all six server sites
-    check       run the seeded wire-layer fuzz/differential campaign
-    timeline    trace per-packet lifecycles: slowest packets, stage CDFs,
-                drop post-mortem, Perfetto export
-    watch       per-window time-series view of a pair run or the corpus:
-                bandwidth, loss by cause, queue depth, buffer occupancy
-    scale       run the replicated-client scale scenario sequentially and
-                sharded, assert byte-identity, report the speedup
-    fleet       multiplex a session population (Poisson/MMPP arrivals,
-                heavy-tailed lifetimes) over the scale ring and print
-                the heavy-traffic figures
-    sessions    the fleet's session-level QoE view: per-class rollup
-                summary and CDFs, top-K worst sessions, sampled-lineage
-                drill-down, deterministic JSONL/CSV export
-    help        print this text
-
-OPTIONS (per command):
-    --seed N            deterministic seed (default 42)
-    --sets 1,2,5        corpus/watch: restrict to these data sets
-    --set N             pair/obs/flowgen: data set number (1-6)
-    --class C           pair/obs/flowgen: low | high | vh (default high)
-    --player P          flowgen: real | wmp (default real)
-    --pcap FILE         pair: write the client capture as a pcap file
-    --loss P            pair/obs: Bernoulli loss (0..=1) on the access link
-    --telemetry         pair/corpus: collect and print the telemetry report
-    --threads N         corpus/figures/watch: worker threads fanning
-                        *whole pair runs* across a pool (default 0 = auto:
-                        min(available cores, runs); 1 runs sequentially);
-                        fleet/sessions: threads generating the population
-    --shards N          scale/fleet/sessions: parallelise
-                        inside one simulation by partitioning it into N
-                        shard domains, one worker thread per domain
-                        (default: sequential, or one domain per ring
-                        group for scale; results are byte-identical at
-                        every N; N may not exceed the node count)
-    --metrics           obs: also print Prometheus-style metrics exposition
-    --trace FILE        obs: record lineage and write it as Perfetto
-                        (Chrome-trace) JSON, as timeline --perfetto does
-    --out FILE          flowgen: trace output path (default stdout)
-    --kbps N,N,...      friendly: bottleneck sweep in Kbit/s
-    --set N, --class C  timeline: one pair run (or --corpus for all)
-    --corpus            timeline: trace every corpus run sequentially
-    --top N             timeline: slowest-packet table size (default 10)
-    --perfetto FILE     timeline: write the Chrome-trace JSON export
-                        (single-run mode only)
-    --window SECS       watch: window width in simulated seconds
-                        (default 1; fractions allowed)
-    --metrics M,M       watch: restrict the view to these metric names
-                        (substring match; default: all recorded series)
-    --jsonl FILE        watch: export the raw series as JSON Lines
-    --csv FILE          watch: export the long-format per-window CSV
-    --clients N         scale: client hosts per group (default 256)
-    --groups N          scale/fleet: site groups on the ring (default 8)
-    --packets N         scale: datagrams each client sends (default 40)
-    --sessions N        fleet/sessions: population size (default 1000)
-    --arrival A         fleet: arrival process, poisson:RATE or
-                        mmpp:FAST,SLOW,DWELL in sessions/s (default
-                        poisson:200)
-    --duration-dist D   fleet: session lifetimes, pareto:XM,ALPHA or
-                        fixed:SECS (default pareto:2,1.5)
-    --diurnal           fleet: thin arrivals by the compressed diurnal
-                        load curve (one cycle per 10 simulated minutes)
-    --wmp-permille N    fleet: MediaPlayer share per 1000 sessions
-                        (default 500; the rest are RealPlayer-like)
-    --lineage           fleet/sessions: record full packet lineage for
-                        every session (figures are identical either way;
-                        overrides the sampler)
-    --rollups           fleet/obs: accumulate per-session QoE rollups
-                        (≤128 B/session) and print the per-class summary
-    --sample-permille N fleet/sessions: sessions per 1000 whose packets
-                        get full lineage, hash-selected from the seed
-                        (default 10; thread/shard/engine invariant)
-    --progress          fleet/sessions/scale/corpus/obs: heartbeat
-                        line on stderr every few seconds (sim time,
-                        events/s, sessions live/done, RSS, ETA); stderr
-                        only — never part of the byte-identity set
-    --top K             sessions: worst-session table size (default 10)
-    --by TERMS          sessions: badness ranking key — comma-separated
-                        loss|rebuffer|startup|goodput, each optionally
-                        =weight (default loss,rebuffer,startup)
-    --session ID        sessions: print the sampled session's per-packet
-                        lineage timeline
-    --jsonl FILE        sessions: export every rollup as JSON Lines
-    --csv FILE          sessions: export every rollup as CSV
-    --engine E          corpus/pair/obs/figures/watch/scale/fleet: how
-                        background flows are simulated, packet | hybrid
-                        (default packet; hybrid lowers them onto the
-                        fluid max-min solver — zero events per flow,
-                        and with --background 0 results stay
-                        byte-identical to the packet engine)
-    --background N      corpus/pair/obs/figures/watch/scale/fleet:
-                        background flows sharing the path (default 0;
-                        scale: bulk flows over the backbone ring;
-                        fleet: background-class sessions per 1000)
-    --iterations N      check: cases per property (default 1000)
-    --props a,b         check: restrict to these properties
-    --replay FILE       check: re-run one stored .case file instead
-    --write-failures D  check: directory for failing-case files
-                        (default check-failures)
-"
-}
-
-/// Flags that stand alone (no value); parsed as `flag=true`.
-const BOOLEAN_FLAGS: &[&str] = &[
-    "telemetry",
-    "corpus",
-    "diurnal",
-    "lineage",
-    "rollups",
-    "progress",
-];
-
-/// Flags that take a value when one follows but also stand alone:
-/// `obs --metrics` prints the full exposition, while
-/// `watch --metrics tx,loss` narrows the view to matching series.
-const OPTIONAL_VALUE_FLAGS: &[&str] = &["metrics"];
-
-/// Minimal flag parser: `--key value` pairs after the subcommand, plus
-/// the bare boolean flags in [`BOOLEAN_FLAGS`]. Fails closed on any
-/// flag outside `command`'s list, so a typo or a retired knob never
-/// runs silently on the defaults.
-fn parse_flags(args: &[String], command: &Command) -> Result<Flags, String> {
-    let mut flags = HashMap::new();
-    let mut i = 0;
-    while i < args.len() {
-        let key = args[i]
-            .strip_prefix("--")
-            .ok_or_else(|| format!("expected --flag, got {:?}", args[i]))?;
-        if !command.flags.contains(&key) {
-            return Err(format!("unknown flag --{key} for {}", command.name));
-        }
-        if BOOLEAN_FLAGS.contains(&key) {
-            flags.insert(key.to_string(), "true".to_string());
-            i += 1;
-            continue;
-        }
-        if OPTIONAL_VALUE_FLAGS.contains(&key) {
-            match args.get(i + 1).filter(|v| !v.starts_with("--")) {
-                Some(value) => {
-                    flags.insert(key.to_string(), value.clone());
-                    i += 2;
-                }
-                None => {
-                    flags.insert(key.to_string(), "true".to_string());
-                    i += 1;
-                }
-            }
-            continue;
-        }
-        let value = args
-            .get(i + 1)
-            .ok_or_else(|| format!("--{key} needs a value"))?;
-        flags.insert(key.to_string(), value.clone());
-        i += 2;
-    }
-    Ok(flags)
-}
-
-fn seed_of(flags: &Flags) -> Result<u64, String> {
-    match flags.get("seed") {
-        None => Ok(42),
-        Some(s) => s.parse().map_err(|_| format!("bad seed {s:?}")),
-    }
-}
-
-/// `--threads N`, defaulting to `0` = auto: the runner resolves it to
-/// `min(available cores, jobs)`, so a 13-run corpus never spawns more
-/// workers than it has runs to fill them with.
-fn threads_of(flags: &Flags) -> Result<usize, String> {
-    match flags.get("threads") {
-        None => Ok(0),
-        Some(s) => s.parse().map_err(|_| format!("bad --threads {s:?}")),
-    }
-}
-
-/// `--shards N` (scale, fleet, sessions): partition the simulation into
-/// N shard domains with one worker thread per domain. Absent means
-/// sequential; `--shards 1` runs the partitioned engine with a single
-/// domain, which is useful for overhead measurements.
-fn shards_of(flags: &Flags) -> Result<ShardKind, String> {
-    match flags.get("shards") {
-        None => Ok(ShardKind::Sequential),
-        Some(s) => {
-            let n: u16 = s.parse().map_err(|_| format!("bad --shards {s:?}"))?;
-            if n == 0 {
-                return Err("--shards must be at least 1 (omit it to run sequentially)".into());
-            }
-            Ok(ShardKind::Sharded(n))
-        }
-    }
-}
-
-/// `--engine packet|hybrid`: how background flows are simulated. The
-/// all-packet engine is the default; the hybrid engine lowers
-/// background flows onto the fluid max-min solver.
-fn engine_of(flags: &Flags) -> Result<EngineKind, String> {
-    match flags.get("engine") {
-        None => Ok(EngineKind::Packet),
-        Some(s) => {
-            EngineKind::parse(s).ok_or_else(|| format!("unknown engine {s:?} (packet|hybrid)"))
-        }
-    }
-}
-
-/// `--background N`: background flows sharing the foreground's path.
-fn background_of(flags: &Flags) -> Result<u32, String> {
-    match flags.get("background") {
-        None => Ok(0),
-        Some(s) => s.parse().map_err(|_| format!("bad --background {s:?}")),
-    }
-}
-
-fn class_of(flags: &Flags) -> Result<RateClass, String> {
-    match flags.get("class").map(String::as_str) {
-        None | Some("high") => Ok(RateClass::High),
-        Some("low") => Ok(RateClass::Low),
-        Some("vh") | Some("veryhigh") | Some("very-high") => Ok(RateClass::VeryHigh),
-        Some(other) => Err(format!("unknown class {other:?} (low|high|vh)")),
-    }
-}
-
-fn pair_of(flags: &Flags) -> Result<(u8, turb_media::ClipPair), String> {
-    let set: u8 = flags
-        .get("set")
-        .ok_or("--set is required")?
-        .parse()
-        .map_err(|_| "bad --set".to_string())?;
-    let class = class_of(flags)?;
-    let sets = corpus::table1();
-    let data_set = sets
-        .iter()
-        .find(|s| s.id == set)
-        .ok_or_else(|| format!("data set {set} does not exist (1-6)"))?;
-    let pair = data_set
-        .pair(class)
-        .ok_or_else(|| format!("set {set} has no {class:?} pair"))?;
-    Ok((set, pair.clone()))
-}
-
-/// A subcommand: its handler and every flag the handler reads.
+/// A subcommand: its handler, one-line summary and every flag the
+/// handler reads.
 struct Command {
     name: &'static str,
-    run: fn(&Flags) -> Result<(), String>,
+    summary: &'static str,
+    run: fn(&RunSpec) -> Result<(), String>,
     flags: &'static [&'static str],
 }
 
+/// Every command, in help order.
+#[rustfmt::skip]
 const COMMANDS: &[Command] = &[
     Command {
         name: "corpus",
+        summary: "run the full 26-clip corpus and print Table 1 and the headline figures",
         run: commands::corpus,
-        flags: &[
-            "seed",
-            "sets",
-            "threads",
-            "telemetry",
-            "engine",
-            "background",
-            "progress",
-        ],
+        flags: &["seed", "sets", "threads", "telemetry", "engine", "background", "progress"],
     },
     Command {
         name: "pair",
+        summary: "run one clip pair and summarise what both trackers measured",
         run: commands::pair,
-        flags: &[
-            "seed",
-            "set",
-            "class",
-            "loss",
-            "telemetry",
-            "engine",
-            "background",
-            "pcap",
-        ],
+        flags: &["seed", "set", "class", "loss", "telemetry", "engine", "background", "pcap"],
     },
     Command {
         name: "obs",
+        summary: "run one clip pair with telemetry and print the run report",
         run: commands::obs,
-        flags: &[
-            "seed",
-            "set",
-            "class",
-            "loss",
-            "engine",
-            "background",
-            "rollups",
-            "progress",
-            "metrics",
-            "trace",
-        ],
+        flags: &["seed", "set", "class", "loss", "engine", "background", "rollups", "progress",
+            "metrics", "trace"],
     },
     Command {
         name: "figures",
+        summary: "run the corpus and print Table 1, Figures 1-15 and §IV, then the ablation \
+            tables",
         run: commands::figures_cmd,
         flags: &["seed", "threads", "engine", "background"],
     },
     Command {
         name: "flowgen",
+        summary: "fit a Section-IV turbulence model and export an ns-style trace",
         run: commands::flowgen,
         flags: &["seed", "set", "class", "player", "out"],
     },
     Command {
         name: "friendly",
+        summary: "run the §VI TCP-friendliness sweep",
         run: commands::friendly,
         flags: &["seed", "kbps", "class"],
     },
     Command {
         name: "ping",
+        summary: "check the simulated paths to all six server sites",
         run: commands::ping,
         flags: &["seed"],
     },
     Command {
         name: "check",
+        summary: "run the seeded wire-layer fuzz/differential campaign",
         run: commands::check,
         flags: &["seed", "iterations", "props", "replay", "write-failures"],
     },
     Command {
         name: "timeline",
+        summary: "trace per-packet lifecycles: slowest packets, stage CDFs, drop post-mortem, \
+            Perfetto export",
         run: commands::timeline,
         flags: &["seed", "set", "class", "corpus", "loss", "top", "perfetto"],
     },
     Command {
         name: "watch",
+        summary: "per-window time-series view of a pair run or the corpus: bandwidth, loss by \
+            cause, queue depth, buffer occupancy",
         run: commands::watch,
-        flags: &[
-            "seed",
-            "set",
-            "class",
-            "corpus",
-            "sets",
-            "threads",
-            "loss",
-            "window",
-            "metrics",
-            "jsonl",
-            "csv",
-            "engine",
-            "background",
-        ],
+        flags: &["seed", "set", "class", "corpus", "sets", "threads", "loss", "window", "metrics",
+            "jsonl", "csv", "engine", "background"],
     },
     Command {
         name: "scale",
+        summary: "run the replicated-client scale scenario sequentially and sharded, assert \
+            byte-identity, report the speedup",
         run: commands::scale,
-        flags: &[
-            "seed",
-            "clients",
-            "groups",
-            "packets",
-            "background",
-            "engine",
-            "shards",
-            "progress",
-        ],
+        flags: &["seed", "clients", "groups", "packets", "background", "engine", "shards",
+            "progress"],
     },
     Command {
         name: "fleet",
+        summary: "multiplex a session population (Poisson/MMPP arrivals, heavy-tailed lifetimes) \
+            over the scale ring and print the heavy-traffic figures",
         run: commands::fleet,
-        flags: &[
-            "seed",
-            "sessions",
-            "arrival",
-            "duration-dist",
-            "diurnal",
-            "groups",
-            "wmp-permille",
-            "background",
-            "engine",
-            "shards",
-            "threads",
-            "lineage",
-            "rollups",
-            "sample-permille",
-            "progress",
-            "metrics",
-        ],
+        flags: &["seed", "sessions", "arrival", "duration-dist", "diurnal", "groups",
+            "wmp-permille", "background", "engine", "shards", "threads", "lineage", "rollups",
+            "sample-permille", "progress", "metrics"],
     },
     Command {
         name: "sessions",
+        summary: "the fleet's session-level QoE view: per-class rollup summary and CDFs, top-K \
+            worst sessions, sampled-lineage drill-down, deterministic JSONL/CSV export",
         run: commands::sessions,
-        flags: &[
-            "seed",
-            "sessions",
-            "arrival",
-            "duration-dist",
-            "diurnal",
-            "groups",
-            "wmp-permille",
-            "background",
-            "engine",
-            "shards",
-            "threads",
-            "lineage",
-            "sample-permille",
-            "progress",
-            "top",
-            "by",
-            "session",
-            "jsonl",
-            "csv",
-        ],
+        flags: &["seed", "sessions", "arrival", "duration-dist", "diurnal", "groups",
+            "wmp-permille", "background", "engine", "shards", "threads", "lineage",
+            "sample-permille", "progress", "top", "by", "session", "jsonl", "csv"],
     },
 ];
+
+/// `head`, then `text` word-wrapped to 78 columns in a column of its
+/// own (starting on the next line when `head` reaches into it).
+fn wrap(out: &mut String, head: &str, text: &str) {
+    let indent = " ".repeat(23);
+    let mut line = format!("{head:<23}");
+    if line.len() > 23 {
+        out.push_str(&line);
+        out.push('\n');
+        line.clone_from(&indent);
+    }
+    for word in text.split_whitespace() {
+        if line.len() > 23 && line.chars().count() + 1 + word.chars().count() > 78 {
+            out.push_str(&line);
+            out.push('\n');
+            line.clone_from(&indent);
+        }
+        line.push(' ');
+        line.push_str(word);
+    }
+    out.push_str(&line);
+    out.push('\n');
+}
+
+/// `turbulence help`, generated from [`COMMANDS`] and [`FLAGS`].
+fn usage() -> String {
+    let mut out = String::from(
+        "turbulence — reproduce 'MediaPlayer vs RealPlayer: A Comparison of Network Turbulence'\n\n\
+         USAGE:\n    turbulence <command> [options]\n\nCOMMANDS:\n",
+    );
+    for command in COMMANDS {
+        wrap(&mut out, &format!("    {}", command.name), command.summary);
+    }
+    wrap(&mut out, "    help", "print this text");
+    out.push_str("\nOPTIONS (each with the commands that accept it):\n");
+    for flag in FLAGS {
+        let head = match flag.shape {
+            Shape::Switch => format!("    --{}", flag.name),
+            Shape::Value(v) => format!("    --{} {v}", flag.name),
+            Shape::OptionalValue(v) => format!("    --{} [{v}]", flag.name),
+        };
+        let users: Vec<&str> = COMMANDS
+            .iter()
+            .filter(|c| c.flags.contains(&flag.name))
+            .map(|c| c.name)
+            .collect();
+        wrap(
+            &mut out,
+            &head,
+            &format!("{} [{}]", flag.help, users.join(" ")),
+        );
+    }
+    out
+}
 
 /// Unwind payload for a stdout whose reader has gone; `main` turns it
 /// into a clean exit.
@@ -510,22 +209,22 @@ fn write_stdout(args: std::fmt::Arguments<'_>) {
     }
 }
 
-/// Run the command named by `args[0]` with the flags that follow it.
+/// Run the command named by `args[0]` with the flags that follow it:
+/// parse them once into a [`RunSpec`], then hand that to the handler.
 fn dispatch(args: &[String]) -> Result<(), String> {
-    let Some(name) = args.first() else {
+    let Some(name) = args
+        .first()
+        .filter(|n| !matches!(n.as_str(), "help" | "--help" | "-h"))
+    else {
         out!("{}", usage());
         return Ok(());
     };
-    if matches!(name.as_str(), "help" | "--help" | "-h") {
-        out!("{}", usage());
-        return Ok(());
-    }
     let command = COMMANDS
         .iter()
         .find(|c| c.name == name)
         .ok_or_else(|| format!("unknown command {name:?}; try `turbulence help`"))?;
-    let flags = parse_flags(&args[1..], command)?;
-    (command.run)(&flags)
+    let spec = RunSpec::parse(command, parse_flags(&args[1..], command)?)?;
+    (command.run)(&spec)
 }
 
 fn main() -> ExitCode {
@@ -555,13 +254,8 @@ fn main() -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn flags(pairs: &[(&str, &str)]) -> Flags {
-        pairs
-            .iter()
-            .map(|(k, v)| (k.to_string(), v.to_string()))
-            .collect()
-    }
+    use turb_media::RateClass;
+    use turb_netsim::{EngineKind, ShardKind};
 
     fn args(words: &[&str]) -> Vec<String> {
         words.iter().map(|s| s.to_string()).collect()
@@ -570,9 +264,32 @@ mod tests {
     /// A command that reads every flag the parser tests use.
     const TEST: Command = Command {
         name: "test",
+        summary: "",
         run: |_| Ok(()),
         flags: &["seed", "set", "telemetry", "metrics", "trace"],
     };
+
+    /// Parse `argv` as `dispatch` does, without running the command.
+    fn spec(argv: &str) -> Result<RunSpec, String> {
+        let words = args(&argv.split_whitespace().collect::<Vec<_>>());
+        let command = COMMANDS.iter().find(|c| c.name == words[0]).unwrap();
+        RunSpec::parse(command, parse_flags(&words[1..], command)?)
+    }
+
+    /// An argv and what its parsed `RunSpec` must satisfy.
+    type Case = (&'static str, fn(&RunSpec) -> bool);
+
+    /// Table-driven check of the `RunSpec` parser: each accepted argv
+    /// must satisfy its predicate, each rejected one must be an error.
+    fn assert_spec(accepted: &[Case], rejected: &[&str]) {
+        for (argv, holds) in accepted {
+            let parsed = spec(argv).unwrap_or_else(|e| panic!("{argv}: {e}"));
+            assert!(holds(&parsed), "{argv}: parsed to the wrong value");
+        }
+        for argv in rejected {
+            assert!(spec(argv).is_err(), "{argv}: accepted");
+        }
+    }
 
     #[test]
     fn parse_flags_accepts_key_value_pairs() {
@@ -611,38 +328,139 @@ mod tests {
 
     #[test]
     fn seed_defaults_to_42() {
-        assert_eq!(seed_of(&flags(&[])).unwrap(), 42);
-        assert_eq!(seed_of(&flags(&[("seed", "9")])).unwrap(), 9);
-        assert!(seed_of(&flags(&[("seed", "x")])).is_err());
+        assert_spec(
+            &[
+                ("ping", |s| s.seed == 42),
+                ("ping --seed 9", |s| s.seed == 9),
+            ],
+            &["ping --seed x", "ping --seed -1"],
+        );
     }
 
     #[test]
     fn class_parses_all_spellings() {
-        assert_eq!(class_of(&flags(&[])).unwrap(), RateClass::High);
-        assert_eq!(
-            class_of(&flags(&[("class", "low")])).unwrap(),
-            RateClass::Low
+        assert_spec(
+            &[
+                ("friendly", |s| s.class == RateClass::High),
+                ("friendly --class low", |s| s.class == RateClass::Low),
+                ("friendly --class vh", |s| s.class == RateClass::VeryHigh),
+                ("friendly --class veryhigh", |s| {
+                    s.class == RateClass::VeryHigh
+                }),
+                ("friendly --class very-high", |s| {
+                    s.class == RateClass::VeryHigh
+                }),
+            ],
+            &["friendly --class medium"],
         );
-        for vh in ["vh", "veryhigh", "very-high"] {
-            assert_eq!(
-                class_of(&flags(&[("class", vh)])).unwrap(),
-                RateClass::VeryHigh
-            );
-        }
-        assert!(class_of(&flags(&[("class", "medium")])).is_err());
     }
 
     #[test]
     fn pair_of_validates_set_and_class() {
-        let (set, pair) = pair_of(&flags(&[("set", "5"), ("class", "low")])).unwrap();
-        assert_eq!(set, 5);
-        assert_eq!(pair.real.encoded_kbps, 22.0);
-        assert!(pair_of(&flags(&[])).is_err(), "--set required");
-        assert!(pair_of(&flags(&[("set", "9")])).is_err(), "no set 9");
-        assert!(
-            pair_of(&flags(&[("set", "1"), ("class", "vh")])).is_err(),
-            "set 1 has no very-high pair"
+        assert_spec(
+            &[
+                ("pair --set 5 --class low", |s| {
+                    s.pair
+                        .as_ref()
+                        .is_some_and(|(set, pair)| *set == 5 && pair.real.encoded_kbps == 22.0)
+                }),
+                ("watch --corpus", |s| s.pair.is_none() && s.corpus),
+                ("corpus --sets 1,2", |s| s.sets == Some(vec![1, 2])),
+            ],
+            &[
+                "pair",
+                "pair --set 9",
+                "pair --set 0",
+                "pair --set 1 --class vh",
+                "watch --set 2 --sets 3",
+                "corpus --sets 1,7",
+                "timeline --corpus --perfetto t.json",
+            ],
         );
+    }
+
+    #[test]
+    fn loss_and_groups_are_range_checked() {
+        assert_spec(
+            &[
+                ("pair --set 2", |s| s.loss.is_none()),
+                ("watch --set 2 --loss 0.05", |s| s.loss == Some(0.05)),
+                ("timeline --set 2 --loss 1", |s| s.loss == Some(1.0)),
+                ("fleet --groups 2", |s| s.groups == Some(2)),
+                ("scale --groups 64", |s| s.groups == Some(64)),
+            ],
+            &[
+                "pair --set 2 --loss 1.5",
+                "pair --set 2 --loss -0.1",
+                "pair --set 2 --loss NaN",
+                "fleet --groups 1",
+                "scale --groups 65",
+            ],
+        );
+    }
+
+    #[test]
+    fn every_accepted_flag_has_one_table_entry_and_every_entry_is_accepted() {
+        for command in COMMANDS {
+            for name in command.flags {
+                let entries = FLAGS.iter().filter(|f| f.name == *name).count();
+                assert_eq!(
+                    entries, 1,
+                    "--{name} ({}) needs one FLAGS entry",
+                    command.name
+                );
+            }
+        }
+        for flag in FLAGS {
+            assert!(
+                COMMANDS.iter().any(|c| c.flags.contains(&flag.name)),
+                "--{} is accepted by no command",
+                flag.name
+            );
+        }
+    }
+
+    /// The commands `turbulence help` lists under `--flag`.
+    fn listed_commands(flag: &str) -> Vec<String> {
+        let usage = usage();
+        let section: String = usage
+            .lines()
+            .skip_while(|l| l.split_whitespace().next() != Some(&format!("--{flag}")))
+            .enumerate()
+            .take_while(|(i, l)| *i == 0 || !l.starts_with("    --"))
+            .map(|(_, l)| format!("{l} "))
+            .collect();
+        let open = section.rfind('[').expect("a command list");
+        let close = section.rfind(']').expect("a command list");
+        section[open + 1..close]
+            .split_whitespace()
+            .map(str::to_string)
+            .collect()
+    }
+
+    #[test]
+    fn help_lists_exactly_the_commands_that_accept_each_flag() {
+        for flag in FLAGS {
+            let accepting: Vec<String> = COMMANDS
+                .iter()
+                .filter(|c| c.flags.contains(&flag.name))
+                .map(|c| c.name.to_string())
+                .collect();
+            assert_eq!(listed_commands(flag.name), accepting, "--{}", flag.name);
+        }
+        // Commands a hand-written help once left out for these flags.
+        for (flag, command) in [
+            ("metrics", "fleet"),
+            ("class", "friendly"),
+            ("loss", "watch"),
+            ("loss", "timeline"),
+            ("set", "watch"),
+        ] {
+            assert!(
+                listed_commands(flag).iter().any(|c| c == command),
+                "help omits {command} under --{flag}"
+            );
+        }
     }
 
     #[test]
@@ -665,59 +483,69 @@ mod tests {
 
     #[test]
     fn shards_defaults_to_sequential_and_rejects_zero() {
-        assert_eq!(shards_of(&flags(&[])).unwrap(), ShardKind::Sequential);
-        assert_eq!(
-            shards_of(&flags(&[("shards", "4")])).unwrap(),
-            ShardKind::Sharded(4)
+        assert_spec(
+            &[
+                ("fleet", |s| s.shards == ShardKind::Sequential),
+                ("fleet --shards 4", |s| s.shards == ShardKind::Sharded(4)),
+                ("scale --shards 1", |s| s.shards == ShardKind::Sharded(1)),
+            ],
+            &["fleet --shards 0", "sessions --shards many"],
         );
-        assert_eq!(
-            shards_of(&flags(&[("shards", "1")])).unwrap(),
-            ShardKind::Sharded(1)
-        );
-        assert!(shards_of(&flags(&[("shards", "0")])).is_err());
-        assert!(shards_of(&flags(&[("shards", "many")])).is_err());
     }
 
     #[test]
     fn usage_disambiguates_threads_from_shards() {
         // The two parallelism axes must each explain themselves in
         // terms of the other.
-        assert!(usage().contains("whole pair runs"));
-        assert!(usage().contains("inside one simulation"));
+        // Help is word-wrapped, so compare with line breaks as spaces.
+        let usage = usage().split_whitespace().collect::<Vec<_>>().join(" ");
+        assert!(usage.contains("whole pair runs"));
+        assert!(usage.contains("inside one simulation"));
     }
 
     #[test]
     fn threads_defaults_to_auto_and_accepts_explicit_counts() {
         // 0 = auto; the runner resolves it against the job count so a
         // 13-run corpus on a 4-core host gets 4 workers, not 1.
-        assert_eq!(threads_of(&flags(&[])).unwrap(), 0);
-        assert_eq!(threads_of(&flags(&[("threads", "0")])).unwrap(), 0);
-        assert_eq!(threads_of(&flags(&[("threads", "4")])).unwrap(), 4);
-        assert!(threads_of(&flags(&[("threads", "lots")])).is_err());
+        assert_spec(
+            &[
+                ("corpus", |s| s.threads == 0),
+                ("corpus --threads 0", |s| s.threads == 0),
+                ("figures --threads 4", |s| s.threads == 4),
+            ],
+            &["corpus --threads lots"],
+        );
     }
 
     #[test]
     fn engine_parses_both_engines_and_defaults_to_packet() {
-        assert_eq!(engine_of(&flags(&[])).unwrap(), EngineKind::Packet);
-        assert_eq!(
-            engine_of(&flags(&[("engine", "packet")])).unwrap(),
-            EngineKind::Packet
+        assert_spec(
+            &[
+                ("scale", |s| s.engine == EngineKind::Packet),
+                ("scale --engine packet", |s| s.engine == EngineKind::Packet),
+                ("fleet --engine hybrid", |s| s.engine == EngineKind::Hybrid),
+            ],
+            &["fleet --engine fluid"],
         );
-        assert_eq!(
-            engine_of(&flags(&[("engine", "hybrid")])).unwrap(),
-            EngineKind::Hybrid
-        );
-        assert!(engine_of(&flags(&[("engine", "fluid")])).is_err());
     }
 
     #[test]
     fn background_defaults_to_zero() {
-        assert_eq!(background_of(&flags(&[])).unwrap(), 0);
-        assert_eq!(
-            background_of(&flags(&[("background", "10000")])).unwrap(),
-            10_000
+        assert_spec(
+            &[
+                ("corpus", |s| s.background == 0),
+                ("corpus --background 10000", |s| s.background == 10_000),
+            ],
+            &["corpus --background -3"],
         );
-        assert!(background_of(&flags(&[("background", "-3")])).is_err());
+        // The fleet reads it as a per-1000 share of the population.
+        let fleet = |argv| spec(argv).and_then(|s| s.fleet_config());
+        assert_eq!(fleet("fleet").unwrap().background_permille, 250);
+        assert_eq!(
+            fleet("fleet --background 0").unwrap().background_permille,
+            0
+        );
+        assert!(fleet("fleet --background 1001").is_err());
     }
 
     #[test]

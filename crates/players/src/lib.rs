@@ -27,7 +27,6 @@ pub mod adaptive;
 pub mod calibration;
 pub mod client_core;
 pub mod config;
-pub mod control;
 pub mod real_client;
 pub mod real_server;
 pub mod scaling;

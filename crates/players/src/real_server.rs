@@ -79,19 +79,13 @@ impl RealServer {
         }
     }
 
-    /// The session configuration being served.
-    pub fn config(&self) -> &StreamConfig {
-        &self.config
-    }
-
     /// The effective buffering ratio in use (post-bottleneck-cap).
     pub fn effective_beta(&self) -> f64 {
         self.beta
     }
 
-    /// Begin streaming to `client` (the UDP START path calls this;
-    /// the RTSP-style control channel calls it on PLAY).
-    pub fn begin_streaming(&mut self, ctx: &mut Ctx<'_>, client: (Ipv4Addr, u16)) {
+    /// Begin streaming to `client` on its UDP START datagram.
+    fn begin_streaming(&mut self, ctx: &mut Ctx<'_>, client: (Ipv4Addr, u16)) {
         if self.client.is_some() {
             return;
         }

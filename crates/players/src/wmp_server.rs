@@ -68,11 +68,6 @@ impl WmpServer {
         }
     }
 
-    /// The session configuration being served.
-    pub fn config(&self) -> &StreamConfig {
-        &self.config
-    }
-
     /// The data-unit size this clip streams with (useful in tests).
     pub fn unit_bytes(&self) -> usize {
         self.unit_bytes
@@ -83,9 +78,8 @@ impl WmpServer {
         self.tick
     }
 
-    /// Begin streaming to `client` (the UDP START path calls this;
-    /// the RTSP-style control channel calls it on PLAY).
-    pub fn begin_streaming(&mut self, ctx: &mut Ctx<'_>, client: (Ipv4Addr, u16)) {
+    /// Begin streaming to `client` on its UDP START datagram.
+    fn begin_streaming(&mut self, ctx: &mut Ctx<'_>, client: (Ipv4Addr, u16)) {
         if self.client.is_some() {
             return;
         }
