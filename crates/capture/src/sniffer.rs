@@ -133,27 +133,6 @@ impl Sniffer {
         );
         handle
     }
-
-    /// Like [`Sniffer::attach`], but retain only records matching
-    /// `filter` (a capture filter, as opposed to the display filters
-    /// applied after the fact). Rejected packets still count toward
-    /// [`Capture::sniffed`].
-    pub fn attach_filtered(sim: &mut Simulation, node: NodeId, filter: Filter) -> CaptureHandle {
-        let handle: CaptureHandle = Arc::new(Mutex::new(Capture::with_capacity_hint()));
-        let tap_handle = handle.clone();
-        sim.add_tap(
-            node,
-            Box::new(move |ev| {
-                let record = PacketRecord::dissect(ev.time, ev.direction, ev.packet);
-                let mut capture = tap_handle.lock().unwrap();
-                capture.sniffed += 1;
-                if filter.matches(&record) {
-                    capture.records.push(record);
-                }
-            }),
-        );
-        handle
-    }
 }
 
 #[cfg(test)]

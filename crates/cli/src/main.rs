@@ -123,7 +123,7 @@ const COMMANDS: &[Command] = &[
             over the scale ring and print the heavy-traffic figures",
         run: commands::fleet,
         flags: &["seed", "sessions", "arrival", "duration-dist", "diurnal", "groups",
-            "wmp-permille", "background", "engine", "shards", "threads", "lineage", "rollups",
+            "wmp-permille", "background", "engine", "shards", "lineage", "rollups",
             "sample-permille", "progress", "metrics"],
     },
     Command {
@@ -132,7 +132,7 @@ const COMMANDS: &[Command] = &[
             worst sessions, sampled-lineage drill-down, deterministic JSONL/CSV export",
         run: commands::sessions,
         flags: &["seed", "sessions", "arrival", "duration-dist", "diurnal", "groups",
-            "wmp-permille", "background", "engine", "shards", "threads", "lineage",
+            "wmp-permille", "background", "engine", "shards", "lineage",
             "sample-permille", "progress", "top", "by", "session", "jsonl", "csv"],
     },
 ];
@@ -175,7 +175,7 @@ fn usage() -> String {
         let head = match flag.shape {
             Shape::Switch => format!("    --{}", flag.name),
             Shape::Value(v) => format!("    --{} {v}", flag.name),
-            Shape::OptionalValue(v) => format!("    --{} [{v}]", flag.name),
+            Shape::OptionalValue(v, _) => format!("    --{} [{v}]", flag.name),
         };
         let users: Vec<&str> = COMMANDS
             .iter()
@@ -448,6 +448,8 @@ mod tests {
                 .collect();
             assert_eq!(listed_commands(flag.name), accepting, "--{}", flag.name);
         }
+        // Only the commands that fan whole pair runs out read --threads.
+        assert_eq!(listed_commands("threads"), ["corpus", "figures", "watch"]);
         // Commands a hand-written help once left out for these flags.
         for (flag, command) in [
             ("metrics", "fleet"),
@@ -559,13 +561,20 @@ mod tests {
 
     #[test]
     fn metrics_flag_takes_an_optional_value() {
+        let command = |name| COMMANDS.iter().find(|c| c.name == name).unwrap();
         // `watch --metrics tx,loss` consumes the list as a value...
-        let parsed = parse_flags(&args(&["--metrics", "tx,loss", "--seed", "7"]), &TEST).unwrap();
+        let watch = args(&["--metrics", "tx,loss", "--seed", "7"]);
+        let parsed = parse_flags(&watch, command("watch")).unwrap();
         assert_eq!(parsed.get("metrics").map(String::as_str), Some("tx,loss"));
         assert_eq!(parsed.get("seed").map(String::as_str), Some("7"));
-        // ...while `obs --metrics --trace t.jsonl` stays a bare switch.
+        // ...while `obs --metrics --trace t.jsonl` stays a bare switch...
         let parsed = parse_flags(&args(&["--metrics", "--trace", "t.jsonl"]), &TEST).unwrap();
         assert_eq!(parsed.get("metrics").map(String::as_str), Some("true"));
         assert_eq!(parsed.get("trace").map(String::as_str), Some("t.jsonl"));
+        // ...and a command that reads no value rejects one.
+        assert_eq!(
+            parse_flags(&args(&["--metrics", "dropped"]), command("obs")),
+            Err("--metrics takes no value for obs, got \"dropped\"".to_string())
+        );
     }
 }

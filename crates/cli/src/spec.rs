@@ -22,10 +22,10 @@ pub enum Shape {
     Switch,
     /// Always followed by a value, shown in help as the given name.
     Value(&'static str),
-    /// Takes a value when one follows, else stands alone:
-    /// `obs --metrics` prints the full exposition, while
+    /// Stands alone, or on the listed commands takes a value when one
+    /// follows: `obs --metrics` prints the full exposition, while
     /// `watch --metrics tx,loss` narrows the view to matching series.
-    OptionalValue(&'static str),
+    OptionalValue(&'static str, &'static [&'static str]),
 }
 
 /// One flag: its name, value shape and help text. Which commands
@@ -53,9 +53,8 @@ pub const FLAGS: &[Flag] = &[
         sequentially)"),
     flag("sets", Value("1,2,5"), "restrict the corpus to these data sets (watch: with --corpus)"),
     flag("loss", Value("P"), "Bernoulli loss (0..=1) on the access link"),
-    flag("threads", Value("N"), "corpus/figures/watch: worker threads fanning *whole pair runs* \
-        across a pool (default 0 = auto: min(available cores, runs); 1 runs sequentially); \
-        fleet/sessions: threads generating the population"),
+    flag("threads", Value("N"), "worker threads fanning *whole pair runs* across a pool \
+        (default 0 = auto: min(available cores, runs); 1 runs sequentially)"),
     flag("shards", Value("N"), "parallelise inside one simulation by partitioning it into N shard \
         domains, one worker thread per domain (default: sequential, or one domain per ring group \
         for scale; results are byte-identical at every N; N may not exceed the node count)"),
@@ -71,9 +70,9 @@ pub const FLAGS: &[Flag] = &[
     flag("telemetry", Switch, "collect and print the telemetry report"),
     flag("rollups", Switch, "accumulate per-session QoE rollups (≤128 B/session) and print the \
         per-class summary"),
-    flag("metrics", OptionalValue("M,M"), "bare: also print the Prometheus-style metrics \
-        exposition; watch: restrict the view to metric names containing any M (default: all \
-        recorded series)"),
+    flag("metrics", OptionalValue("M,M", &["watch"]), "bare: also print the Prometheus-style \
+        metrics exposition; watch: restrict the view to metric names containing any M (default: \
+        all recorded series)"),
     flag("trace", Value("FILE"), "record lineage and write it as Perfetto (Chrome-trace) JSON, as \
         timeline --perfetto does"),
     flag("pcap", Value("FILE"), "write the client capture as a pcap file"),
@@ -108,7 +107,7 @@ pub const FLAGS: &[Flag] = &[
     flag("lineage", Switch, "record full packet lineage for every session (figures are identical \
         either way; overrides the sampler)"),
     flag("sample-permille", Value("N"), "sessions per 1000 whose packets get full lineage, \
-        hash-selected from the seed (default 10; thread/shard/engine invariant)"),
+        hash-selected from the seed (default 10; shard/engine invariant)"),
     flag("by", Value("TERMS"), "badness ranking key — comma-separated \
         loss|rebuffer|startup|goodput, each optionally =weight (default loss,rebuffer,startup)"),
     flag("session", Value("ID"), "print the sampled session's per-packet lineage timeline"),
@@ -135,7 +134,15 @@ pub fn parse_flags(args: &[String], command: &Command) -> Result<Flags, String> 
             .expect("every accepted flag has a FLAGS entry");
         let value = match shape {
             Switch => None,
-            OptionalValue(_) => args.get(i + 1).filter(|v| !v.starts_with("--")),
+            OptionalValue(_, valued) => match args.get(i + 1).filter(|v| !v.starts_with("--")) {
+                Some(v) if !valued.contains(&command.name) => {
+                    return Err(format!(
+                        "--{key} takes no value for {}, got {v:?}",
+                        command.name
+                    ))
+                }
+                next => next,
+            },
             Value(_) => Some(
                 args.get(i + 1)
                     .ok_or_else(|| format!("--{key} needs a value"))?,
@@ -366,7 +373,6 @@ impl RunSpec {
             self.number("background", config.background_permille, 0..=1000)?;
         config.shards = self.shards;
         config.engine = self.engine;
-        config.threads = self.threads;
         config.lineage = self.switch("lineage");
         // `sessions` forces rollups on and does not accept the flag.
         config.rollups = self.flags.contains_key("rollups");

@@ -3,8 +3,9 @@
 
 use std::process::Command;
 
-/// Runs `args`, asserts the rejection and returns what went to stdout.
-fn assert_rejected(args: &[&str]) -> String {
+/// Runs `args`, asserts the rejection and returns what went to stdout
+/// and stderr.
+fn assert_rejected(args: &[&str]) -> (String, String) {
     let output = Command::new(env!("CARGO_BIN_EXE_turbulence"))
         .args(args)
         .output()
@@ -15,7 +16,8 @@ fn assert_rejected(args: &[&str]) -> String {
     assert_eq!(stderr.lines().count(), 1, "{args:?}: stderr {stderr}");
     assert!(!stderr.contains("panicked"), "{args:?}: stderr {stderr}");
     assert!(!stderr.contains("internal failure"), "{args:?}: {stderr}");
-    String::from_utf8_lossy(&output.stdout).into_owned()
+    let stdout = String::from_utf8_lossy(&output.stdout).into_owned();
+    (stdout, stderr.into_owned())
 }
 
 #[test]
@@ -78,7 +80,7 @@ fn bad_drill_down_session_fails_before_the_fleet_runs() {
         let argv: Vec<&str> = std::iter::once("sessions")
             .chain(args.split_whitespace())
             .collect();
-        let stdout = assert_rejected(&argv);
+        let (stdout, _) = assert_rejected(&argv);
         assert!(stdout.is_empty(), "{args}: stdout {stdout}");
     }
 }
@@ -108,4 +110,27 @@ fn fleet_counts_outside_their_range_are_rejected() {
 fn unparsable_shared_knobs_are_rejected() {
     assert_rejected(&["corpus", "--threads", "lots"]);
     assert_rejected(&["ping", "--seed", "x"]);
+}
+
+#[test]
+fn a_metrics_value_is_rejected_where_only_watch_reads_one() {
+    for argv in [
+        &["obs", "--set", "2", "--metrics", "dropped"][..],
+        &["fleet", "--sessions", "10", "--metrics", "link_tx"],
+    ] {
+        let (stdout, stderr) = assert_rejected(argv);
+        assert!(stdout.is_empty(), "{argv:?}: stdout {stdout}");
+        assert!(stderr.contains("--metrics takes no value"), "{stderr}");
+    }
+}
+
+#[test]
+fn threads_is_not_a_fleet_knob() {
+    for command in ["fleet", "sessions"] {
+        let (_, stderr) = assert_rejected(&[command, "--sessions", "10", "--threads", "2"]);
+        assert_eq!(
+            stderr.trim_end(),
+            format!("error: unknown flag --threads for {command}")
+        );
+    }
 }

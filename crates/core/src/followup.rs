@@ -1,18 +1,11 @@
-//! The paper's proposed follow-up studies (§VI), executable.
-//!
-//! * [`run_tcp_friendliness`] — "Studies similar to this one under
-//!   bandwidth constrained conditions might help explore the
-//!   feasibility of TCP-Friendliness (or, more likely the lack of
-//!   TCP-Friendliness) in commercial media players": share a
-//!   bottleneck between a player's UDP stream and a greedy TCP flow
-//!   and measure who yields.
-//! * [`run_egress_study`] — "It would be interesting to examine traces
-//!   at an Internet boundary, such as the egress to our University, or
-//!   at least at several players": N clients streaming simultaneously
-//!   through the campus access router, with the sniffer at the egress.
+//! The paper's proposed follow-up study (§VI), executable:
+//! [`run_tcp_friendliness`] — "Studies similar to this one under
+//! bandwidth constrained conditions might help explore the feasibility
+//! of TCP-Friendliness (or, more likely the lack of TCP-Friendliness)
+//! in commercial media players": share a bottleneck between a player's
+//! UDP stream and a greedy TCP flow and measure who yields.
 
 use std::net::Ipv4Addr;
-use turb_capture::{Capture, Filter, FragmentGroups, Sniffer};
 use turb_media::{Clip, PlayerId};
 use turb_netsim::tcp::TcpConfig;
 use turb_netsim::tcp_apps::spawn_bulk_transfer;
@@ -164,110 +157,6 @@ pub fn run_tcp_friendliness(config: &FriendlinessConfig) -> FriendlinessResult {
     }
 }
 
-/// Configuration of the egress (Internet-boundary) study.
-#[derive(Debug, Clone)]
-pub struct EgressConfig {
-    /// Deterministic seed.
-    pub seed: u64,
-    /// One clip per client (clients stream concurrently).
-    pub clips: Vec<Clip>,
-    /// Campus egress link rate, bit/s (shared by all clients).
-    pub egress_bps: u64,
-    /// Observation window, seconds.
-    pub observe_secs: f64,
-}
-
-/// Outcome of the egress study.
-#[derive(Debug)]
-pub struct EgressResult {
-    /// Per-client tracker logs.
-    pub logs: Vec<AppStatsLog>,
-    /// The capture at the egress router (aggregated view).
-    pub capture: Capture,
-    /// Aggregate arrival rate at the egress over the window, Kbit/s.
-    pub aggregate_kbps: f64,
-    /// Fragmentation share of the aggregate (MediaPlayer's share of
-    /// the mix drives this).
-    pub fragment_fraction: f64,
-}
-
-/// Run the egress study: N clients behind one campus router, each
-/// streaming its own clip from its own server, sniffer at the egress.
-pub fn run_egress_study(config: &EgressConfig) -> EgressResult {
-    assert!(!config.clips.is_empty());
-    let mut sim = Simulation::new(config.seed);
-    let mut rng = SimRng::new(config.seed ^ 0xe91e55);
-
-    let egress = sim.add_router("campus-egress", Ipv4Addr::new(130, 215, 0, 1));
-    let capture = Sniffer::attach(&mut sim, egress);
-
-    let mut logs = Vec::new();
-    for (i, clip) in config.clips.iter().enumerate() {
-        let client_addr = Ipv4Addr::new(130, 215, 36, 10 + i as u8);
-        let server_addr = Ipv4Addr::new(204, 71, i as u8, 33);
-        let client = sim.add_host(&format!("client{i}"), client_addr);
-        let server = sim.add_host(&format!("server{i}"), server_addr);
-        // Client LAN: fast, short.
-        let (cu, cd) = sim.add_duplex(
-            client,
-            egress,
-            LinkConfig::ethernet_10m(SimDuration::from_micros(50)),
-        );
-        // Server side: the shared egress capacity models the campus
-        // uplink; per-server tails are fast.
-        let uplink = LinkConfig {
-            rate_bps: config.egress_bps,
-            propagation: SimDuration::from_millis(20),
-            queue_capacity: 128 * 1024,
-            mtu: turb_wire::DEFAULT_MTU,
-        };
-        let (eu, ed) = sim.add_duplex(egress, server, uplink);
-        sim.core_mut().node_mut(client).default_route = Some(cu);
-        sim.core_mut().node_mut(egress).add_route(client_addr, cd);
-        sim.core_mut().node_mut(egress).add_route(server_addr, eu);
-        sim.core_mut().node_mut(server).default_route = Some(ed);
-
-        let stream_config = StreamConfig {
-            clip: clip.clone(),
-            server_addr,
-            server_port: match clip.player {
-                PlayerId::RealPlayer => 554,
-                PlayerId::MediaPlayer => 1755,
-            },
-            client_addr,
-            client_port: 7000,
-            bottleneck_bps: config.egress_bps,
-        };
-        logs.push(spawn_stream(&mut sim, server, client, stream_config, &mut rng).log);
-    }
-
-    sim.run_to_idle(SimTime::ZERO + SimDuration::from_secs_f64(config.observe_secs));
-
-    let capture_data = {
-        let borrowed = capture.lock().unwrap();
-        let mut out = Capture::default();
-        for r in borrowed.records() {
-            out.push_record(r.clone());
-        }
-        out
-    };
-    // Aggregate: media-bearing UDP crossing the egress toward clients.
-    let media = Filter::Udp.and(Filter::PortIs(7000));
-    let first_frag_or_whole = Filter::Udp.and(Filter::ContinuationFragments.negate());
-    let _ = first_frag_or_whole;
-    let records = capture_data.filtered(&media);
-    let groups =
-        FragmentGroups::build(capture_data.filtered(&Filter::Udp.and(Filter::direction_tx())));
-    let bytes: usize = groups.groups().iter().map(|g| g.wire_bytes).sum();
-    let _ = records;
-    EgressResult {
-        logs: logs.iter().map(|l| l.lock().unwrap().clone()).collect(),
-        aggregate_kbps: bytes as f64 * 8.0 / config.observe_secs / 1000.0,
-        fragment_fraction: groups.stats().fragment_fraction(),
-        capture: capture_data,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -341,60 +230,5 @@ mod tests {
             result.tcp_retention()
         );
         assert!(result.stream_loss < 0.01);
-    }
-
-    #[test]
-    fn egress_study_aggregates_multiple_clients() {
-        let sets = corpus::table1();
-        let pair = sets[1].pair(RateClass::Low).unwrap().clone(); // 39 s
-        let clips = vec![
-            pair.real.clone(),
-            pair.wmp.clone(),
-            pair.real.clone(),
-            pair.wmp.clone(),
-        ];
-        let result = run_egress_study(&EgressConfig {
-            seed: 44,
-            clips,
-            egress_bps: 10_000_000,
-            observe_secs: 120.0,
-        });
-        assert_eq!(result.logs.len(), 4);
-        for log in &result.logs {
-            assert!(log.stream_end.is_some(), "{} unfinished", log.clip.name());
-            assert_eq!(log.packets_lost, 0);
-        }
-        // Aggregate ≈ sum of the four playback rates (over the clip's
-        // 39 s, diluted across the 120 s window).
-        let expected: f64 = result
-            .logs
-            .iter()
-            .map(|l| l.bytes_total as f64 * 8.0 / 120.0 / 1000.0)
-            .sum();
-        assert!(
-            (result.aggregate_kbps - expected).abs() / expected < 0.25,
-            "aggregate {} vs {}",
-            result.aggregate_kbps,
-            expected
-        );
-        // No fragmentation at these low rates.
-        assert_eq!(result.fragment_fraction, 0.0);
-    }
-
-    #[test]
-    fn egress_sees_fragmentation_when_high_rate_wmp_is_in_the_mix() {
-        let sets = corpus::table1();
-        let pair = sets[1].pair(RateClass::High).unwrap().clone();
-        let result = run_egress_study(&EgressConfig {
-            seed: 45,
-            clips: vec![pair.wmp.clone(), pair.real.clone()],
-            egress_bps: 10_000_000,
-            observe_secs: 100.0,
-        });
-        assert!(
-            result.fragment_fraction > 0.2,
-            "fraction = {}",
-            result.fragment_fraction
-        );
     }
 }

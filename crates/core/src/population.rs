@@ -12,15 +12,14 @@
 //!
 //! The population table is generated up front as a pure function of
 //! `(seed, config)` — never of simulator state — so a fleet run stays
-//! a deterministic replay: byte-identical across `--threads`,
-//! `--shards`, lineage on/off, and (at zero background) engine choice.
+//! a deterministic replay: byte-identical across `--shards`, lineage
+//! on/off, and (at zero background) engine choice.
 //! Sessions carry no strings at all — a session is an integer id into
 //! the spec table and the ledger — and the only per-group labels are
 //! interned once through [`turb_obs::intern::Interner`], so the
 //! steady-state cost of a session is the ~56 bytes documented in
 //! [`turb_netsim::fleet`].
 
-use crate::parallel;
 use crate::scale::fnv1a;
 use std::sync::Arc;
 use turb_flowgen::lower::aggregate_session_schedule;
@@ -32,6 +31,7 @@ use turb_netsim::{
 };
 use turb_obs::intern::Interner;
 use turb_obs::{MetricsRegistry, ProgressMeter, SessionDump, SessionRecorder, SessionSampler};
+use turb_players::calibration::{REAL_SESSION_TIERS_KBPS, WMP_SESSION_TIERS_KBPS};
 
 /// How sessions arrive.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -152,8 +152,6 @@ pub struct FleetRunConfig {
     pub shards: ShardKind,
     /// Background class on the packet path or the fluid solver.
     pub engine: EngineKind,
-    /// Worker threads for post-run figure aggregation (0 = all cores).
-    pub threads: usize,
     /// Record packet lineage during the run (memory-heavy; figures
     /// must not change either way).
     pub lineage: bool,
@@ -162,7 +160,7 @@ pub struct FleetRunConfig {
     pub rollups: bool,
     /// Sessions per 1000 whose packets additionally get full lineage
     /// spans, selected by a deterministic hash of `(seed, session id)`
-    /// — thread-, shard-, and engine-invariant. Only meaningful with
+    /// — shard- and engine-invariant. Only meaningful with
     /// `rollups`; ignored when `lineage` already records everything.
     pub sample_permille: u32,
     /// Emit a periodic heartbeat line on stderr (sim time, event rate,
@@ -190,7 +188,6 @@ impl FleetRunConfig {
             max_packets_per_session: 12,
             shards: ShardKind::Sequential,
             engine: EngineKind::Packet,
-            threads: 1,
             lineage: false,
             rollups: false,
             sample_permille: turb_obs::DEFAULT_SESSION_SAMPLE_PERMILLE,
@@ -226,9 +223,8 @@ pub struct FleetRunResult {
     /// counted in [`FleetRunResult::queue_memory_bytes`] instead.
     pub heap_bytes_per_session: u64,
     /// FNV-1a digest over metrics text + figures + event counters.
-    /// Identical digests across thread counts, shard counts, lineage
-    /// settings (and engines at zero background) mean byte-identical
-    /// runs.
+    /// Identical digests across shard counts, lineage settings (and
+    /// engines at zero background) mean byte-identical runs.
     pub digest: u64,
     /// Shard-engine diagnostics; `None` for sequential runs.
     pub diag: Option<ShardDiag>,
@@ -305,8 +301,12 @@ pub fn generate_sessions(config: &FleetRunConfig) -> Vec<SessionSpec> {
         let life = durations.sample_from(&config.duration);
         let wmp = mix.chance(config.wmp_permille as f64 / 1000.0);
         let background = mix.chance(config.background_permille as f64 / 1000.0);
-        let ladder = turb_players::scaling::session_ladder(wmp);
-        let rate_bps = (ladder.rate(mix.index(ladder.len())) * 1000.0) as u64;
+        let tiers = if wmp {
+            &WMP_SESSION_TIERS_KBPS
+        } else {
+            &REAL_SESSION_TIERS_KBPS
+        };
+        let rate_bps = (tiers[mix.index(tiers.len())] * 1000.0) as u64;
 
         // Thin the nominal media rate to a bounded send schedule; the
         // true rate stays on the spec for offered-load figures and for
@@ -458,45 +458,22 @@ pub fn run_fleet(config: &FleetRunConfig) -> FleetRunResult {
     let stats = sim.sim_stats();
 
     // Offered load, computed analytically from the spec table: each
-    // session sends `packets` datagrams at start + k·interval. Chunked
-    // over a fixed count so the merge is thread-count invariant by
-    // construction (the sums are commutative anyway).
-    let chunk_bounds: Vec<(usize, usize)> = {
-        let n = specs.len();
-        let chunks = 64.min(n);
-        (0..chunks)
-            .map(|c| (c * n / chunks, (c + 1) * n / chunks))
-            .collect()
-    };
-    let partials = parallel::map_ordered(&chunk_bounds, config.threads, |&(lo, hi)| {
-        let mut fg = vec![0u64; windows];
-        let mut bg = vec![0u64; windows];
-        let (mut fg_dg, mut bg_dg) = (0u64, 0u64);
-        for s in &specs[lo..hi] {
-            let (buf, dg) = if s.background {
-                (&mut bg, &mut bg_dg)
-            } else {
-                (&mut fg, &mut fg_dg)
-            };
-            *dg += s.packets as u64;
-            for k in 0..s.packets as u64 {
-                let at = s.start_ns + k * s.interval_ns;
-                let w = ((at / FLEET_WINDOW_NS) as usize).min(windows - 1);
-                buf[w] += s.payload as u64;
-            }
-        }
-        (fg, bg, fg_dg, bg_dg)
-    });
+    // session sends `packets` datagrams at start + k·interval.
     let mut offered_fg = vec![0u64; windows];
     let mut offered_bg = vec![0u64; windows];
     let (mut fg_offered, mut bg_offered) = (0u64, 0u64);
-    for (fg, bg, fg_dg, bg_dg) in partials {
-        for w in 0..windows {
-            offered_fg[w] += fg[w];
-            offered_bg[w] += bg[w];
+    for s in specs.iter() {
+        let (buf, dg) = if s.background {
+            (&mut offered_bg, &mut bg_offered)
+        } else {
+            (&mut offered_fg, &mut fg_offered)
+        };
+        *dg += s.packets as u64;
+        for k in 0..s.packets as u64 {
+            let at = s.start_ns + k * s.interval_ns;
+            let w = ((at / FLEET_WINDOW_NS) as usize).min(windows - 1);
+            buf[w] += s.payload as u64;
         }
-        fg_offered += fg_dg;
-        bg_offered += bg_dg;
     }
 
     let ledger = scenario.ledger.lock().unwrap();
@@ -754,18 +731,13 @@ mod tests {
     }
 
     #[test]
-    fn digest_is_shard_and_thread_invariant() {
+    fn digest_is_shard_invariant() {
         let base = run_fleet(&small(7));
         for shards in [ShardKind::Sharded(2), ShardKind::Sharded(4)] {
             let r = run_fleet(&FleetRunConfig { shards, ..small(7) });
             assert_eq!(base.digest, r.digest, "{shards:?}");
             assert_eq!(base.figures, r.figures, "{shards:?}");
         }
-        let threaded = run_fleet(&FleetRunConfig {
-            threads: 4,
-            ..small(7)
-        });
-        assert_eq!(base.digest, threaded.digest);
     }
 
     #[test]

@@ -17,11 +17,6 @@ pub struct CorpusResult {
 }
 
 impl CorpusResult {
-    /// Runs belonging to one data set.
-    pub fn for_set(&self, set_id: u8) -> Vec<&PairRunResult> {
-        self.runs.iter().filter(|r| r.set_id == set_id).collect()
-    }
-
     /// The run for (set, class), if present.
     pub fn run(&self, set_id: u8, class: turb_media::RateClass) -> Option<&PairRunResult> {
         self.runs

@@ -76,12 +76,6 @@ impl SimRng {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
-    /// Uniform in `[lo, hi)`. `lo == hi` returns `lo`.
-    pub fn range_f64(&mut self, lo: f64, hi: f64) -> f64 {
-        debug_assert!(lo <= hi);
-        lo + self.f64() * (hi - lo)
-    }
-
     /// Uniform integer in `[lo, hi]` (inclusive), unbiased via rejection.
     pub fn range_u64(&mut self, lo: u64, hi: u64) -> u64 {
         debug_assert!(lo <= hi);

@@ -51,11 +51,6 @@ impl PingReport {
     pub fn max_rtt(&self) -> Option<SimDuration> {
         self.rtts.iter().copied().max()
     }
-
-    /// Minimum RTT.
-    pub fn min_rtt(&self) -> Option<SimDuration> {
-        self.rtts.iter().copied().min()
-    }
 }
 
 const TOKEN_SEND: u64 = 1;

@@ -5,10 +5,10 @@
 //! * [`Interner`]/[`SymbolId`] — the shared symbol table: component
 //!   labels and metric keys are interned once and the hot paths deal
 //!   in `u32` handles, never per-event `String` clones.
-//! * [`MetricsRegistry`] — counters, gauges, fixed-bucket histograms,
-//!   and mergeable [`LogHistogram`] latency sketches keyed by a
-//!   `&'static str` metric name plus an interned component label,
-//!   rendered Prometheus-style by [`MetricsRegistry::render_text`].
+//! * [`MetricsRegistry`] — counters, gauges and mergeable
+//!   [`LogHistogram`] latency sketches keyed by a `&'static str`
+//!   metric name plus an interned component label, rendered
+//!   Prometheus-style by [`MetricsRegistry::render_text`].
 //! * [`TimeSeriesRecorder`] — fixed simulated-time windows (default
 //!   1 s) over counters and gauges, ring-buffered per series, exported
 //!   as a [`SeriesDump`] for `turbulence watch` and plotting.
@@ -43,7 +43,7 @@ pub use lineage::{
     StagedEvents, SPAN_DOMAIN_SHIFT, SPAN_LOCAL_MASK,
 };
 pub use loghist::LogHistogram;
-pub use metrics::{Histogram, MetricKey, MetricsRegistry, SCOPE_NS_BUCKETS};
+pub use metrics::{MetricKey, MetricsRegistry};
 pub use progress::ProgressMeter;
 pub use report::{CheckReport, FragReport, LinkReport, PlayerReport, PropCheckReport, RunReport};
 pub use session::{

@@ -1,12 +1,12 @@
 //! Log-bucket (HDR-style) histograms for latency-class metrics.
 //!
-//! The fixed decade buckets the registry started with (`SCOPE_NS_BUCKETS`)
-//! lose all shape information inside a decade and cannot be merged with
-//! sketches of a different layout. A [`LogHistogram`] instead covers the
-//! full `u64` range with log₂ octaves split into 2⁴ = 16 sub-buckets,
-//! giving a worst-case relative error of 1/16 ≈ 6 % at every scale while
-//! storing only the buckets actually hit (a sparse, sorted list). Two
-//! sketches always merge exactly — bucket layout is a property of the
+//! Fixed decade buckets would lose all shape information inside a
+//! decade and could not be merged with sketches of a different layout.
+//! A [`LogHistogram`] instead covers the full `u64` range with log₂
+//! octaves split into 2⁴ = 16 sub-buckets, giving a worst-case relative
+//! error of 1/16 ≈ 6 % at every scale while storing only the buckets
+//! actually hit (a sparse, sorted list). Two sketches always merge
+//! exactly — bucket layout is a property of the
 //! type, not the instance — which is what lets per-worker registries
 //! combine canonically.
 //!

@@ -1,6 +1,6 @@
-//! The metrics registry: counters, gauges, fixed-bucket histograms,
-//! and log-bucket latency sketches, keyed by a static metric name plus
-//! an interned per-instance component label.
+//! The metrics registry: counters, gauges and log-bucket latency
+//! sketches, keyed by a static metric name plus an interned
+//! per-instance component label.
 //!
 //! Keys are `(&'static str, SymbolId)` pairs — the component string is
 //! interned once per registry and every later record is a hash lookup
@@ -28,71 +28,6 @@ pub struct MetricKey {
     pub comp: SymbolId,
 }
 
-/// A fixed-bucket histogram (Prometheus-style cumulative buckets).
-#[derive(Debug, Clone, PartialEq)]
-pub struct Histogram {
-    /// Upper bounds of the buckets, ascending. An implicit `+Inf`
-    /// bucket always follows.
-    pub bounds: &'static [f64],
-    /// Observation counts per bucket; `counts[bounds.len()]` is the
-    /// overflow (`+Inf`) bucket.
-    pub counts: Vec<u64>,
-    /// Sum of observed values.
-    pub sum: f64,
-    /// Number of observations.
-    pub count: u64,
-}
-
-impl Histogram {
-    /// A histogram with the given ascending bucket bounds.
-    pub fn new(bounds: &'static [f64]) -> Histogram {
-        debug_assert!(bounds.windows(2).all(|w| w[0] < w[1]), "bounds ascending");
-        Histogram {
-            bounds,
-            counts: vec![0; bounds.len() + 1],
-            sum: 0.0,
-            count: 0,
-        }
-    }
-
-    /// Record one observation.
-    pub fn observe(&mut self, value: f64) {
-        let idx = self
-            .bounds
-            .iter()
-            .position(|&b| value <= b)
-            .unwrap_or(self.bounds.len());
-        self.counts[idx] += 1;
-        self.sum += value;
-        self.count += 1;
-    }
-
-    /// Mean of the observations (0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum / self.count as f64
-        }
-    }
-
-    /// Merge another histogram with identical bounds into this one.
-    pub fn merge(&mut self, other: &Histogram) {
-        assert_eq!(self.bounds, other.bounds, "histogram bounds must match");
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
-        }
-        self.sum += other.sum;
-        self.count += other.count;
-    }
-}
-
-/// Legacy wall-clock scope buckets in nanoseconds: 1 µs … 100 s.
-/// Latency-class metrics now land in [`LogHistogram`] sketches
-/// ([`MetricsRegistry::log_observe`]); these decade bounds remain only
-/// for callers that explicitly want fixed coarse buckets.
-pub const SCOPE_NS_BUCKETS: &[f64] = &[1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11];
-
 /// The registry of all metrics recorded during a run.
 ///
 /// Each store is a `Vec` kept sorted by `(name, component string)`;
@@ -103,7 +38,6 @@ pub struct MetricsRegistry {
     interner: Interner,
     counters: Vec<(MetricKey, u64)>,
     gauges: Vec<(MetricKey, f64)>,
-    histograms: Vec<(MetricKey, Histogram)>,
     log_histograms: Vec<(MetricKey, LogHistogram)>,
 }
 
@@ -177,26 +111,6 @@ impl MetricsRegistry {
         }
     }
 
-    /// Observe `value` into a fixed-bucket histogram created with
-    /// `bounds` on first use.
-    pub fn histogram_observe(
-        &mut self,
-        name: &'static str,
-        component: &str,
-        bounds: &'static [f64],
-        value: f64,
-    ) {
-        let comp = self.interner.intern(component);
-        match find(&self.histograms, &self.interner, name, component) {
-            Ok(pos) => self.histograms[pos].1.observe(value),
-            Err(pos) => {
-                let mut h = Histogram::new(bounds);
-                h.observe(value);
-                self.histograms.insert(pos, (MetricKey { name, comp }, h));
-            }
-        }
-    }
-
     /// Observe `value` into a log-bucket latency sketch (created empty
     /// on first use). This is the home for every latency-class metric;
     /// sketches merge exactly across registries.
@@ -240,14 +154,6 @@ impl MetricsRegistry {
         }
     }
 
-    /// Read a fixed-bucket histogram.
-    pub fn histogram(&self, name: &str, component: &str) -> Option<&Histogram> {
-        match find(&self.histograms, &self.interner, name, component) {
-            Ok(pos) => Some(&self.histograms[pos].1),
-            Err(_) => None,
-        }
-    }
-
     /// Read a log-bucket sketch.
     pub fn log_histogram(&self, name: &str, component: &str) -> Option<&LogHistogram> {
         match find(&self.log_histograms, &self.interner, name, component) {
@@ -273,10 +179,7 @@ impl MetricsRegistry {
 
     /// True when nothing has been recorded.
     pub fn is_empty(&self) -> bool {
-        self.counters.is_empty()
-            && self.gauges.is_empty()
-            && self.histograms.is_empty()
-            && self.log_histograms.is_empty()
+        self.counters.is_empty() && self.gauges.is_empty() && self.log_histograms.is_empty()
     }
 
     /// Whether every store is in canonical `(name, component)` order.
@@ -292,12 +195,11 @@ impl MetricsRegistry {
         }
         sorted(&self.counters, &self.interner)
             && sorted(&self.gauges, &self.interner)
-            && sorted(&self.histograms, &self.interner)
             && sorted(&self.log_histograms, &self.interner)
     }
 
-    /// Merge every metric from `other` into this registry (counters,
-    /// histograms, and sketches add; gauges take the max, which suits
+    /// Merge every metric from `other` into this registry (counters
+    /// and sketches add; gauges take the max, which suits
     /// high-water marks — the only gauges the pipeline records).
     /// Symbols are resolved through `other`'s interner and re-interned
     /// here, so registries built by different workers merge canonically
@@ -308,16 +210,6 @@ impl MetricsRegistry {
         }
         for (k, v) in &other.gauges {
             self.gauge_max(k.name, other.interner.resolve(k.comp), *v);
-        }
-        for (k, h) in &other.histograms {
-            let component = other.interner.resolve(k.comp);
-            let comp = self.interner.intern(component);
-            match find(&self.histograms, &self.interner, k.name, component) {
-                Ok(pos) => self.histograms[pos].1.merge(h),
-                Err(pos) => self
-                    .histograms
-                    .insert(pos, (MetricKey { name: k.name, comp }, h.clone())),
-            }
         }
         for (k, h) in &other.log_histograms {
             let component = other.interner.resolve(k.comp);
@@ -342,28 +234,6 @@ impl MetricsRegistry {
         for (k, value) in &self.gauges {
             let (name, component) = (k.name, self.interner.resolve(k.comp));
             let _ = writeln!(out, "{name}{{component=\"{component}\"}} {value}");
-        }
-        for (k, hist) in &self.histograms {
-            let (name, component) = (k.name, self.interner.resolve(k.comp));
-            let mut cumulative = 0u64;
-            for (i, count) in hist.counts.iter().enumerate() {
-                cumulative += count;
-                let le = hist
-                    .bounds
-                    .get(i)
-                    .map(|b| format!("{b}"))
-                    .unwrap_or_else(|| "+Inf".to_string());
-                let _ = writeln!(
-                    out,
-                    "{name}_bucket{{component=\"{component}\",le=\"{le}\"}} {cumulative}"
-                );
-            }
-            let _ = writeln!(out, "{name}_sum{{component=\"{component}\"}} {}", hist.sum);
-            let _ = writeln!(
-                out,
-                "{name}_count{{component=\"{component}\"}} {}",
-                hist.count
-            );
         }
         for (k, hist) in &self.log_histograms {
             let (name, component) = (k.name, self.interner.resolve(k.comp));
@@ -399,46 +269,21 @@ impl MetricsRegistry {
 /// still compare equal.
 impl PartialEq for MetricsRegistry {
     fn eq(&self, other: &MetricsRegistry) -> bool {
-        let counters_eq = self.counters.len() == other.counters.len()
-            && self
-                .counters
-                .iter()
-                .zip(&other.counters)
-                .all(|((ka, va), (kb, vb))| {
-                    ka.name == kb.name
-                        && self.interner.resolve(ka.comp) == other.interner.resolve(kb.comp)
-                        && va == vb
-                });
-        let gauges_eq = self.gauges.len() == other.gauges.len()
-            && self
-                .gauges
-                .iter()
-                .zip(&other.gauges)
-                .all(|((ka, va), (kb, vb))| {
-                    ka.name == kb.name
-                        && self.interner.resolve(ka.comp) == other.interner.resolve(kb.comp)
-                        && va == vb
-                });
-        let hist_eq = self.histograms.len() == other.histograms.len()
-            && self
-                .histograms
-                .iter()
-                .zip(&other.histograms)
-                .all(|((ka, va), (kb, vb))| {
-                    ka.name == kb.name
-                        && self.interner.resolve(ka.comp) == other.interner.resolve(kb.comp)
-                        && va == vb
-                });
-        let log_eq =
-            self.log_histograms.len() == other.log_histograms.len()
-                && self.log_histograms.iter().zip(&other.log_histograms).all(
-                    |((ka, va), (kb, vb))| {
-                        ka.name == kb.name
-                            && self.interner.resolve(ka.comp) == other.interner.resolve(kb.comp)
-                            && va == vb
-                    },
-                );
-        counters_eq && gauges_eq && hist_eq && log_eq
+        fn same<T: PartialEq>(
+            a: &[(MetricKey, T)],
+            ai: &Interner,
+            b: &[(MetricKey, T)],
+            bi: &Interner,
+        ) -> bool {
+            a.len() == b.len()
+                && a.iter().zip(b).all(|((ka, va), (kb, vb))| {
+                    ka.name == kb.name && ai.resolve(ka.comp) == bi.resolve(kb.comp) && va == vb
+                })
+        }
+        let (ai, bi) = (&self.interner, &other.interner);
+        same(&self.counters, ai, &other.counters, bi)
+            && same(&self.gauges, ai, &other.gauges, bi)
+            && same(&self.log_histograms, ai, &other.log_histograms, bi)
     }
 }
 
@@ -479,22 +324,6 @@ mod tests {
     }
 
     #[test]
-    fn histogram_buckets_are_cumulative_in_render() {
-        let mut reg = MetricsRegistry::new();
-        for v in [0.5, 1.5, 2.5, 100.0] {
-            reg.histogram_observe("lat", "a", &[1.0, 2.0, 3.0], v);
-        }
-        let h = reg.histogram("lat", "a").unwrap();
-        assert_eq!(h.count, 4);
-        assert_eq!(h.counts, vec![1, 1, 1, 1]);
-        let text = reg.render_text();
-        assert!(text.contains("lat_bucket{component=\"a\",le=\"1\"} 1"));
-        assert!(text.contains("lat_bucket{component=\"a\",le=\"3\"} 3"));
-        assert!(text.contains("lat_bucket{component=\"a\",le=\"+Inf\"} 4"));
-        assert!(text.contains("lat_count{component=\"a\"} 4"));
-    }
-
-    #[test]
     fn log_histograms_render_and_merge() {
         let mut reg = MetricsRegistry::new();
         reg.log_observe("scope_ns", "pair", 1000);
@@ -513,7 +342,6 @@ mod tests {
             reg.counter_add("b_total", "z", 1);
             reg.counter_add("a_total", "y", 2);
             reg.gauge_set("g", "x", 1.25);
-            reg.histogram_observe("h", "w", &[1.0], 0.5);
             reg.log_observe("l_ns", "v", 9);
             assert!(reg.keys_are_sorted(), "insertion keeps canonical order");
             reg.render_text()
@@ -535,15 +363,12 @@ mod tests {
         b.counter_add("d_total", "y", 4);
         a.gauge_max("hw", "s", 3.0);
         b.gauge_max("hw", "s", 5.0);
-        a.histogram_observe("h", "p", &[1.0], 0.5);
-        b.histogram_observe("h", "p", &[1.0], 2.0);
         a.log_observe("l_ns", "p", 10);
         b.log_observe("l_ns", "p", 20);
         a.merge(&b);
         assert_eq!(a.counter("c_total", "x"), 3);
         assert_eq!(a.counter("d_total", "y"), 4);
         assert_eq!(a.gauge("hw", "s"), Some(5.0));
-        assert_eq!(a.histogram("h", "p").unwrap().count, 2);
         assert_eq!(a.log_histogram("l_ns", "p").unwrap().count(), 2);
         assert!(a.keys_are_sorted());
     }

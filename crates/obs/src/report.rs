@@ -61,8 +61,6 @@ pub struct PlayerReport {
     pub buffer_underruns: u64,
     /// Interleave batches flushed to the network.
     pub batch_flushes: u64,
-    /// Media-scaling rate switches.
-    pub scaling_switches: u64,
     /// Packets delivered to the player.
     pub packets_received: u64,
 }
@@ -212,12 +210,8 @@ impl RunReport {
         for p in &self.players {
             let _ = writeln!(
                 out,
-                "  {:<15} {:>12} rx pkts / {} underruns / {} batch flushes / {} scaling switches",
-                p.component,
-                p.packets_received,
-                p.buffer_underruns,
-                p.batch_flushes,
-                p.scaling_switches
+                "  {:<15} {:>12} rx pkts / {} underruns / {} batch flushes",
+                p.component, p.packets_received, p.buffer_underruns, p.batch_flushes
             );
         }
         out
@@ -328,7 +322,6 @@ mod tests {
                 component: "player:mediaplayer".to_string(),
                 buffer_underruns: 2,
                 batch_flushes: 50,
-                scaling_switches: 1,
                 packets_received: 990,
             }],
         }

@@ -142,6 +142,17 @@ pub const WMP_SERVER_PORT: u16 = 1755;
 /// RealServer control/data port.
 pub const REAL_SERVER_PORT: u16 = 554;
 
+/// Windows Media encoding tiers a fleet session draws its nominal
+/// rate from, Kbit/s, highest first: Table 1's clips run from
+/// 28.8 Kbit/s up to 1128 Kbit/s. Population harnesses index this with
+/// a seeded draw so the wmp/real mix skews like the measured corpus.
+pub const WMP_SESSION_TIERS_KBPS: [f64; 6] = [1128.0, 548.0, 282.0, 109.0, 56.0, 28.8];
+
+/// RealPlayer SureStream tiers a fleet session draws from, Kbit/s,
+/// highest first: Table 1's clips run from 20 Kbit/s up to
+/// 637 Kbit/s.
+pub const REAL_SESSION_TIERS_KBPS: [f64; 6] = [637.0, 284.0, 150.0, 80.0, 44.0, 20.0];
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -211,6 +222,17 @@ mod tests {
             let upper = real_mean_payload(kbps) * REAL_SIZE_REL_MAX;
             assert!(upper.min(REAL_MAX_PAYLOAD as f64) <= 1472.0);
         }
+    }
+
+    #[test]
+    fn session_tiers_span_the_paper_encodings() {
+        for tiers in [WMP_SESSION_TIERS_KBPS, REAL_SESSION_TIERS_KBPS] {
+            assert!(tiers.windows(2).all(|w| w[0] > w[1]), "{tiers:?}");
+        }
+        assert_eq!(WMP_SESSION_TIERS_KBPS[0], 1128.0);
+        assert_eq!(WMP_SESSION_TIERS_KBPS[5], 28.8);
+        assert_eq!(REAL_SESSION_TIERS_KBPS[0], 637.0);
+        assert_eq!(REAL_SESSION_TIERS_KBPS[5], 20.0);
     }
 
     #[test]

@@ -11,25 +11,19 @@
 //!   up to 3× the playout rate, and a playback rate slightly above the
 //!   encoding rate (RealTracker instrumentation included).
 //! * [`calibration`] — every constant in the models, each annotated
-//!   with the paper sentence that pins it.
+//!   with the paper sentence that pins it, plus the encoding tiers a
+//!   fleet session draws its rate from.
 //! * [`stats`] — the tracker log schema (per-second stats, per-packet
 //!   network events, interleave batches) and the derived metrics the
 //!   figures use (average playback rate, frame rate, buffering ratio).
 //! * [`spawn`] — helpers to install a session into a
 //!   [`turb_netsim::Simulation`].
-//! * [`scaling`] / [`adaptive`] — the §VI media-scaling capability
-//!   ("capabilities that employ media scaling to reduce application
-//!   level data rates in the presence of reduced bandwidth"), as a
-//!   rate-ladder controller plus an adaptive server/client pair with
-//!   receiver feedback.
 
-pub mod adaptive;
 pub mod calibration;
 pub mod client_core;
 pub mod config;
 pub mod real_client;
 pub mod real_server;
-pub mod scaling;
 pub mod spawn;
 pub mod stats;
 pub mod telemetry;

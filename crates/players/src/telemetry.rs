@@ -4,32 +4,16 @@
 //! nothing is recorded during the simulation, so telemetry cannot
 //! perturb playback behaviour.
 
-use crate::adaptive::AdaptiveLog;
 use crate::stats::AppStatsLog;
 use turb_obs::{MetricsRegistry, PlayerReport};
 
-/// Summarise a tracker log as a [`PlayerReport`]. The standard pair
-/// run has no media scaling, so `scaling_switches` is always 0 here;
-/// see [`adaptive_report`] for the §VI adaptive sessions.
+/// Summarise a tracker log as a [`PlayerReport`].
 pub fn player_report(component: &str, log: &AppStatsLog) -> PlayerReport {
     PlayerReport {
         component: component.to_string(),
         buffer_underruns: u64::from(log.buffer_underruns),
         batch_flushes: log.app_batches.len() as u64,
-        scaling_switches: 0,
         packets_received: log.net_events.len() as u64,
-    }
-}
-
-/// Summarise an adaptive (media-scaling) session. Each entry in the
-/// rate history after the first is one scaling switch.
-pub fn adaptive_report(component: &str, log: &AdaptiveLog) -> PlayerReport {
-    PlayerReport {
-        component: component.to_string(),
-        buffer_underruns: 0,
-        batch_flushes: 0,
-        scaling_switches: log.rate_history.len().saturating_sub(1) as u64,
-        packets_received: u64::from(log.packets_received),
     }
 }
 
@@ -79,7 +63,6 @@ mod tests {
         let report = player_report("player:wmp", &l);
         assert_eq!(report.buffer_underruns, 3);
         assert_eq!(report.batch_flushes, 1);
-        assert_eq!(report.scaling_switches, 0);
     }
 
     #[test]
@@ -91,19 +74,5 @@ mod tests {
         collect_metrics("player:real", &l, &mut reg);
         assert_eq!(reg.counter("player_packets_lost_total", "player:real"), 2);
         assert_eq!(reg.counter("player_bytes_total", "player:real"), 999);
-    }
-
-    #[test]
-    fn adaptive_switches_exclude_the_initial_rate() {
-        use crate::adaptive::{AdaptiveLog, RateChange};
-        let mut l = AdaptiveLog::default();
-        assert_eq!(adaptive_report("a", &l).scaling_switches, 0);
-        for (t, r) in [(0u64, 340.0), (5, 170.0), (9, 85.0)] {
-            l.rate_history.push(RateChange {
-                time_ns: t,
-                rate_kbps: r,
-            });
-        }
-        assert_eq!(adaptive_report("a", &l).scaling_switches, 2);
     }
 }

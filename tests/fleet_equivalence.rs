@@ -3,8 +3,8 @@
 //! drivers walk it through the ordinary `(time, seq)` event order, and
 //! the figure pipeline aggregates with commutative sums — so the
 //! rendered figures and the run digest must be byte-identical across
-//! worker thread counts, shard counts, lineage on/off, and (at zero
-//! background) engine choice. Proven here the same way
+//! shard counts, lineage on/off, and (at zero background) engine
+//! choice. Proven here the same way
 //! `shard_equivalence` and `fluid_equivalence` prove it for the pair
 //! and scale harnesses.
 
@@ -28,26 +28,23 @@ fn run(config: FleetRunConfig) -> FleetRunResult {
 }
 
 #[test]
-fn figures_are_identical_across_threads_and_shards() {
+fn figures_are_identical_across_shards() {
     for seed in SEEDS {
         let base = run(fleet(seed));
-        for threads in [1usize, 4] {
-            for shards in [ShardKind::Sequential, ShardKind::Sharded(4)] {
-                let other = run(FleetRunConfig {
-                    threads,
-                    shards,
-                    ..fleet(seed)
-                });
-                assert_eq!(
-                    base.figures, other.figures,
-                    "figures diverged (seed {seed}, {threads} threads, {shards:?})"
-                );
-                assert_eq!(
-                    base.digest, other.digest,
-                    "digest diverged (seed {seed}, {threads} threads, {shards:?})"
-                );
-                assert_eq!(base.events_processed, other.events_processed);
-            }
+        for shards in [ShardKind::Sequential, ShardKind::Sharded(4)] {
+            let other = run(FleetRunConfig {
+                shards,
+                ..fleet(seed)
+            });
+            assert_eq!(
+                base.figures, other.figures,
+                "figures diverged (seed {seed}, {shards:?})"
+            );
+            assert_eq!(
+                base.digest, other.digest,
+                "digest diverged (seed {seed}, {shards:?})"
+            );
+            assert_eq!(base.events_processed, other.events_processed);
         }
     }
 }
