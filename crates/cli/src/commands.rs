@@ -391,14 +391,18 @@ pub fn fleet(spec: &RunSpec) -> Result<(), String> {
     Ok(())
 }
 
-/// A fleet run's measured memory rows: the session rollups (when on)
-/// and the event queue, in KiB and bytes per session.
+/// A fleet run's measured memory rows: the session rollups (when on),
+/// the event queue and the drivers' send slots, in KiB and bytes per
+/// session.
 fn render_fleet_memory(result: &turbulence::population::FleetRunResult) -> String {
     let per_session = |bytes: u64| bytes as f64 / result.sessions.max(1) as f64;
     let queue = format!(
-        "event queue {} KiB ({:.1} B/session)",
+        "event queue {} KiB ({:.1} B/session) | {} send slots {} KiB ({:.1} B/session)",
         result.queue_memory_bytes / 1024,
         per_session(result.queue_memory_bytes),
+        result.send_slots,
+        result.slot_memory_bytes / 1024,
+        per_session(result.slot_memory_bytes),
     );
     match result.rollups {
         Some(_) => format!(

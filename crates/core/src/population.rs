@@ -23,7 +23,7 @@
 use crate::scale::fnv1a;
 use std::sync::Arc;
 use turb_flowgen::lower::aggregate_session_schedule;
-use turb_netsim::fleet::{FleetScenario, SessionSpec, FLEET_WINDOW_NS};
+use turb_netsim::fleet::{slot_heap_bytes, FleetScenario, SessionSpec, FLEET_WINDOW_NS};
 use turb_netsim::topology::{ScaleConfig, ScaleScenario};
 use turb_netsim::{
     EngineKind, FluidDiag, FluidFlow, LineageDump, ObserverDumps, ShardDiag, ShardKind,
@@ -217,11 +217,20 @@ pub struct FleetRunResult {
     /// Prometheus-style metrics exposition from the run's telemetry.
     pub metrics: String,
     /// Steady-state heap bytes per session, measured from the actual
-    /// population containers: the shared spec row, the ledger's
-    /// delivered counter and window slots, and the driver membership
-    /// tables. Pending scheduler events belong to the engine and are
-    /// counted in [`FleetRunResult::queue_memory_bytes`] instead.
+    /// population containers every session costs for the whole run:
+    /// the shared spec row, the ledger's delivered counter and window
+    /// slots, and the driver membership tables. What a session holds
+    /// only while live is counted with the live sessions: its send
+    /// slot in [`FleetRunResult::slot_memory_bytes`], its pending
+    /// timer in [`FleetRunResult::queue_memory_bytes`].
     pub heap_bytes_per_session: u64,
+    /// Send slots the drivers allocated, summed over groups: each
+    /// holds one live session's encoded datagram, so this is the sum
+    /// of the drivers' high waters of live sessions.
+    pub send_slots: u64,
+    /// Heap bytes of those slots with their datagrams. Outside the
+    /// digest.
+    pub slot_memory_bytes: u64,
     /// FNV-1a digest over metrics text + figures + event counters.
     /// Identical digests across shard counts, lineage settings (and
     /// engines at zero background) mean byte-identical runs.
@@ -588,8 +597,10 @@ pub fn run_fleet(config: &FleetRunConfig) -> FleetRunResult {
     let steady_heap = specs.len() as u64 * std::mem::size_of::<SessionSpec>() as u64
         + ledger.delivered.len() as u64 * std::mem::size_of::<u32>() as u64
         + 2 * windows as u64 * std::mem::size_of::<u64>() as u64
-        + member_count * 8; // members (u32) + remaining (u32) per driver slot
+        + member_count * std::mem::size_of::<u32>() as u64;
     let heap_bytes_per_session = steady_heap / specs.len().max(1) as u64;
+    let send_slots: u64 = ledger.slots.iter().map(|&n| u64::from(n)).sum();
+    let slot_memory_bytes = send_slots * slot_heap_bytes(config.payload_bytes);
 
     let metrics = registry.render_text();
     let mut blob = metrics.clone().into_bytes();
@@ -608,6 +619,8 @@ pub fn run_fleet(config: &FleetRunConfig) -> FleetRunResult {
         figures: fig,
         metrics,
         heap_bytes_per_session,
+        send_slots,
+        slot_memory_bytes,
         digest: fnv1a(&blob),
         diag: sim.shard_diag(),
         fluid: sim.fluid_diag(),
@@ -728,6 +741,10 @@ mod tests {
             "per-session heap {} outside the documented budget",
             result.heap_bytes_per_session
         );
+        // Every session here overlaps every other, so each driver
+        // holds a send slot per member at its high water.
+        assert_eq!(result.send_slots, 120);
+        assert_eq!(result.slot_memory_bytes, 120 * slot_heap_bytes(600));
     }
 
     #[test]

@@ -15,8 +15,11 @@
 //! Memory budget per session (the 10⁵–10⁶ concurrency target):
 //!
 //! * one [`SessionSpec`] row, shared read-only across groups: 48 bytes
-//! * one live send countdown in its group's driver: 4 bytes
+//! * one member id in its group's driver: 4 bytes
 //! * one delivered-datagram counter in the [`FleetLedger`]: 4 bytes
+//! * while the session is live, one send slot in its driver: the
+//!   datagram, encoded once at the first send, and the sends left
+//!   ([`slot_heap_bytes`]); the slot is reused once the session ends
 //! * one pending timer event in the scheduler while the session is
 //!   live; none after it ends, and none before it starts except the
 //!   one next start timer each driver keeps armed (see [`FleetDriver`])
@@ -31,8 +34,10 @@
 use crate::sim::{Application, Ctx, Simulation};
 use crate::time::{SimDuration, SimTime};
 use crate::topology::ScaleScenario;
+use bytes::Bytes;
 use std::net::Ipv4Addr;
 use std::sync::{Arc, Mutex};
+use turb_wire::udp::{UdpDatagram, UDP_HEADER_LEN};
 
 /// UDP port the foreground fleet sinks listen on (distinct from the
 /// scale sinks so the base scenario's totals stay untouched).
@@ -84,6 +89,12 @@ pub struct FleetLedger {
     /// Background payload bytes delivered per 1 s window (stays zero
     /// under the hybrid engine: fluid moves rate, not datagrams).
     pub bg_window_bytes: Vec<u64>,
+    /// Send slots each group's driver allocated: its high water of
+    /// sessions live at once.
+    pub slots: Vec<u32>,
+    /// Of those, slots a live session holds right now, per group; all
+    /// zero once every session has sent its last datagram.
+    pub slots_held: Vec<u32>,
 }
 
 /// The attached fleet: handles back to the shared ledger.
@@ -95,8 +106,38 @@ pub struct FleetScenario {
     pub windows: usize,
 }
 
+/// A live session's send state: its datagram, encoded once at the
+/// first send, and the sends it has left.
+struct LiveSlot {
+    udp: Bytes,
+    left: u32,
+}
+
+/// Heap bytes one driver send slot holds for a session of `payload`
+/// bytes per datagram: the slot, its free-list entry, and the encoded
+/// datagram behind its two refcounts.
+pub fn slot_heap_bytes(payload: u32) -> u64 {
+    let fixed = std::mem::size_of::<LiveSlot>()
+        + std::mem::size_of::<u32>()
+        + 2 * std::mem::size_of::<usize>()
+        + UDP_HEADER_LEN;
+    fixed as u64 + u64::from(payload)
+}
+
+/// A send timer's token carries its slot + 1 above this bit; a start
+/// timer's token is the bare member index.
+const SLOT_SHIFT: u32 = 32;
+
 /// One multiplexing driver per group: walks its members' send
-/// schedules with one timer per live session, token = member index.
+/// schedules with one timer per live session.
+///
+/// A member's start timer has token `j`, its member index. At that
+/// first send the driver encodes the session's datagram once into a
+/// [`LiveSlot`] from its free list; every later send timer carries
+/// `j | (slot + 1) << 32` and sends a refcounted clone of those bytes,
+/// and the last send returns the slot. Every datagram of a session is
+/// the same (ports, destination, id-then-zeros payload), so the wire
+/// bytes equal a fresh encode's.
 ///
 /// Start timers are armed one at a time. `on_start` reserves one
 /// sequence number per member and arms member 0's start; each member's
@@ -111,8 +152,13 @@ struct FleetDriver {
     server_addrs: Arc<Vec<Ipv4Addr>>,
     /// Global session ids owned by this driver, in start order.
     members: Vec<u32>,
-    /// Sends left per member (parallel to `members`).
-    remaining: Vec<u32>,
+    /// Live sessions' send state, indexed by a send timer's slot.
+    slots: Vec<LiveSlot>,
+    /// Indices of `slots` no live session holds.
+    free: Vec<u32>,
+    /// Where the slot counts are reported, under `group`.
+    ledger: Arc<Mutex<FleetLedger>>,
+    group: usize,
     /// When `on_start` ran: start instants are offsets from it.
     started_at: SimTime,
     /// First of the `members.len()` seqs reserved for start timers.
@@ -143,6 +189,43 @@ impl FleetDriver {
             ctx.set_timer_reserved(at, self.seq_base + j as u64, j as u64);
         }
     }
+
+    /// Encode session `id`'s datagram into a free slot and return the
+    /// slot's index.
+    fn take_slot(&mut self, ctx: &Ctx<'_>, id: usize, spec: &SessionSpec) -> usize {
+        let (dst, port) = self.destination(id, spec);
+        let mut payload = vec![0u8; spec.payload as usize];
+        payload[0..4].copy_from_slice(&(id as u32).to_le_bytes());
+        let udp = UdpDatagram::new(20_000 + (id % 40_000) as u16, port, Bytes::from(payload))
+            .encode(ctx.local_addr(), dst)
+            .expect("fleet datagram within size limits");
+        let slot = LiveSlot {
+            udp,
+            left: spec.packets,
+        };
+        let mut ledger = self.ledger.lock().unwrap();
+        ledger.slots_held[self.group] += 1;
+        match self.free.pop() {
+            Some(s) => {
+                self.slots[s as usize] = slot;
+                s as usize
+            }
+            None => {
+                ledger.slots[self.group] += 1;
+                self.slots.push(slot);
+                self.slots.len() - 1
+            }
+        }
+    }
+
+    /// Free slot `s` and drop its datagram, so the buffer goes back to
+    /// the allocator once the last in-flight copy lands instead of
+    /// waiting here for this driver's next session.
+    fn return_slot(&mut self, s: usize) {
+        self.slots[s].udp = Bytes::new();
+        self.free.push(s as u32);
+        self.ledger.lock().unwrap().slots_held[self.group] -= 1;
+    }
 }
 
 impl Application for FleetDriver {
@@ -153,18 +236,21 @@ impl Application for FleetDriver {
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
-        let j = token as usize;
+        let j = token as u32 as usize;
         let id = self.members[j] as usize;
         let spec = self.specs[id];
-        if self.remaining[j] == spec.packets {
-            self.arm_start(ctx, j + 1);
-        }
-        let (dst, port) = self.destination(id, &spec);
-        let mut payload = vec![0u8; spec.payload as usize];
-        payload[0..4].copy_from_slice(&(id as u32).to_le_bytes());
+        let s = match token >> SLOT_SHIFT {
+            0 => {
+                self.arm_start(ctx, j + 1);
+                self.take_slot(ctx, id, &spec)
+            }
+            slot => slot as usize - 1,
+        };
+        let (dst, _) = self.destination(id, &spec);
         if ctx.sessions_enabled() {
             ctx.session_packetize(id as u32, spec.payload);
         }
+        let slot = &mut self.slots[s];
         if ctx.lineage_enabled() {
             // `sequence` carries the session id so a sampled session's
             // spans can be pulled out of the dump for drill-down;
@@ -172,18 +258,16 @@ impl Application for FleetDriver {
             ctx.lineage_packetize(turb_obs::lineage::PacketizeMeta {
                 player: u8::from(spec.wmp) | (u8::from(spec.background) << 1),
                 sequence: id as u32,
-                media_time_ms: spec.packets - self.remaining[j],
+                media_time_ms: spec.packets - slot.left,
             });
         }
-        ctx.send_udp(
-            20_000 + (id % 40_000) as u16,
-            dst,
-            port,
-            bytes::Bytes::from(payload),
-        );
-        self.remaining[j] -= 1;
-        if self.remaining[j] > 0 {
+        ctx.send_udp_encoded(dst, slot.udp.clone());
+        slot.left -= 1;
+        if slot.left > 0 {
+            let token = j as u64 | (s as u64 + 1) << SLOT_SHIFT;
             ctx.set_timer_after(SimDuration::from_nanos(spec.interval_ns), token);
+        } else {
+            self.return_slot(s);
         }
     }
 }
@@ -255,6 +339,8 @@ impl FleetScenario {
             delivered: vec![0u32; specs.len()],
             fg_window_bytes: vec![0u64; windows],
             bg_window_bytes: vec![0u64; windows],
+            slots: vec![0; groups],
+            slots_held: vec![0; groups],
         }));
         let server_addrs: Arc<Vec<Ipv4Addr>> =
             Arc::new(base.groups.iter().map(|g| g.server_addr).collect());
@@ -281,18 +367,16 @@ impl FleetScenario {
             sim.core_mut().node_mut(driver).default_route = Some(up);
             sim.core_mut().node_mut(group.router).add_route(addr, down);
 
-            let group_members = std::mem::take(&mut members[g]);
-            let remaining = group_members
-                .iter()
-                .map(|&m| specs[m as usize].packets)
-                .collect();
             sim.add_app(
                 driver,
                 Box::new(FleetDriver {
                     specs: specs.clone(),
                     server_addrs: server_addrs.clone(),
-                    members: group_members,
-                    remaining,
+                    members: std::mem::take(&mut members[g]),
+                    slots: Vec::new(),
+                    free: Vec::new(),
+                    ledger: ledger.clone(),
+                    group: g,
                     started_at: SimTime::ZERO,
                     seq_base: 0,
                 }),
@@ -326,7 +410,9 @@ impl FleetScenario {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::link::NodeId;
     use crate::shard::ShardKind;
+    use crate::sim::{Direction, TapEvent};
     use crate::topology::{ScaleConfig, ScaleScenario};
 
     fn spec(start_ms: u64, packets: u32, group: u16, background: bool) -> SessionSpec {
@@ -386,6 +472,76 @@ mod tests {
             assert_eq!(delivered[id], spec.packets, "session {id}");
         }
         assert!(fg_bytes > 0 && bg_bytes > 0);
+    }
+
+    #[test]
+    fn cached_datagrams_equal_a_fresh_encode() {
+        let specs: Vec<SessionSpec> = (0..40)
+            .map(|i| spec(i * 25, 4 + (i % 3) as u32, (i % 4) as u16, i % 5 == 0))
+            .collect();
+        for shards in [ShardKind::Sequential, ShardKind::Sharded(2)] {
+            let mut sim = Simulation::new(5);
+            sim.set_shards(shards);
+            let base = ScaleScenario::build(&mut sim, &base_config());
+            let scenario = FleetScenario::attach(
+                &mut sim,
+                &base,
+                Arc::new(specs.clone()),
+                3_000_000_000,
+                true,
+            );
+            // Every UDP datagram a driver puts on the wire, with the
+            // addresses it travels between.
+            let sent: Arc<Mutex<Vec<(Ipv4Addr, Ipv4Addr, Bytes)>>> = Arc::default();
+            for g in 0..base.groups.len() {
+                let name = format!("fleet-g{g}-driver");
+                let driver = (0..sim.core().node_count())
+                    .map(NodeId)
+                    .find(|&n| sim.core().node(n).name == name)
+                    .expect("one driver per group");
+                let sent = sent.clone();
+                sim.add_tap(
+                    driver,
+                    Box::new(move |ev: &TapEvent<'_>| {
+                        if ev.direction == Direction::Tx {
+                            let p = ev.packet;
+                            sent.lock().unwrap().push((p.src, p.dst, p.payload.clone()));
+                        }
+                    }),
+                );
+            }
+            sim.run_to_idle(SimTime::ZERO + SimDuration::from_secs(10));
+
+            let sent = sent.lock().unwrap();
+            let offered: u32 = specs.iter().map(|s| s.packets).sum();
+            assert_eq!(sent.len(), offered as usize, "{shards:?}");
+            for (src, dst, udp) in sent.iter() {
+                let id = u32::from_le_bytes(udp[8..12].try_into().unwrap());
+                let spec = specs[id as usize];
+                let port = if spec.background {
+                    FLEET_BG_PORT
+                } else {
+                    FLEET_FG_PORT
+                };
+                let mut payload = vec![0u8; spec.payload as usize];
+                payload[0..4].copy_from_slice(&id.to_le_bytes());
+                let fresh =
+                    UdpDatagram::new(20_000 + (id % 40_000) as u16, port, Bytes::from(payload))
+                        .encode(*src, *dst)
+                        .unwrap();
+                assert_eq!(*udp, fresh, "session {id}, {shards:?}");
+            }
+
+            let ledger = scenario.ledger.lock().unwrap();
+            assert_eq!(ledger.slots_held, [0; 4], "a slot was never returned");
+            let high_water = sim.sim_stats().queue_high_water;
+            for (g, &slots) in ledger.slots.iter().enumerate() {
+                assert!(
+                    slots >= 1 && u64::from(slots) <= high_water,
+                    "group {g}: {slots} slots against a queue high water of {high_water}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -702,6 +702,9 @@ impl ShardedEngine {
         }
         for (sim, planned) in domains.iter_mut().zip(fluid) {
             sim.core.arm_fluid(crate::fluid::FluidChains::new(&planned));
+            // Each domain's high water starts from its own queue, not
+            // the outer one's that domain 0's copied counters carry.
+            sim.core.stats.queue_high_water = sim.core.queue.len() as u64;
         }
 
         let mailboxes = (0..n)
@@ -1114,6 +1117,49 @@ mod tests {
     #[should_panic(expected = "must not exceed the node count")]
     fn assign_domains_rejects_more_shards_than_nodes() {
         assign_domains(&[], 2, 3);
+    }
+
+    /// An application whose only event is its `AppStart`.
+    struct Idle;
+    impl Application for Idle {}
+
+    #[test]
+    fn each_domain_reports_its_own_queue_high_water() {
+        // 16 hosts in a line; host i runs i + 1 idle apps, so 136
+        // `AppStart`s wait in the outer queue when it is split into 8
+        // domains and nothing is queued after. Each domain's high
+        // water is then exactly the starts it owns; domain 0 must not
+        // report the outer queue's 136.
+        let mut sim = Simulation::new(1);
+        sim.set_shards(ShardKind::Sharded(8));
+        let hosts: Vec<NodeId> = (0..16u8)
+            .map(|i| sim.add_host(&format!("h{i}"), std::net::Ipv4Addr::new(10, 0, 0, i + 1)))
+            .collect();
+        for (i, pair) in hosts.windows(2).enumerate() {
+            let prop_ms = 1 + (i as u64 * 7) % 5;
+            sim.add_duplex(
+                pair[0],
+                pair[1],
+                LinkConfig::ethernet_10m(SimDuration::from_millis(prop_ms)),
+            );
+        }
+        for (i, &host) in hosts.iter().enumerate() {
+            for _ in 0..=i {
+                sim.add_app(host, Box::new(Idle), None, false);
+            }
+        }
+        assert_eq!(sim.sim_stats().queue_high_water, 136);
+        let domain_of = assign_domains(&sim.core().links, hosts.len(), 8);
+        sim.run_to_idle(SimTime::ZERO + SimDuration::from_secs(1));
+
+        let mut own = [0u64; 8];
+        for (i, &d) in domain_of.iter().enumerate() {
+            own[d as usize] += i as u64 + 1;
+        }
+        let diag = sim.shard_diag().expect("sharded run");
+        let reported: Vec<u64> = diag.per_domain.iter().map(|d| d.max_queue_depth).collect();
+        assert_eq!(reported, own);
+        assert_eq!(sim.sim_stats().events_processed, 136);
     }
 
     /// Drive the barrier the way `ShardedEngine::run` does, with no

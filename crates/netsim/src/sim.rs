@@ -1132,7 +1132,8 @@ impl SimCore {
         }
     }
 
-    /// Build and send a UDP datagram from `node`.
+    /// Build and send a UDP datagram from `node`: encode it, then
+    /// [`Self::send_udp_encoded`].
     pub fn send_udp_from(
         &mut self,
         node: NodeId,
@@ -1143,12 +1144,23 @@ impl SimCore {
         ttl: u8,
     ) {
         let src = self.nodes[node.0].addr;
-        let datagram = UdpDatagram::new(src_port, dst_port, payload);
-        let udp_bytes = datagram
+        let udp = UdpDatagram::new(src_port, dst_port, payload)
             .encode(src, dst)
             .expect("UDP payload within size limits");
+        self.send_udp_encoded(node, dst, udp, ttl);
+    }
+
+    /// Send an already-encoded UDP datagram (header, pseudo-header
+    /// checksum and payload, as [`UdpDatagram::encode`] returns it for
+    /// `node`'s address and `dst`) in an IPv4 packet with a fresh
+    /// ident and `ttl`. Every UDP send ends here. The bytes are not
+    /// checked on the way out: the receiver verifies the checksum on
+    /// every delivery, so a datagram encoded for another address pair,
+    /// or corrupted, drops there as a decode error.
+    pub fn send_udp_encoded(&mut self, node: NodeId, dst: Ipv4Addr, udp: Bytes, ttl: u8) {
+        let src = self.nodes[node.0].addr;
         let ident = self.nodes[node.0].next_ident();
-        let mut packet = Ipv4Packet::new(src, dst, IpProtocol::Udp, ident, udp_bytes);
+        let mut packet = Ipv4Packet::new(src, dst, IpProtocol::Udp, ident, udp);
         packet.ttl = ttl;
         self.send_ip(node, packet);
     }
@@ -1544,6 +1556,14 @@ impl<'a> Ctx<'a> {
     pub fn send_udp(&mut self, src_port: u16, dst: Ipv4Addr, dst_port: u16, payload: Bytes) {
         self.core
             .send_udp_from(self.node, src_port, dst, dst_port, payload, 128);
+    }
+
+    /// Send a UDP datagram that is already encoded for this node's
+    /// address and `dst` (see [`SimCore::send_udp_encoded`]), with the
+    /// default TTL. A sender that repeats one datagram encodes it once
+    /// and sends refcounted clones.
+    pub fn send_udp_encoded(&mut self, dst: Ipv4Addr, udp: Bytes) {
+        self.core.send_udp_encoded(self.node, dst, udp, 128);
     }
 
     /// Send a UDP datagram with an explicit TTL (traceroute probes).

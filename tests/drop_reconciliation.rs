@@ -29,6 +29,7 @@ const SINK_PORT: u16 = 6000;
 struct Line {
     sim: Simulation,
     a: NodeId,
+    b: NodeId,
     a_to_r: LinkId,
     ident: u16,
 }
@@ -67,6 +68,7 @@ impl Line {
         Line {
             sim,
             a,
+            b,
             a_to_r,
             ident: 0,
         }
@@ -249,4 +251,39 @@ fn every_cause_reconciles_across_counters_series_rollups_and_lineage() {
             cause.label()
         );
     }
+}
+
+/// Sends each datagram, already encoded, once from its node through
+/// `Ctx::send_udp_encoded` to `B`, attributed to session 0.
+struct EncodedSender(Vec<Bytes>);
+
+impl Application for EncodedSender {
+    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+        for udp in std::mem::take(&mut self.0) {
+            ctx.session_packetize(0, udp.len() as u32 - 8);
+            ctx.send_udp_encoded(B, udp);
+        }
+    }
+}
+
+#[test]
+fn a_bad_pre_encoded_datagram_fails_closed_at_the_receiver() {
+    let encode = |dst| {
+        UdpDatagram::new(5000, SINK_PORT, Bytes::from(vec![9u8; 100]))
+            .encode(A, dst)
+            .unwrap()
+    };
+    // Encoded for another destination, so its pseudo-header checksum
+    // is wrong at `B`; one payload byte flipped; and a good control.
+    let wrong_dst = encode(BEYOND_B);
+    let mut flipped = encode(B).to_vec();
+    flipped[20] ^= 0x10;
+    let mut line = Line::new(7);
+    let sender = EncodedSender(vec![wrong_dst, Bytes::from(flipped), encode(B)]);
+    line.sim.add_app(line.a, Box::new(sender), None, false);
+    line.run_for(5);
+
+    let b = line.sim.core().node(line.b).stats;
+    assert_eq!((b.decode_errors, b.udp_delivered), (2, 1));
+    assert_eq!(line.observed(DropCause::DecodeError), [2; 4]);
 }
