@@ -2,7 +2,7 @@
 
 use crate::{paper, spec::RunSpec};
 use turb_media::PlayerId;
-use turb_netsim::{EngineKind, FluidDiag, ShardDiag, ShardKind};
+use turb_netsim::{EngineKind, FluidDiag, ShardKind};
 use turbulence::{report, runner};
 
 /// `turbulence corpus`: run the corpus and print Table 1 and the
@@ -142,9 +142,6 @@ pub fn obs(spec: &RunSpec) -> Result<(), String> {
         sched.cascades,
         sched.overflow_events,
     );
-    if let Some(diag) = &telemetry.shards {
-        out!("{}", render_shard_diag(diag));
-    }
     if let Some(diag) = &telemetry.fluid {
         out!("{}", render_fluid_diag(diag));
     }
@@ -172,31 +169,6 @@ pub fn figures_cmd(spec: &RunSpec) -> Result<(), String> {
     Ok(())
 }
 
-/// Render a [`ShardDiag`] in the `obs` report's indent style.
-fn render_shard_diag(diag: &ShardDiag) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    let lookahead = if diag.lookahead_ns == u64::MAX {
-        "unbounded".to_string()
-    } else {
-        format!("{:.3} ms", diag.lookahead_ns as f64 / 1e6)
-    };
-    let _ = writeln!(
-        out,
-        "  shards          {:>12} (lookahead {lookahead} / {} barriers / {} transits / max batch {} / {} reallocs)",
-        diag.shards, diag.barriers, diag.transits, diag.max_exchange_depth, diag.exchange_reallocs,
-    );
-    for d in &diag.per_domain {
-        let _ = writeln!(
-            out,
-            "    domain {:>2}     {:>6} nodes | {:>10} events | queue depth {:>6} | {} slots / {} cascades | busy {:.1} ms / barrier {:.1} ms / {} parks",
-            d.domain, d.nodes, d.events_processed, d.max_queue_depth, d.sched.slots_touched, d.sched.cascades,
-            d.busy_ns as f64 / 1e6, d.wait_ns as f64 / 1e6, d.parks,
-        );
-    }
-    out
-}
-
 /// Render a [`FluidDiag`] in the `obs` report's indent style.
 fn render_fluid_diag(diag: &FluidDiag) -> String {
     format!(
@@ -210,14 +182,14 @@ fn render_fluid_diag(diag: &FluidDiag) -> String {
     )
 }
 
-/// `turbulence scale`: the replicated-client scale scenario run
-/// sequentially and sharded back to back — byte-identity asserted via
-/// result digests, speedup and partition diagnostics printed.
+/// `turbulence scale`: the replicated-client scale scenario, run once.
+/// With hybrid background flows it also runs the all-packet twin, so
+/// the fluid engine's speedup is measured, not asserted. Lines carrying
+/// wall-clock time are the only host-dependent output.
 pub fn scale(spec: &RunSpec) -> Result<(), String> {
     use turb_netsim::topology::ScaleConfig;
     use turbulence::scale::{run_scale, ScaleRunConfig};
 
-    let seed = spec.seed;
     let mut scenario = ScaleConfig::default();
     scenario.clients_per_group = spec.number("clients", scenario.clients_per_group, 1..=60_000)?;
     scenario.groups = spec.groups.unwrap_or(scenario.groups);
@@ -225,35 +197,18 @@ pub fn scale(spec: &RunSpec) -> Result<(), String> {
         spec.number("packets", scenario.packets_per_client, 0..=u32::MAX)?;
     scenario.background_flows = spec.background as usize;
     scenario.engine = spec.engine;
-    // Default to one domain per group: the ring cuts are the natural
-    // partition, and more domains than groups would split a group's
-    // zero-latency access links.
-    let shard_n = match spec.shards {
-        ShardKind::Sharded(n) => n,
-        ShardKind::Sequential => scenario.groups as u16,
+    let run = |scenario: ScaleConfig, progress| {
+        run_scale(&ScaleRunConfig {
+            seed: spec.seed,
+            scenario,
+            shards: ShardKind::Sequential,
+            progress,
+        })
     };
-    let cpus = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-
-    let progress = spec.progress;
-    let sequential = run_scale(&ScaleRunConfig {
-        seed,
-        scenario: scenario.clone(),
-        shards: ShardKind::Sequential,
-        progress,
-    });
-    let sharded = run_scale(&ScaleRunConfig {
-        seed,
-        scenario: scenario.clone(),
-        shards: ShardKind::Sharded(shard_n),
-        progress,
-    });
-    let identical = sequential.digest == sharded.digest;
-    let speedup = sequential.wall_ns as f64 / sharded.wall_ns.max(1) as f64;
+    let result = run(scenario.clone(), spec.progress);
 
     outln!(
-        "scale: {} groups x {} clients, {} datagrams offered, {} background flows ({} engine, {} cpus available)",
+        "scale: {} groups x {} clients, {} datagrams offered, {} background flows ({} engine)",
         scenario.groups,
         scenario.clients_per_group,
         scenario.groups as u64
@@ -261,65 +216,55 @@ pub fn scale(spec: &RunSpec) -> Result<(), String> {
             * u64::from(scenario.packets_per_client),
         scenario.background_flows,
         scenario.engine.name(),
-        cpus,
     );
     outln!(
-        "scale: {:<12} {:>8.1} ms | {:>10} events | digest {:016x}",
-        "sequential",
-        sequential.wall_ns as f64 / 1e6,
-        sequential.events_processed,
-        sequential.digest,
+        "scale: {:<10} {:>10} events | digest {:016x}",
+        scenario.engine.name(),
+        result.events_processed,
+        result.digest,
     );
-    outln!(
-        "scale: {:<12} {:>8.1} ms | {:>10} events | digest {:016x}",
-        format!("sharded({shard_n})"),
-        sharded.wall_ns as f64 / 1e6,
-        sharded.events_processed,
-        sharded.digest,
-    );
-    outln!("scale: speedup {speedup:.2}x | identical {identical}");
-    if let Some(diag) = &sharded.diag {
-        out!("{}", render_shard_diag(diag));
-    }
-    if let Some(diag) = &sequential.fluid {
+    if let Some(diag) = &result.fluid {
         out!("{}", render_fluid_diag(diag));
     }
-    // With hybrid background flows, also time the honest all-packet
-    // twin (same scenario, background as real datagram streams) so the
-    // fluid engine's speedup is measured, not asserted.
-    if scenario.engine == EngineKind::Hybrid && scenario.background_flows > 0 {
-        let packet_twin = run_scale(&ScaleRunConfig {
-            seed,
-            scenario: ScaleConfig {
-                engine: EngineKind::Packet,
-                ..scenario.clone()
-            },
-            shards: ShardKind::Sequential,
-            progress: false,
+    // The same scenario with the background as real datagram streams.
+    let packet_twin = (scenario.engine == EngineKind::Hybrid && scenario.background_flows > 0)
+        .then(|| {
+            run(
+                ScaleConfig {
+                    engine: EngineKind::Packet,
+                    ..scenario.clone()
+                },
+                false,
+            )
         });
-        let hybrid_speedup = packet_twin.wall_ns as f64 / sequential.wall_ns.max(1) as f64;
+    if let Some(twin) = &packet_twin {
         outln!(
-            "scale: {:<12} {:>8.1} ms | {:>10} events | {} background datagrams delivered",
+            "scale: {:<10} {:>10} events | {} background datagrams delivered",
             "all-packet",
-            packet_twin.wall_ns as f64 / 1e6,
-            packet_twin.events_processed,
-            packet_twin.background_datagrams,
-        );
-        outln!(
-            "scale: hybrid speedup {hybrid_speedup:.2}x over all-packet at {} background flows",
-            scenario.background_flows,
+            twin.events_processed,
+            twin.background_datagrams,
         );
     }
-    if !identical {
-        return Err("sharded scale run diverged from sequential".to_string());
+    // Host-dependent from here on.
+    let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+    outln!(
+        "scale: wall-clock {:.1} ms | {cpus} cpus available",
+        result.wall_ns as f64 / 1e6
+    );
+    if let Some(twin) = &packet_twin {
+        outln!(
+            "scale: all-packet wall-clock {:.1} ms | hybrid speedup {:.2}x at {} background flows",
+            twin.wall_ns as f64 / 1e6,
+            twin.wall_ns as f64 / result.wall_ns.max(1) as f64,
+            scenario.background_flows,
+        );
     }
     Ok(())
 }
 
 /// `turbulence fleet`: a session population — Poisson/MMPP arrivals,
 /// heavy-tailed lifetimes — multiplexed over the scale ring, with the
-/// heavy-traffic figures printed and (when sharded) byte-identity
-/// against the sequential twin asserted.
+/// heavy-traffic figures printed.
 pub fn fleet(spec: &RunSpec) -> Result<(), String> {
     use turbulence::population::run_fleet;
     let config = spec.fleet_config()?;
@@ -360,23 +305,8 @@ pub fn fleet(spec: &RunSpec) -> Result<(), String> {
         result.fg_delivered,
         result.fg_offered,
     );
-    if let Some(diag) = &result.diag {
-        out!("{}", render_shard_diag(diag));
-    }
     if let Some(diag) = &result.fluid {
         out!("{}", render_fluid_diag(diag));
-    }
-    // Sharded runs are checked against their sequential twin, the same
-    // byte-identity contract the scale command enforces.
-    if result.diag.is_some() {
-        let twin = run_fleet(&turbulence::FleetRunConfig {
-            shards: ShardKind::Sequential,
-            ..config.clone()
-        });
-        if twin.digest != result.digest {
-            return Err("sharded fleet run diverged from sequential".to_string());
-        }
-        outln!("fleet: identical true (sequential twin digest matches)");
     }
     outln!();
     out!("{}", result.figures);

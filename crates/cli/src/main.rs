@@ -111,11 +111,10 @@ const COMMANDS: &[Command] = &[
     },
     Command {
         name: "scale",
-        summary: "run the replicated-client scale scenario sequentially and sharded, assert \
-            byte-identity, report the speedup",
+        summary: "run the replicated-client scale scenario once and print its events and \
+            digest; with hybrid background flows, also time the all-packet twin",
         run: commands::scale,
-        flags: &["seed", "clients", "groups", "packets", "background", "engine", "shards",
-            "progress"],
+        flags: &["seed", "clients", "groups", "packets", "background", "engine", "progress"],
     },
     Command {
         name: "fleet",
@@ -123,8 +122,8 @@ const COMMANDS: &[Command] = &[
             over the scale ring and print the heavy-traffic figures",
         run: commands::fleet,
         flags: &["seed", "sessions", "arrival", "duration-dist", "diurnal", "groups",
-            "wmp-permille", "background", "engine", "shards", "lineage", "rollups",
-            "sample-permille", "progress", "metrics"],
+            "wmp-permille", "background", "engine", "lineage", "rollups", "sample-permille",
+            "progress", "metrics"],
     },
     Command {
         name: "sessions",
@@ -132,8 +131,8 @@ const COMMANDS: &[Command] = &[
             worst sessions, sampled-lineage drill-down, deterministic JSONL/CSV export",
         run: commands::sessions,
         flags: &["seed", "sessions", "arrival", "duration-dist", "diurnal", "groups",
-            "wmp-permille", "background", "engine", "shards", "lineage",
-            "sample-permille", "progress", "top", "by", "session", "jsonl", "csv"],
+            "wmp-permille", "background", "engine", "lineage", "sample-permille", "progress",
+            "top", "by", "session", "jsonl", "csv"],
     },
 ];
 
@@ -255,7 +254,7 @@ fn main() -> ExitCode {
 mod tests {
     use super::*;
     use turb_media::RateClass;
-    use turb_netsim::{EngineKind, ShardKind};
+    use turb_netsim::EngineKind;
 
     fn args(words: &[&str]) -> Vec<String> {
         words.iter().map(|s| s.to_string()).collect()
@@ -310,10 +309,18 @@ mod tests {
             dispatch(&args(&["pair", "--set", "2", "--scheduler", "heap"])),
             Err("unknown flag --scheduler for pair".to_string())
         );
-        assert_eq!(
-            dispatch(&args(&["watch", "--set", "2", "--shards", "4"])),
-            Err("unknown flag --shards for watch".to_string())
-        );
+        // No command partitions its simulation, so none takes --shards.
+        for (argv, command) in [
+            (&["watch", "--set", "2", "--shards", "4"][..], "watch"),
+            (&["scale", "--shards", "8"], "scale"),
+            (&["fleet", "--shards", "2"], "fleet"),
+            (&["sessions", "--shards", "2"], "sessions"),
+        ] {
+            assert_eq!(
+                dispatch(&args(argv)),
+                Err(format!("unknown flag --shards for {command}"))
+            );
+        }
         assert_eq!(
             dispatch(&args(&["corpus", "--sheds", "4"])),
             Err("unknown flag --sheds for corpus".to_string())
@@ -481,28 +488,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn shards_defaults_to_sequential_and_rejects_zero() {
-        assert_spec(
-            &[
-                ("fleet", |s| s.shards == ShardKind::Sequential),
-                ("fleet --shards 4", |s| s.shards == ShardKind::Sharded(4)),
-                ("scale --shards 1", |s| s.shards == ShardKind::Sharded(1)),
-            ],
-            &["fleet --shards 0", "sessions --shards many"],
-        );
-    }
-
-    #[test]
-    fn usage_disambiguates_threads_from_shards() {
-        // The two parallelism axes must each explain themselves in
-        // terms of the other.
-        // Help is word-wrapped, so compare with line breaks as spaces.
-        let usage = usage().split_whitespace().collect::<Vec<_>>().join(" ");
-        assert!(usage.contains("whole pair runs"));
-        assert!(usage.contains("inside one simulation"));
     }
 
     #[test]

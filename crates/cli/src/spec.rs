@@ -7,7 +7,7 @@ use std::fmt::Display;
 use std::ops::RangeInclusive;
 use std::str::FromStr;
 use turb_media::{corpus, ClipPair, RateClass};
-use turb_netsim::{EngineKind, ShardKind};
+use turb_netsim::EngineKind;
 use turbulence::{runner, FleetRunConfig, PairRunConfig};
 
 use crate::Command;
@@ -55,9 +55,6 @@ pub const FLAGS: &[Flag] = &[
     flag("loss", Value("P"), "Bernoulli loss (0..=1) on the access link"),
     flag("threads", Value("N"), "worker threads fanning *whole pair runs* across a pool \
         (default 0 = auto: min(available cores, runs); 1 runs sequentially)"),
-    flag("shards", Value("N"), "parallelise inside one simulation by partitioning it into N shard \
-        domains, one worker thread per domain (default: sequential, or one domain per ring group \
-        for scale; results are byte-identical at every N; N may not exceed the node count)"),
     flag("engine", Value("E"), "how background flows are simulated, packet | hybrid (default \
         packet; hybrid lowers them onto the fluid max-min solver — zero events per flow, and with \
         --background 0 results stay byte-identical to the packet engine)"),
@@ -107,7 +104,7 @@ pub const FLAGS: &[Flag] = &[
     flag("lineage", Switch, "record full packet lineage for every session (figures are identical \
         either way; overrides the sampler)"),
     flag("sample-permille", Value("N"), "sessions per 1000 whose packets get full lineage, \
-        hash-selected from the seed (default 10; shard/engine invariant)"),
+        hash-selected from the seed (default 10; engine invariant)"),
     flag("by", Value("TERMS"), "badness ranking key — comma-separated \
         loss|rebuffer|startup|goodput, each optionally =weight (default loss,rebuffer,startup)"),
     flag("session", Value("ID"), "print the sampled session's per-packet lineage timeline"),
@@ -214,10 +211,6 @@ pub struct RunSpec {
     /// jobs)`, so a 13-run corpus never spawns more workers than it has
     /// runs to fill them with.
     pub threads: usize,
-    /// `--shards N` partitions the simulation into N domains with one
-    /// worker thread each; absent means sequential, and `--shards 1`
-    /// runs the partitioned engine with a single domain.
-    pub shards: ShardKind,
     pub engine: EngineKind,
     /// Background flows (pair runs, scale); the fleet reads the flag as
     /// a per-1000 share instead (see [`RunSpec::fleet_config`]).
@@ -273,8 +266,6 @@ impl RunSpec {
         Ok(RunSpec {
             seed: opt_number(&flags, "seed", 0..=u64::MAX)?.unwrap_or(42),
             threads: opt_number(&flags, "threads", 0..=usize::MAX)?.unwrap_or(0),
-            shards: opt_number(&flags, "shards", 1..=u16::MAX)?
-                .map_or(ShardKind::Sequential, ShardKind::Sharded),
             engine,
             background: opt_number(&flags, "background", 0..=u32::MAX)?.unwrap_or(0),
             loss: opt_number(&flags, "loss", 0.0..=1.0)?,
@@ -371,7 +362,6 @@ impl RunSpec {
         // of the population, per 1000 sessions.
         config.background_permille =
             self.number("background", config.background_permille, 0..=1000)?;
-        config.shards = self.shards;
         config.engine = self.engine;
         config.lineage = self.switch("lineage");
         // `sessions` forces rollups on and does not accept the flag.

@@ -68,14 +68,13 @@ pub struct PairRunConfig {
     /// Window width for time-series recording, nanoseconds; 0 selects
     /// the 1 s default.
     pub ts_window_ns: u64,
-    /// How to execute the event loop: sequentially (the default) or
-    /// partitioned into shard domains with one worker thread each
-    /// (`--shards N`). Sharding is an execution strategy, not a model
-    /// change — `tests/shard_equivalence.rs` proves every shard count
-    /// produces byte-identical reports, metrics, traces, lineage, and
-    /// series. Distinct from corpus `--threads`, which runs whole
-    /// pair runs on a worker pool; shards parallelise *inside* one
-    /// simulation.
+    /// How to execute the event loop: sequentially (the default, and
+    /// the only mode the CLI runs) or partitioned into shard domains
+    /// with one worker thread each ([`PairRunConfig::with_shards`], for
+    /// the benchmark harness and the equivalence suites). Sharding is
+    /// an execution strategy, not a model change —
+    /// `tests/shard_equivalence.rs` proves every shard count produces
+    /// byte-identical reports, metrics, traces, lineage, and series.
     pub shards: ShardKind,
     /// How background cross-traffic is simulated. Irrelevant (and
     /// byte-identical by construction) when `background_flows` is

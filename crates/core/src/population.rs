@@ -12,7 +12,7 @@
 //!
 //! The population table is generated up front as a pure function of
 //! `(seed, config)` — never of simulator state — so a fleet run stays
-//! a deterministic replay: byte-identical across `--shards`, lineage
+//! a deterministic replay: byte-identical across shard counts, lineage
 //! on/off, and (at zero background) engine choice.
 //! Sessions carry no strings at all — a session is an integer id into
 //! the spec table and the ledger — and the only per-group labels are

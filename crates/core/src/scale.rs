@@ -27,18 +27,6 @@ pub struct ScaleRunConfig {
     pub progress: bool,
 }
 
-impl ScaleRunConfig {
-    /// The default scale workload under `seed`, executed with `shards`.
-    pub fn new(seed: u64, shards: ShardKind) -> ScaleRunConfig {
-        ScaleRunConfig {
-            seed,
-            scenario: ScaleConfig::default(),
-            shards,
-            progress: false,
-        }
-    }
-}
-
 /// What one scale run produced.
 #[derive(Debug, Clone)]
 pub struct ScaleRunResult {

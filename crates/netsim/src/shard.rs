@@ -59,16 +59,6 @@ pub enum ShardKind {
     Sharded(u16),
 }
 
-impl ShardKind {
-    /// Number of domains this mode runs (1 for sequential).
-    pub fn domains(self) -> usize {
-        match self {
-            ShardKind::Sequential => 1,
-            ShardKind::Sharded(n) => n as usize,
-        }
-    }
-}
-
 /// A packet in flight between domains: the arrival the transmitting
 /// domain would have scheduled locally, diverted at the cut.
 pub(crate) struct Transit {

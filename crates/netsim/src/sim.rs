@@ -1815,11 +1815,6 @@ impl Simulation {
         self.shards = shards;
     }
 
-    /// The sharding mode this simulation was configured with.
-    pub fn shards(&self) -> crate::shard::ShardKind {
-        self.shards
-    }
-
     /// Build the partition on first run when one was requested.
     fn ensure_partitioned(&mut self) {
         if self.sharded.is_some() {

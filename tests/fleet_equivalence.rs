@@ -9,7 +9,7 @@
 //! and scale harnesses.
 
 use turb_netsim::{EngineKind, ShardKind};
-use turbulence::population::{run_fleet, FleetRunConfig, FleetRunResult};
+use turbulence::population::{run_fleet, ArrivalProcess, FleetRunConfig, FleetRunResult};
 
 const SEEDS: [u64; 2] = [42, 1003];
 
@@ -76,19 +76,34 @@ fn zero_background_fleet_is_engine_identical() {
 
 #[test]
 fn hybrid_fleet_digest_is_stable_across_shard_counts() {
+    // Poisson arrivals, and the bursty MMPP process thinned by the
+    // diurnal curve. On a host with fewer than 8 cores, every barrier
+    // wait at 8 domains parks instead of spinning.
+    let bursty = |seed| FleetRunConfig {
+        arrival: ArrivalProcess::Mmpp {
+            fast_per_sec: 400.0,
+            slow_per_sec: 50.0,
+            mean_dwell_secs: 10.0,
+        },
+        diurnal: true,
+        ..fleet(seed)
+    };
     for seed in SEEDS {
-        let configure = |shards: ShardKind| FleetRunConfig {
-            engine: EngineKind::Hybrid,
-            shards,
-            ..fleet(seed)
-        };
-        let seq = run(configure(ShardKind::Sequential));
-        let diag = seq.fluid.expect("background sessions ride the solver");
-        assert!(diag.flows > 0);
-        for n in [1u16, 4] {
-            let shd = run(configure(ShardKind::Sharded(n)));
-            assert_eq!(seq.figures, shd.figures, "seed {seed}, {n} shards");
-            assert_eq!(seq.digest, shd.digest, "seed {seed}, {n} shards");
+        for base in [fleet(seed), bursty(seed)] {
+            let configure = |shards: ShardKind| FleetRunConfig {
+                engine: EngineKind::Hybrid,
+                shards,
+                ..base.clone()
+            };
+            let seq = run(configure(ShardKind::Sequential));
+            let diag = seq.fluid.expect("background sessions ride the solver");
+            assert!(diag.flows > 0);
+            for n in [1u16, 4, 8] {
+                let shd = run(configure(ShardKind::Sharded(n)));
+                let at = format!("seed {seed}, {:?}, {n} shards", base.arrival);
+                assert_eq!(seq.figures, shd.figures, "{at}");
+                assert_eq!(seq.digest, shd.digest, "{at}");
+            }
         }
     }
 }
