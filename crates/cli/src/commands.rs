@@ -5,65 +5,12 @@ use turb_media::PlayerId;
 use turb_netsim::{EngineKind, FluidDiag, ShardKind};
 use turbulence::{report, runner};
 
-/// `turbulence corpus`: run the corpus and print Table 1 and the
-/// figures that any subset of data sets supports.
-pub fn corpus(spec: &RunSpec) -> Result<(), String> {
-    let seed = spec.seed;
-    let result = runner::run_configs_parallel(&spec.pair_configs(), spec.threads);
-    outln!(
-        "{} pair runs completed (seed {seed}, {} worker thread{}).",
-        result.runs.len(),
-        result.threads,
-        if result.threads == 1 { "" } else { "s" },
-    );
-    out!(
-        "{}",
-        paper::render(
-            &[
-                paper::TABLE1,
-                paper::FIG01,
-                paper::FIG02,
-                paper::FIG05,
-                paper::FIG11
-            ],
-            &result,
-            seed
-        )
-    );
-    if spec.telemetry {
-        // Per-run wall clock first: which pairs dominate the corpus time.
-        let rows: Vec<Vec<String>> = result
-            .runs
-            .iter()
-            .filter_map(|run| {
-                let t = run.telemetry.as_ref()?;
-                Some(vec![
-                    t.report.label.clone(),
-                    format!("{:.1}", t.report.wall_ns as f64 / 1e6),
-                    format!("{:.0}", t.report.events_per_sec()),
-                ])
-            })
-            .collect();
-        if !rows.is_empty() {
-            outln!(
-                "{}",
-                report::table(
-                    "Per-run wall clock",
-                    &["run", "wall ms", "events/sec"],
-                    &rows
-                )
-            );
-        }
-        if let Some(report) = result.aggregate_report() {
-            outln!("{}", report.render_table());
-        }
-    }
-    Ok(())
-}
-
-/// `turbulence pair`: one run, human summary, optional pcap.
+/// `turbulence pair`: one run with telemetry on — the human summary,
+/// an optional pcap, then the run report.
 pub fn pair(spec: &RunSpec) -> Result<(), String> {
-    let result = turbulence::run_pair(&spec.pair_configs()[0]);
+    let mut config = spec.pair_configs().remove(0).with_telemetry();
+    config.sessions = spec.switch("rollups");
+    let result = turbulence::run_pair(&config);
 
     outln!(
         "path: {} hops to {}, ping median {:.1} ms, route stable: {}",
@@ -111,20 +58,7 @@ pub fn pair(spec: &RunSpec) -> Result<(), String> {
             result.capture.len()
         );
     }
-    if let Some(telemetry) = &result.telemetry {
-        outln!("\n{}", telemetry.report.render_table());
-    }
-    Ok(())
-}
 
-/// `turbulence obs`: one pair run with telemetry on, report printed.
-pub fn obs(spec: &RunSpec) -> Result<(), String> {
-    let mut config = spec.pair_configs().remove(0).with_telemetry();
-    if spec.switch("rollups") {
-        config = config.with_sessions();
-    }
-    config.lineage = spec.switch("trace");
-    let result = turbulence::run_pair(&config);
     let telemetry = result
         .telemetry
         .as_ref()
@@ -148,28 +82,52 @@ pub fn obs(spec: &RunSpec) -> Result<(), String> {
     if spec.switch("metrics") {
         outln!("{}", telemetry.metrics.render_text());
     }
-    if let Some(path) = spec.text("trace") {
-        let dump = telemetry.lineage.as_ref().expect("--trace records lineage");
-        let trace = turb_obs::lineage::to_chrome_trace(dump);
-        std::fs::write(path, trace).map_err(|e| format!("write {path}: {e}"))?;
-        outln!(
-            "trace: {} spans written to {path} (Perfetto JSON)",
-            dump.origins.len()
-        );
-    }
     Ok(())
 }
 
 /// `turbulence figures`: every table and figure's data rows, then the
-/// ablation tables.
+/// ablation tables. With `--sets`, only the blocks any subset of data
+/// sets supports; with `--telemetry`, the per-run wall clock and the
+/// aggregate run report after them.
 pub fn figures_cmd(spec: &RunSpec) -> Result<(), String> {
     let result = runner::run_configs_parallel(&spec.pair_configs(), spec.threads);
-    out!("{}", paper::render(&paper::ALL, &result, spec.seed));
-    out!("{}", paper::render(&paper::ABLATIONS, &result, spec.seed));
+    if spec.sets.is_some() {
+        out!("{}", paper::render(&paper::SUBSET, &result, spec.seed));
+    } else {
+        out!("{}", paper::render(&paper::ALL, &result, spec.seed));
+        out!("{}", paper::render(&paper::ABLATIONS, &result, spec.seed));
+    }
+    if !spec.switch("telemetry") {
+        return Ok(());
+    }
+    // Per-run wall clock first: which pairs dominate the corpus time.
+    let rows: Vec<Vec<String>> = result
+        .runs
+        .iter()
+        .filter_map(|run| {
+            let t = run.telemetry.as_ref()?;
+            Some(vec![
+                t.report.label.clone(),
+                format!("{:.1}", t.report.wall_ns as f64 / 1e6),
+                format!("{:.0}", t.report.events_per_sec()),
+            ])
+        })
+        .collect();
+    outln!(
+        "{}",
+        report::table(
+            "Per-run wall clock",
+            &["run", "wall ms", "events/sec"],
+            &rows
+        )
+    );
+    if let Some(report) = result.aggregate_report() {
+        outln!("{}", report.render_table());
+    }
     Ok(())
 }
 
-/// Render a [`FluidDiag`] in the `obs` report's indent style.
+/// Render a [`FluidDiag`] in the run report's indent style.
 fn render_fluid_diag(diag: &FluidDiag) -> String {
     format!(
         "  fluid           {:>12} flows ({} breakpoints / {} recomputes / {} updates applied of {} scheduled / peak {:.3} Mbit/s on one link)\n",
@@ -279,8 +237,7 @@ pub fn fleet(spec: &RunSpec) -> Result<(), String> {
         config.engine.name(),
     );
     outln!(
-        "fleet: {:>8.1} ms | {:>10} events | digest {:016x}",
-        result.wall_ns as f64 / 1e6,
+        "fleet: {} events | digest {:016x}",
         result.events_processed,
         result.digest,
     );
@@ -318,6 +275,8 @@ pub fn fleet(spec: &RunSpec) -> Result<(), String> {
         outln!();
         out!("{}", result.metrics);
     }
+    // Host-dependent, so last and on a line of its own.
+    outln!("fleet: wall-clock {:.1} ms", result.wall_ns as f64 / 1e6);
     Ok(())
 }
 
@@ -431,9 +390,8 @@ pub fn sessions(spec: &RunSpec) -> Result<(), String> {
     }
 
     outln!(
-        "sessions: {} sessions | {:>8.1} ms | digest {:016x} | {} | counters reconcile 1:1",
+        "sessions: {} sessions | digest {:016x} | {} | counters reconcile 1:1",
         result.sessions,
-        result.wall_ns as f64 / 1e6,
         result.digest,
         render_fleet_memory(&result),
     );
@@ -592,6 +550,8 @@ pub fn sessions(spec: &RunSpec) -> Result<(), String> {
             outln!("  {printed} packets");
         }
     }
+    // Host-dependent, so last and on a line of its own.
+    outln!("sessions: wall-clock {:.1} ms", result.wall_ns as f64 / 1e6);
     Ok(())
 }
 
@@ -683,56 +643,6 @@ pub fn friendly(spec: &RunSpec) -> Result<(), String> {
             result.tcp_alone_kbps,
             result.tcp_shared_kbps,
             result.stream_share_index(),
-        );
-    }
-    Ok(())
-}
-
-/// `turbulence ping`: path check against the six simulated sites.
-pub fn ping(spec: &RunSpec) -> Result<(), String> {
-    use turb_netsim::prelude::*;
-    let seed = spec.seed;
-    let mut sim = Simulation::new(seed);
-    let mut rng = SimRng::new(seed);
-    let scenario = InternetScenario::build(&mut sim, &mut rng, &ScenarioConfig::default());
-    let reports: Vec<_> = scenario
-        .sites
-        .iter()
-        .map(|site| {
-            (
-                site.server_addr,
-                site.hop_count,
-                tools::spawn_ping(
-                    &mut sim,
-                    scenario.client,
-                    site.server_addr,
-                    4,
-                    SimDuration::from_millis(500),
-                    SimDuration::ZERO,
-                    &mut rng,
-                ),
-            )
-        })
-        .collect();
-    sim.run_until(SimTime::ZERO + SimDuration::from_secs(20));
-    outln!(
-        "{:>16} {:>6} {:>12} {:>12}",
-        "site",
-        "hops",
-        "median rtt",
-        "loss"
-    );
-    for (addr, hops, report) in reports {
-        let report = report.lock().unwrap();
-        outln!(
-            "{:>16} {:>6} {:>10.1}ms {:>11.1}%",
-            addr.to_string(),
-            hops,
-            report
-                .median_rtt()
-                .map(|r| r.as_millis_f64())
-                .unwrap_or(f64::NAN),
-            report.loss_rate() * 100.0
         );
     }
     Ok(())
@@ -1083,7 +993,7 @@ pub fn watch(spec: &RunSpec) -> Result<(), String> {
         .opt_number("window", 1e-9..=1e9)?
         .map_or(0, |secs: f64| ((secs * 1e9) as u64).max(1));
     // A bare `--metrics` parses as "true" (the flag doubles as the
-    // `obs` exposition switch); treat it as "no filter".
+    // `pair` exposition switch); treat it as "no filter".
     let metric_filter: Vec<String> = spec
         .text("metrics")
         .filter(|list| *list != "true")

@@ -45,30 +45,19 @@ struct Command {
 #[rustfmt::skip]
 const COMMANDS: &[Command] = &[
     Command {
-        name: "corpus",
-        summary: "run the full 26-clip corpus and print Table 1 and the headline figures",
-        run: commands::corpus,
-        flags: &["seed", "sets", "threads", "telemetry", "engine", "background", "progress"],
-    },
-    Command {
         name: "pair",
-        summary: "run one clip pair and summarise what both trackers measured",
+        summary: "run one clip pair with telemetry, summarise what both trackers measured and \
+            print the run report",
         run: commands::pair,
-        flags: &["seed", "set", "class", "loss", "telemetry", "engine", "background", "pcap"],
-    },
-    Command {
-        name: "obs",
-        summary: "run one clip pair with telemetry and print the run report",
-        run: commands::obs,
-        flags: &["seed", "set", "class", "loss", "engine", "background", "rollups", "progress",
-            "metrics", "trace"],
+        flags: &["seed", "set", "class", "loss", "engine", "background", "pcap", "rollups",
+            "progress", "metrics"],
     },
     Command {
         name: "figures",
         summary: "run the corpus and print Table 1, Figures 1-15 and §IV, then the ablation \
-            tables",
+            tables; with --sets, only the blocks any subset of data sets supports",
         run: commands::figures_cmd,
-        flags: &["seed", "threads", "engine", "background"],
+        flags: &["seed", "sets", "threads", "telemetry", "engine", "background", "progress"],
     },
     Command {
         name: "flowgen",
@@ -81,12 +70,6 @@ const COMMANDS: &[Command] = &[
         summary: "run the §VI TCP-friendliness sweep",
         run: commands::friendly,
         flags: &["seed", "kbps", "class"],
-    },
-    Command {
-        name: "ping",
-        summary: "check the simulated paths to all six server sites",
-        run: commands::ping,
-        flags: &["seed"],
     },
     Command {
         name: "check",
@@ -265,7 +248,7 @@ mod tests {
         name: "test",
         summary: "",
         run: |_| Ok(()),
-        flags: &["seed", "set", "telemetry", "metrics", "trace"],
+        flags: &["seed", "set", "telemetry", "metrics"],
     };
 
     /// Parse `argv` as `dispatch` does, without running the command.
@@ -322,8 +305,18 @@ mod tests {
             );
         }
         assert_eq!(
-            dispatch(&args(&["corpus", "--sheds", "4"])),
-            Err("unknown flag --sheds for corpus".to_string())
+            dispatch(&args(&["figures", "--sheds", "4"])),
+            Err("unknown flag --sheds for figures".to_string())
+        );
+        // `pair` always collects telemetry, and the Perfetto export has
+        // one way in, `timeline --perfetto`.
+        assert_eq!(
+            dispatch(&args(&["pair", "--set", "2", "--telemetry"])),
+            Err("unknown flag --telemetry for pair".to_string())
+        );
+        assert_eq!(
+            dispatch(&args(&["timeline", "--set", "2", "--trace", "t.json"])),
+            Err("unknown flag --trace for timeline".to_string())
         );
     }
 
@@ -331,16 +324,24 @@ mod tests {
     fn bench_is_not_a_command() {
         let err = dispatch(&args(&["bench", "--quick"])).unwrap_err();
         assert!(err.starts_with("unknown command \"bench\""), "{err}");
+        // Retired: `figures` and `pair` do their work.
+        for name in ["corpus", "obs", "ping"] {
+            let err = dispatch(&args(&[name, "--seed", "7"])).unwrap_err();
+            assert!(
+                err.starts_with(&format!("unknown command {name:?}")),
+                "{err}"
+            );
+        }
     }
 
     #[test]
     fn seed_defaults_to_42() {
         assert_spec(
             &[
-                ("ping", |s| s.seed == 42),
-                ("ping --seed 9", |s| s.seed == 9),
+                ("figures", |s| s.seed == 42),
+                ("figures --seed 9", |s| s.seed == 9),
             ],
-            &["ping --seed x", "ping --seed -1"],
+            &["figures --seed x", "figures --seed -1"],
         );
     }
 
@@ -372,7 +373,7 @@ mod tests {
                         .is_some_and(|(set, pair)| *set == 5 && pair.real.encoded_kbps == 22.0)
                 }),
                 ("watch --corpus", |s| s.pair.is_none() && s.corpus),
-                ("corpus --sets 1,2", |s| s.sets == Some(vec![1, 2])),
+                ("figures --sets 1,2", |s| s.sets == Some(vec![1, 2])),
             ],
             &[
                 "pair",
@@ -380,7 +381,7 @@ mod tests {
                 "pair --set 0",
                 "pair --set 1 --class vh",
                 "watch --set 2 --sets 3",
-                "corpus --sets 1,7",
+                "figures --sets 1,7",
                 "timeline --corpus --perfetto t.json",
             ],
         );
@@ -456,7 +457,7 @@ mod tests {
             assert_eq!(listed_commands(flag.name), accepting, "--{}", flag.name);
         }
         // Only the commands that fan whole pair runs out read --threads.
-        assert_eq!(listed_commands("threads"), ["corpus", "figures", "watch"]);
+        assert_eq!(listed_commands("threads"), ["figures", "watch"]);
         // Commands a hand-written help once left out for these flags.
         for (flag, command) in [
             ("metrics", "fleet"),
@@ -496,11 +497,11 @@ mod tests {
         // 13-run corpus on a 4-core host gets 4 workers, not 1.
         assert_spec(
             &[
-                ("corpus", |s| s.threads == 0),
-                ("corpus --threads 0", |s| s.threads == 0),
+                ("figures", |s| s.threads == 0),
+                ("figures --threads 0", |s| s.threads == 0),
                 ("figures --threads 4", |s| s.threads == 4),
             ],
-            &["corpus --threads lots"],
+            &["figures --threads lots"],
         );
     }
 
@@ -520,10 +521,10 @@ mod tests {
     fn background_defaults_to_zero() {
         assert_spec(
             &[
-                ("corpus", |s| s.background == 0),
-                ("corpus --background 10000", |s| s.background == 10_000),
+                ("figures", |s| s.background == 0),
+                ("figures --background 10000", |s| s.background == 10_000),
             ],
-            &["corpus --background -3"],
+            &["figures --background -3"],
         );
         // The fleet reads it as a per-1000 share of the population.
         let fleet = |argv| spec(argv).and_then(|s| s.fleet_config());
@@ -552,14 +553,15 @@ mod tests {
         let parsed = parse_flags(&watch, command("watch")).unwrap();
         assert_eq!(parsed.get("metrics").map(String::as_str), Some("tx,loss"));
         assert_eq!(parsed.get("seed").map(String::as_str), Some("7"));
-        // ...while `obs --metrics --trace t.jsonl` stays a bare switch...
-        let parsed = parse_flags(&args(&["--metrics", "--trace", "t.jsonl"]), &TEST).unwrap();
+        // ...while `pair --metrics --pcap t.pcap` stays a bare switch...
+        let pair = args(&["--metrics", "--pcap", "t.pcap"]);
+        let parsed = parse_flags(&pair, command("pair")).unwrap();
         assert_eq!(parsed.get("metrics").map(String::as_str), Some("true"));
-        assert_eq!(parsed.get("trace").map(String::as_str), Some("t.jsonl"));
+        assert_eq!(parsed.get("pcap").map(String::as_str), Some("t.pcap"));
         // ...and a command that reads no value rejects one.
         assert_eq!(
-            parse_flags(&args(&["--metrics", "dropped"]), command("obs")),
-            Err("--metrics takes no value for obs, got \"dropped\"".to_string())
+            parse_flags(&args(&["--metrics", "dropped"]), command("pair")),
+            Err("--metrics takes no value for pair, got \"dropped\"".to_string())
         );
     }
 }

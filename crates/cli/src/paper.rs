@@ -1,8 +1,9 @@
 //! The paper's data as text: Table 1, Figures 1–15 and the §IV
 //! flow-generation validation, each one headed block computed from a
 //! corpus result, then the ablations, which run their own fixed-seed
-//! scenarios. `turbulence figures` prints every block and
-//! `turbulence corpus` its headline subset, through the same renderers.
+//! scenarios. `turbulence figures` prints every block, or with `--sets`
+//! the subset any choice of data sets supports, through the same
+//! renderers.
 //! EXPERIMENTS.md records these blocks at seed 42, and
 //! `crates/cli/tests/experiments_doc.rs` checks that it does.
 
@@ -38,17 +39,21 @@ pub const ALL: [Block; 17] = [
     FIG13, FIG14, FIG15, SEC4,
 ];
 
-pub const TABLE1: Block = Block {
+/// The blocks any subset of data sets supports: none needs a
+/// particular clip.
+pub const SUBSET: [Block; 5] = [TABLE1, FIG01, FIG02, FIG05, FIG11];
+
+const TABLE1: Block = Block {
     heading: "Table 1: experiment data sets (configured vs measured)",
     render: |c, _| table1(c),
 };
 
-pub const FIG01: Block = Block {
+const FIG01: Block = Block {
     heading: "Figure 1: CDF of RTT (paper: median 40 ms, max 160 ms)",
     render: |c, _| report::cdf_quantiles("", &figures::fig01_rtt_cdf(c), "ms"),
 };
 
-pub const FIG02: Block = Block {
+const FIG02: Block = Block {
     heading: "Figure 2: CDF of hop count (paper: most sites 15-20, range 10-30)",
     render: |c, _| report::cdf_quantiles("", &figures::fig02_hops_cdf(c), "hops"),
 };
@@ -63,7 +68,7 @@ const FIG04: Block = Block {
     render: |c, _| report::series_digest("", &figures::fig04_packet_arrivals(c), 12),
 };
 
-pub const FIG05: Block = Block {
+const FIG05: Block = Block {
     heading: "Figure 5: WMP fragmentation vs encoded rate (paper: 0% <100K, 66% @300K, ~80% @731K)",
     render: |c, _| {
         report::scatter(
@@ -107,7 +112,7 @@ const FIG10: Block = Block {
     render: |c, _| report::series_digest("", &figures::fig10_bandwidth_timeseries(c), 8),
 };
 
-pub const FIG11: Block = Block {
+const FIG11: Block = Block {
     heading: "Figure 11: Real buffering/playout ratio vs encoding rate (paper: ~3 at <56K falling to ~1 at 637K)",
     render: |c, _| report::scatter("", "encoded Kbps", "ratio", &figures::fig11_buffering_ratio(c)),
 };

@@ -23,7 +23,7 @@ pub enum Shape {
     /// Always followed by a value, shown in help as the given name.
     Value(&'static str),
     /// Stands alone, or on the listed commands takes a value when one
-    /// follows: `obs --metrics` prints the full exposition, while
+    /// follows: `pair --metrics` prints the full exposition, while
     /// `watch --metrics tx,loss` narrows the view to matching series.
     OptionalValue(&'static str, &'static [&'static str]),
 }
@@ -51,7 +51,8 @@ pub const FLAGS: &[Flag] = &[
         streams set 5's MediaPlayer clip of this class)"),
     flag("corpus", Switch, "run every corpus pair instead of one --set (timeline traces them \
         sequentially)"),
-    flag("sets", Value("1,2,5"), "restrict the corpus to these data sets (watch: with --corpus)"),
+    flag("sets", Value("1,2,5"), "restrict the corpus to these data sets (figures: prints only the \
+        blocks any subset supports; watch: with --corpus)"),
     flag("loss", Value("P"), "Bernoulli loss (0..=1) on the access link"),
     flag("threads", Value("N"), "worker threads fanning *whole pair runs* across a pool \
         (default 0 = auto: min(available cores, runs); 1 runs sequentially)"),
@@ -64,14 +65,13 @@ pub const FLAGS: &[Flag] = &[
     flag("groups", Value("N"), "site groups on the scale ring (2..=64, default 8)"),
     flag("progress", Switch, "heartbeat line on stderr every few seconds (sim time, events/s, \
         sessions live/done, RSS, ETA); stderr only — never part of the byte-identity set"),
-    flag("telemetry", Switch, "collect and print the telemetry report"),
+    flag("telemetry", Switch, "collect telemetry and print the per-run wall clock and the \
+        aggregate run report"),
     flag("rollups", Switch, "accumulate per-session QoE rollups (≤128 B/session) and print the \
         per-class summary"),
     flag("metrics", OptionalValue("M,M", &["watch"]), "bare: also print the Prometheus-style \
         metrics exposition; watch: restrict the view to metric names containing any M (default: \
         all recorded series)"),
-    flag("trace", Value("FILE"), "record lineage and write it as Perfetto (Chrome-trace) JSON, as \
-        timeline --perfetto does"),
     flag("pcap", Value("FILE"), "write the client capture as a pcap file"),
     flag("player", Value("P"), "real | wmp (default real)"),
     flag("out", Value("FILE"), "trace output path (default stdout)"),
@@ -224,7 +224,6 @@ pub struct RunSpec {
     pub sets: Option<Vec<u8>>,
     pub groups: Option<usize>,
     pub progress: bool,
-    pub telemetry: bool,
 }
 
 impl RunSpec {
@@ -275,7 +274,6 @@ impl RunSpec {
             sets: numbers(&flags, "sets", SETS)?,
             groups: opt_number(&flags, "groups", 2..=64)?,
             progress: flags.contains_key("progress"),
-            telemetry: flags.contains_key("telemetry"),
             accepted: command.flags,
             flags,
         })
@@ -336,7 +334,7 @@ impl RunSpec {
             if let Some(loss) = self.loss {
                 config.access_loss = loss;
             }
-            config.telemetry = self.telemetry;
+            config.telemetry = self.flags.contains_key("telemetry");
             config.engine = self.engine;
             config.background_flows = self.background;
             config.progress = self.progress;

@@ -56,8 +56,8 @@ fn sub_nanosecond_window_is_rejected() {
 
 #[test]
 fn sets_outside_table_1_are_rejected() {
-    assert_rejected(&["corpus", "--sets", "9"]);
-    assert_rejected(&["corpus", "--sets", "1,0"]);
+    assert_rejected(&["figures", "--sets", "9"]);
+    assert_rejected(&["figures", "--sets", "1,0"]);
     assert_rejected(&["watch", "--corpus", "--sets", "9"]);
     assert_rejected(&["watch", "--corpus", "--sets", "2,7"]);
 }
@@ -108,14 +108,14 @@ fn fleet_counts_outside_their_range_are_rejected() {
 
 #[test]
 fn unparsable_shared_knobs_are_rejected() {
-    assert_rejected(&["corpus", "--threads", "lots"]);
-    assert_rejected(&["ping", "--seed", "x"]);
+    assert_rejected(&["figures", "--threads", "lots"]);
+    assert_rejected(&["pair", "--set", "2", "--seed", "x"]);
 }
 
 #[test]
 fn a_metrics_value_is_rejected_where_only_watch_reads_one() {
     for argv in [
-        &["obs", "--set", "2", "--metrics", "dropped"][..],
+        &["pair", "--set", "2", "--metrics", "dropped"][..],
         &["fleet", "--sessions", "10", "--metrics", "link_tx"],
     ] {
         let (stdout, stderr) = assert_rejected(argv);

@@ -14,7 +14,7 @@ use turb_players::AppStatsLog;
 /// Everything observability-related measured during one pair run.
 #[derive(Debug, Clone)]
 pub struct RunTelemetry {
-    /// The headline summary (rendered by `turbulence obs`).
+    /// The headline summary (rendered by `turbulence pair`).
     pub report: RunReport,
     /// Every metric, for Prometheus-style exposition.
     pub metrics: MetricsRegistry,

@@ -51,17 +51,6 @@ impl LinkConfig {
         }
     }
 
-    /// A 1.5 Mbit/s T1 tail circuit — a plausible 2002 server uplink
-    /// and the kind of bottleneck §3.F invokes for the 637 Kbit/s clip.
-    pub fn t1(propagation: SimDuration) -> Self {
-        LinkConfig {
-            rate_bps: 1_544_000,
-            propagation,
-            queue_capacity: 32 * 1024,
-            mtu: turb_wire::DEFAULT_MTU,
-        }
-    }
-
     /// Serialisation time for a packet of `bytes`.
     pub fn tx_time(&self, bytes: usize) -> SimDuration {
         SimDuration::transmission(bytes, self.rate_bps)
@@ -400,7 +389,6 @@ mod tests {
         let p = SimDuration::from_millis(1);
         assert_eq!(LinkConfig::ethernet_10m(p).rate_bps, 10_000_000);
         assert_eq!(LinkConfig::t3(p).rate_bps, 45_000_000);
-        assert_eq!(LinkConfig::t1(p).rate_bps, 1_544_000);
         // 1500 bytes on 10 Mbit/s Ethernet = 1.2 ms.
         assert_eq!(
             LinkConfig::ethernet_10m(p).tx_time(1500),

@@ -378,7 +378,7 @@ fn assign_domains(links: &[Link], node_count: usize, n: usize) -> Vec<u16> {
     assert!(
         n <= node_count,
         "cannot split {node_count} nodes into {n} shard domains; \
-         --shards must not exceed the node count"
+         shard count must not exceed the node count"
     );
     let mut parent: Vec<usize> = (0..node_count).collect();
     let mut size = vec![1usize; node_count];
@@ -947,15 +947,6 @@ impl ShardedEngine {
             .tcp_ports
             .insert(port, app);
         assert!(previous.is_none(), "TCP port {port} already bound");
-    }
-
-    pub(crate) fn remove_app(&mut self, id: AppId) -> Box<dyn Application> {
-        for sim in &mut self.domains {
-            if let Some(app) = sim.apps[id.0].app.take() {
-                return app;
-            }
-        }
-        panic!("application already removed");
     }
 
     /// Event-loop counters summed across domains; `queue_high_water`

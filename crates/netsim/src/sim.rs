@@ -2387,18 +2387,6 @@ impl Simulation {
             self.step();
         }
     }
-
-    /// Take back ownership of an application after the run, for result
-    /// extraction. Panics if the id is unknown.
-    pub fn remove_app(&mut self, id: AppId) -> Box<dyn Application> {
-        if let Some(sh) = self.sharded.as_deref_mut() {
-            return sh.remove_app(id);
-        }
-        self.apps[id.0]
-            .app
-            .take()
-            .expect("application already removed")
-    }
 }
 
 #[cfg(test)]

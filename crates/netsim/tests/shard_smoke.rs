@@ -148,7 +148,7 @@ fn scale_scenario_matches_sequential() {
 
 #[test]
 fn isolated_node_at_max_shards_yields_an_empty_domain_without_stalling() {
-    // `--shards N` is accepted up to the node count. At exactly the
+    // A shard count is accepted up to the node count. At exactly the
     // node count with an isolated (link-less, app-less) node, that
     // node becomes a shard domain that never has a single event: its
     // mailbox publishes no next_time at every barrier and must simply

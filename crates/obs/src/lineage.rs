@@ -18,14 +18,13 @@
 //!
 //! On top of the raw dump this module derives *explanations*:
 //! per-span timelines with a terminal [`SpanOutcome`], per-stage
-//! latency samples and histograms, a drop post-mortem attributing
+//! latency samples, a drop post-mortem attributing
 //! every lost wire packet to the exact component and cause (each
 //! cause reconciles 1:1 against an always-on simulator counter), and
 //! a deterministic Chrome-trace-event JSON export loadable in
 //! Perfetto (`ui.perfetto.dev`) or `chrome://tracing`.
 
 use crate::intern::{Interner, SymbolId};
-use crate::metrics::MetricsRegistry;
 use std::fmt::Write as _;
 
 /// Default cap on recorded stage events; past it events are counted in
@@ -1242,27 +1241,6 @@ pub fn stage_samples(dump: &LineageDump) -> StageSamples {
     samples
 }
 
-/// Build the per-stage latency sketches into a fresh
-/// [`MetricsRegistry`] (kept separate from the run's shared registry
-/// so the lineage-on/off byte-identity of run metrics holds). Each
-/// metric is a mergeable log-bucket sketch, so corpus-wide stage
-/// latencies combine exactly.
-pub fn stage_histograms(dump: &LineageDump) -> MetricsRegistry {
-    let samples = stage_samples(dump);
-    let mut reg = MetricsRegistry::new();
-    for (name, values) in [
-        ("lineage_hop_ns", &samples.hop_ns),
-        ("lineage_reassembly_ns", &samples.reasm_ns),
-        ("lineage_buffer_residency_ns", &samples.residency_ns),
-        ("lineage_end_to_end_ns", &samples.e2e_ns),
-    ] {
-        for v in values {
-            reg.log_observe(name, "lineage", *v as u64);
-        }
-    }
-    reg
-}
-
 /// The drop post-mortem: every `Dropped` event attributed to its
 /// cause and component.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -1579,14 +1557,6 @@ mod tests {
         let samples = stage_samples(&freeze(rec, &interner));
         assert_eq!(samples.hop_ns, vec![10.0, 25.0]);
         assert_eq!(samples.reasm_ns, vec![25.0]);
-    }
-
-    #[test]
-    fn histograms_land_in_a_registry() {
-        let reg = stage_histograms(&sample_dump());
-        let hist = reg.log_histogram("lineage_hop_ns", "lineage").unwrap();
-        assert_eq!(hist.count(), 1);
-        assert_eq!(hist.min(), Some(1_500));
     }
 
     #[test]

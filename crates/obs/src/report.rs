@@ -110,11 +110,6 @@ impl RunReport {
         }
     }
 
-    /// Total drops across every link.
-    pub fn link_drops_total(&self) -> u64 {
-        self.links.iter().map(LinkReport::dropped_total).sum()
-    }
-
     /// Fold another report into this one (used to aggregate a corpus).
     /// Labels are joined with `+`; per-component vectors concatenate.
     pub fn absorb(&mut self, other: &RunReport) {
@@ -333,12 +328,6 @@ mod tests {
         assert!((r.events_per_sec() - 500_000.0).abs() < 1.0);
         let zero = RunReport::default();
         assert_eq!(zero.events_per_sec(), 0.0);
-    }
-
-    #[test]
-    fn drops_total_sums_causes() {
-        let r = sample();
-        assert_eq!(r.link_drops_total(), 22);
     }
 
     #[test]

@@ -628,7 +628,7 @@ impl SessionDump {
 
     /// Per-class summary: session count, delivered count, p50/p95/p99
     /// startup and rebuffer (via [`LogHistogram::quantile`]), mean
-    /// loss. Rendered by `turbulence obs` / `fleet` / `sessions`.
+    /// loss. Rendered by `turbulence pair` / `fleet` / `sessions`.
     pub fn summary_table(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!(

@@ -94,16 +94,6 @@ impl Histogram {
         let total = self.total.max(1) as f64;
         self.counts.iter().map(|&c| c as f64 / total).collect()
     }
-
-    /// The bin index holding the largest count.
-    pub fn mode_bin(&self) -> usize {
-        self.counts
-            .iter()
-            .enumerate()
-            .max_by_key(|(_, &c)| c)
-            .map(|(i, _)| i)
-            .unwrap_or(0)
-    }
 }
 
 #[cfg(test)]
@@ -150,12 +140,6 @@ mod tests {
         let h = Histogram::of(&[1.0, 2.0, 3.0, 100.0], 0.0, 10.0, 10);
         let sum: f64 = h.fractions().iter().sum();
         assert!((sum - 0.75).abs() < 1e-12);
-    }
-
-    #[test]
-    fn mode_bin_finds_the_peak() {
-        let h = Histogram::of(&[5.0, 5.1, 5.2, 1.0], 0.0, 10.0, 10);
-        assert_eq!(h.mode_bin(), 5);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //!
 //! - `SeriesDump::to_jsonl`/`to_csv`: what `turbulence watch` writes,
 //!   for set 2's low-rate pair at 5% access loss and 1 s windows.
-//! - `MetricsRegistry::render_text`: what `turbulence obs --metrics`
+//! - `MetricsRegistry::render_text`: what `turbulence pair --metrics`
 //!   prints for the same run, minus the wall-clock sketch
 //!   (`pair_run_wall_ns`), the one metric that is not a function of
 //!   the seed.

@@ -209,7 +209,7 @@ fn more_shards_than_nodes_is_rejected_loudly() {
             .unwrap_or_default(),
     };
     assert!(
-        message.contains("--shards must not exceed the node count"),
+        message.contains("shard count must not exceed the node count"),
         "unhelpful panic message: {message:?}"
     );
 }
