@@ -3,6 +3,7 @@
 
 use crate::link::{LinkId, NodeId};
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::net::Ipv4Addr;
 use turb_obs::SymbolId;
 use turb_wire::ethernet::MacAddr;
@@ -11,6 +12,54 @@ use turb_wire::frag::Reassembler;
 /// Identifier of an application within a [`crate::sim::Simulation`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct AppId(pub usize);
+
+/// A fixed multiplicative hasher for the per-hop route and port
+/// lookups, whose keys are small integers (an address, a port). Keys
+/// come from the topology, not from an adversary, so SipHash's
+/// flooding resistance buys nothing here. Nothing iterates these maps,
+/// so the hasher cannot reorder any output.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct MulHasher(u64);
+
+impl MulHasher {
+    /// An odd constant with well-spread bits.
+    const K: u64 = 0xf135_7aea_2e62_a9c5;
+}
+
+impl Hasher for MulHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u16(&mut self, n: u16) {
+        self.write_u64(u64::from(n));
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.write_u64(u64::from(n));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = self.0.wrapping_add(n).wrapping_mul(MulHasher::K);
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.write_u64(n as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        // The product's high bits are its best mixed; move them down to
+        // where the table takes its bucket index from.
+        self.0.rotate_left(26)
+    }
+}
+
+/// A map keyed by [`MulHasher`].
+pub type MulHashMap<K, V> = HashMap<K, V, BuildHasherDefault<MulHasher>>;
 
 /// What a node does with packets addressed elsewhere.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -61,14 +110,14 @@ pub struct Node {
     pub kind: NodeKind,
     /// Longest-prefix routing is overkill for our topologies: exact
     /// destination → outgoing link, with an optional default.
-    pub routes: HashMap<Ipv4Addr, LinkId>,
+    pub routes: MulHashMap<Ipv4Addr, LinkId>,
     /// Default route when no exact match exists.
     pub default_route: Option<LinkId>,
     /// UDP port → listening application.
-    pub ports: HashMap<u16, AppId>,
+    pub ports: MulHashMap<u16, AppId>,
     /// TCP port → listening application (raw segment delivery; the
     /// connection state machine lives in `crate::tcp`).
-    pub tcp_ports: HashMap<u16, AppId>,
+    pub tcp_ports: MulHashMap<u16, AppId>,
     /// Applications that want a copy of non-echo-request ICMP
     /// arriving at this node (ping/tracert tools).
     pub icmp_listeners: Vec<AppId>,
@@ -109,10 +158,10 @@ impl Node {
             addr,
             mac: MacAddr::local(id.0 as u32),
             kind,
-            routes: HashMap::new(),
+            routes: MulHashMap::default(),
             default_route: None,
-            ports: HashMap::new(),
-            tcp_ports: HashMap::new(),
+            ports: MulHashMap::default(),
+            tcp_ports: MulHashMap::default(),
             icmp_listeners: Vec::new(),
             ip_ident: 0,
             reassembler: Reassembler::new(REASSEMBLY_TIMEOUT_NS),

@@ -15,10 +15,10 @@
 //! engines finish their observers through the same code.
 
 use std::sync::{Arc, Mutex};
-use turb_obs::lineage::{LineageDump, LineagePart, LineageRecorder, PacketizeMeta};
-use turb_obs::timeseries::TimeSeriesRecorder;
+use turb_obs::lineage::{DropCause, LineageDump, LineagePart, LineageRecorder, PacketizeMeta};
+use turb_obs::timeseries::{SeriesId, SeriesKind, TimeSeriesRecorder};
 use turb_obs::{
-    Interner, SeriesDump, SessionDump, SessionRecorder, SessionSampler, SPAN_DOMAIN_SHIFT,
+    Interner, SeriesDump, SessionDump, SessionRecorder, SessionSampler, SymbolId, SPAN_DOMAIN_SHIFT,
 };
 
 /// Causal lineage tracing state, present only when
@@ -55,6 +55,118 @@ pub(crate) struct SessionState {
     pub(crate) sampler: Option<SessionSampler>,
 }
 
+/// A windowed series the engine records itself, one per link or node
+/// that sees the event.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum EngineSeries {
+    /// Bytes a link put on the wire, faulted packets included.
+    LinkTxBytes,
+    /// A link's transmit backlog, sampled at each transmit.
+    LinkQueueDepth,
+    /// A link's fluid background share.
+    LinkFluidBps,
+    /// Bytes a node received, per fragment.
+    NodeRxBytes,
+    /// Packets a node's capture taps saw.
+    Sniffed,
+    /// Datagrams a node's reassembler holds, sampled at each local
+    /// arrival.
+    ReasmBacklog,
+    /// Drops of one cause at a link or node.
+    Dropped(DropCause),
+}
+
+impl EngineSeries {
+    /// Handle slots per component: one per variant, one per cause.
+    const SLOTS: usize = 6 + DropCause::ALL.len();
+
+    fn slot(self) -> usize {
+        match self {
+            EngineSeries::LinkTxBytes => 0,
+            EngineSeries::LinkQueueDepth => 1,
+            EngineSeries::LinkFluidBps => 2,
+            EngineSeries::NodeRxBytes => 3,
+            EngineSeries::Sniffed => 4,
+            EngineSeries::ReasmBacklog => 5,
+            EngineSeries::Dropped(cause) => 6 + cause as usize,
+        }
+    }
+
+    fn name(self) -> &'static str {
+        match self {
+            EngineSeries::LinkTxBytes => "link_tx_bytes_total",
+            EngineSeries::LinkQueueDepth => "link_queue_depth_bytes",
+            EngineSeries::LinkFluidBps => "link_fluid_bps",
+            EngineSeries::NodeRxBytes => "node_rx_bytes_total",
+            EngineSeries::Sniffed => "capture_sniffed_total",
+            EngineSeries::ReasmBacklog => "reassembly_backlog_groups",
+            EngineSeries::Dropped(cause) => cause.counter(),
+        }
+    }
+
+    fn kind(self) -> SeriesKind {
+        match self {
+            EngineSeries::LinkQueueDepth
+            | EngineSeries::LinkFluidBps
+            | EngineSeries::ReasmBacklog => SeriesKind::Gauge,
+            _ => SeriesKind::Counter,
+        }
+    }
+}
+
+/// Windowed time-series state, present only when
+/// [`crate::Simulation::enable_timeseries`] was called: the recorder
+/// plus the handle of every engine series it holds.
+pub(crate) struct SeriesState {
+    pub(crate) rec: TimeSeriesRecorder,
+    /// Indexed by [`EngineSeries::slot`], then by component symbol, so
+    /// a hot metric's handles sit together. A handle is resolved by
+    /// the series' first sample, so a series exists only once
+    /// something was recorded to it.
+    handles: [Vec<Option<SeriesId>>; EngineSeries::SLOTS],
+}
+
+impl SeriesState {
+    pub(crate) fn new(rec: TimeSeriesRecorder) -> SeriesState {
+        SeriesState {
+            rec,
+            handles: Default::default(),
+        }
+    }
+
+    /// Record `value` at `time_ns` into `comp`'s `series`.
+    #[inline]
+    pub(crate) fn record(
+        &mut self,
+        series: EngineSeries,
+        comp: SymbolId,
+        time_ns: u64,
+        value: u64,
+    ) {
+        match self.handles[series.slot()]
+            .get(comp.index())
+            .copied()
+            .flatten()
+        {
+            Some(id) => self.rec.record(id, time_ns, value),
+            None => self.first_sample(series, comp, time_ns, value),
+        }
+    }
+
+    #[cold]
+    fn first_sample(&mut self, series: EngineSeries, comp: SymbolId, time_ns: u64, value: u64) {
+        let id = match series.kind() {
+            SeriesKind::Counter => self.rec.counter_add(time_ns, series.name(), comp, value),
+            SeriesKind::Gauge => self.rec.gauge_max(time_ns, series.name(), comp, value),
+        };
+        let column = &mut self.handles[series.slot()];
+        if comp.index() >= column.len() {
+            column.resize(comp.index() + 1, None);
+        }
+        column[comp.index()] = Some(id);
+    }
+}
+
 /// One simulation's (or one shard domain's) observers.
 #[derive(Default)]
 pub(crate) struct Observers {
@@ -66,9 +178,9 @@ pub(crate) struct Observers {
     pub(crate) lineage: Option<Box<LineageState>>,
     /// Session-rollup state; `None` unless session observability is on.
     pub(crate) sessions: Option<Box<SessionState>>,
-    /// Windowed time-series recorder; `None` unless
+    /// Windowed time-series state; `None` unless
     /// [`crate::Simulation::enable_timeseries`] was called.
-    pub(crate) timeseries: Option<Box<TimeSeriesRecorder>>,
+    pub(crate) timeseries: Option<Box<SeriesState>>,
 }
 
 /// What a simulation's observers recorded, finished by
@@ -111,10 +223,10 @@ impl Observers {
                 })
             }),
             timeseries: self.timeseries.as_deref().map(|orig| {
-                Box::new(TimeSeriesRecorder::with_capacity(
-                    orig.window_ns(),
-                    orig.capacity(),
-                ))
+                Box::new(SeriesState::new(TimeSeriesRecorder::with_capacity(
+                    orig.rec.window_ns(),
+                    orig.rec.capacity(),
+                )))
             }),
         }
     }
@@ -145,7 +257,7 @@ impl Observers {
         let mut series: Option<SeriesDump> = None;
         for part in &mut parts {
             if let Some(ts) = part.timeseries.take() {
-                let dump = ts.finish(&part.interner);
+                let dump = ts.rec.finish(&part.interner);
                 match series.as_mut() {
                     None => series = Some(dump),
                     Some(merged) => merged.merge(&dump),
@@ -190,7 +302,7 @@ mod tests {
             pending: None,
             sampler: None,
         }));
-        obs.timeseries = Some(Box::new(TimeSeriesRecorder::new(0)));
+        obs.timeseries = Some(Box::new(SeriesState::new(TimeSeriesRecorder::new(0))));
         obs
     }
 

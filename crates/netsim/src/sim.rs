@@ -13,7 +13,9 @@
 
 use crate::link::{Link, LinkConfig, LinkId, NodeId, TxOutcome};
 use crate::node::{AppId, Node, NodeKind, NodeStats};
-use crate::observers::{LineageState, ObserverDumps, Observers, SessionState};
+use crate::observers::{
+    EngineSeries, LineageState, ObserverDumps, Observers, SeriesState, SessionState,
+};
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
 use crate::wheel::{SchedStats, TimingWheel};
@@ -696,19 +698,11 @@ impl SimCore {
         lin.rec.record(span, time_ns, comp, stage, aux);
     }
 
-    /// Add to a windowed counter series at the current sim time. No-op
-    /// unless time-series recording is on.
-    fn ts_counter(&mut self, name: &'static str, comp: SymbolId, delta: u64) {
-        if let Some(ts) = self.obs.timeseries.as_deref_mut() {
-            ts.counter_add(self.now.as_nanos(), name, comp, delta);
-        }
-    }
-
-    /// Raise a windowed high-water gauge at the current sim time.
+    /// Record into `comp`'s windowed `series` at the current sim time.
     /// No-op unless time-series recording is on.
-    fn ts_gauge(&mut self, name: &'static str, comp: SymbolId, value: u64) {
+    fn ts_record(&mut self, series: EngineSeries, comp: SymbolId, value: u64) {
         if let Some(ts) = self.obs.timeseries.as_deref_mut() {
-            ts.gauge_max(self.now.as_nanos(), name, comp, value);
+            ts.record(series, comp, self.now.as_nanos(), value);
         }
     }
 
@@ -740,7 +734,7 @@ impl SimCore {
             }
             Site::Link(link) => self.links[link.0].comp,
         };
-        self.ts_counter(cause.counter(), comp, 1);
+        self.ts_record(EngineSeries::Dropped(cause), comp, 1);
         if let (Some(sess), Some(tag)) = (self.obs.sessions.as_deref(), session) {
             let mut rec = sess
                 .shared
@@ -817,7 +811,7 @@ impl SimCore {
         self.links[link.0].fluid_bps = bps;
         self.fluid_applied += 1;
         let comp = self.links[link.0].comp;
-        self.ts_gauge("link_fluid_bps", comp, bps);
+        self.ts_record(EngineSeries::LinkFluidBps, comp, bps);
     }
 
     /// Make `chains` this core's planned fluid updates and queue each
@@ -972,7 +966,7 @@ impl SimCore {
             }
         }
         if observed {
-            self.ts_counter("capture_sniffed_total", self.nodes[node.0].comp, 1);
+            self.ts_record(EngineSeries::Sniffed, self.nodes[node.0].comp, 1);
             self.lineage_node_event(
                 node,
                 packet.lineage,
@@ -1089,10 +1083,10 @@ impl SimCore {
             // always-on `LinkStats` do; the windowed series must agree
             // with those counters to reconcile.
             if !matches!(outcome, TxOutcome::QueueFull | TxOutcome::Red) {
-                self.ts_counter("link_tx_bytes_total", link_comp, bytes as u64);
+                self.ts_record(EngineSeries::LinkTxBytes, link_comp, bytes as u64);
             }
             let backlog = self.links[link_id.0].backlog_bytes(self.now) as u64;
-            self.ts_gauge("link_queue_depth_bytes", link_comp, backlog);
+            self.ts_record(EngineSeries::LinkQueueDepth, link_comp, backlog);
         }
         match outcome {
             TxOutcome::Deliver { arrival } => {
@@ -1190,8 +1184,8 @@ impl SimCore {
             node.stats.rx_packets += 1;
             node.stats.rx_bytes += packet.total_len() as u64;
         }
-        self.ts_counter(
-            "node_rx_bytes_total",
+        self.ts_record(
+            EngineSeries::NodeRxBytes,
             self.nodes[node_id.0].comp,
             packet.total_len() as u64,
         );
@@ -1249,7 +1243,7 @@ impl SimCore {
             self.drop_packet(at, DropCause::ReasmDuplicate, sess_tag, span, offset);
         }
         let node_comp = self.nodes[node_id.0].comp;
-        self.ts_gauge("reassembly_backlog_groups", node_comp, backlog);
+        self.ts_record(EngineSeries::ReasmBacklog, node_comp, backlog);
         if was_fragment && whole.is_none() && !invalid {
             self.lineage_node_event(node_id, span, Stage::ReasmHeld, offset);
         }
@@ -1668,7 +1662,10 @@ impl<'a> Ctx<'a> {
     /// time-series recording is off.
     pub fn ts_counter(&mut self, name: &'static str, component: &str, delta: u64) {
         let comp = self.core.obs.interner.intern(component);
-        self.core.ts_counter(name, comp, delta);
+        let now_ns = self.core.now.as_nanos();
+        if let Some(ts) = self.core.obs.timeseries.as_deref_mut() {
+            ts.rec.counter_add(now_ns, name, comp, delta);
+        }
     }
 
     /// Raise a windowed high-water gauge labelled with `component` at
@@ -1676,7 +1673,10 @@ impl<'a> Ctx<'a> {
     /// [`Ctx::ts_counter`].
     pub fn ts_gauge(&mut self, name: &'static str, component: &str, value: u64) {
         let comp = self.core.obs.interner.intern(component);
-        self.core.ts_gauge(name, comp, value);
+        let now_ns = self.core.now.as_nanos();
+        if let Some(ts) = self.core.obs.timeseries.as_deref_mut() {
+            ts.rec.gauge_max(now_ns, name, comp, value);
+        }
     }
 
     /// Describe the media frame behind the next `send_*` call. The
@@ -1911,7 +1911,9 @@ impl Simulation {
     pub fn enable_timeseries(&mut self, window_ns: u64) {
         self.assert_unpartitioned("enable_timeseries");
         if self.core.obs.timeseries.is_none() {
-            self.core.obs.timeseries = Some(Box::new(TimeSeriesRecorder::new(window_ns)));
+            self.core.obs.timeseries = Some(Box::new(SeriesState::new(TimeSeriesRecorder::new(
+                window_ns,
+            ))));
         }
     }
 

@@ -40,7 +40,7 @@ pub use intern::{Interner, SymbolId};
 pub use lineage::{
     DropCause, EventLog, LineageDump, LineageEvent, LineagePart, LineageRecorder, PacketizeMeta,
     PostMortem, SpanEvents, SpanOrigin, SpanOutcome, SpanTimeline, Stage, StageSamples,
-    StagedEvents, SPAN_DOMAIN_SHIFT, SPAN_LOCAL_MASK,
+    SPAN_DOMAIN_SHIFT, SPAN_LOCAL_MASK,
 };
 pub use loghist::LogHistogram;
 pub use metrics::{MetricKey, MetricsRegistry};
@@ -51,7 +51,8 @@ pub use session::{
     DEFAULT_SESSION_SAMPLE_PERMILLE, SESSION_ROLLUP_BYTES,
 };
 pub use timeseries::{
-    SeriesData, SeriesDump, SeriesKind, TimeSeriesRecorder, DEFAULT_WINDOW_CAP, DEFAULT_WINDOW_NS,
+    SeriesData, SeriesDump, SeriesId, SeriesKind, TimeSeriesRecorder, DEFAULT_WINDOW_CAP,
+    DEFAULT_WINDOW_NS,
 };
 
 use std::time::Instant;

@@ -29,7 +29,7 @@ use std::fmt::Write as _;
 
 /// Default cap on recorded stage events; past it events are counted in
 /// [`LineageRecorder::dropped`] instead of recorded. A full recorder
-/// stages 96 MB (24-B records in fixed-size chunks); its frozen
+/// stages 64 MB (16-B records in fixed-size chunks); its frozen
 /// [`EventLog`] holds about 32 MB (8-B rows, plus a 16-B spill row for
 /// each event that does not pack).
 pub const DEFAULT_EVENT_CAPACITY: usize = 4_000_000;
@@ -45,12 +45,15 @@ const DROP_CODE_BASE: u32 = 10;
 /// Stage code marking an 8-B row whose event sits in the spill table.
 const SPILL_CODE: u32 = STAGE_MASK;
 const _: () = assert!(DROP_CODE_BASE + (DropCause::ALL.len() as u32) <= SPILL_CODE);
-/// Records per staging chunk: 2 Mi records, 48 MiB. A chunk this size
-/// is past the largest threshold glibc's malloc ever serves from its
+/// Records per staging chunk: 2 Mi records, 32 MiB. A chunk this size
+/// is at the largest threshold glibc's malloc ever serves from its
 /// heap (32 MiB), so each chunk is its own mapping: pages not yet
 /// written cost no RSS, and a freed chunk goes straight back to the OS
 /// instead of leaving a hole that fragments the heap across runs.
 const STAGE_CHUNK: usize = 1 << 21;
+/// A staged record's `span` when its span and time sit in the spill
+/// table.
+const SPILLED: u32 = u32::MAX;
 
 /// What killed a wire packet. Every variant reconciles against exactly
 /// one always-on simulator counter (see [`DropCause::counter`]), which
@@ -253,7 +256,7 @@ pub struct SpanOrigin {
     pub meta: Option<PacketizeMeta>,
 }
 
-/// One stage transition of one span. Recorders stage events as 24-B
+/// One stage transition of one span. Recorders stage events as 16-B
 /// records and a [`LineageDump`] packs them into 8-B rows; both decode
 /// back to this form on read.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -286,12 +289,6 @@ pub struct LineageRecorder {
     events: StagedEvents,
     capacity: usize,
     dropped: u64,
-    /// OR-ed into every allocated span id. Zero for a sequential run;
-    /// a sharded run gives domain `d` the base `d << SPAN_DOMAIN_SHIFT`
-    /// so span ids allocated concurrently by different domains never
-    /// collide and [`LineageDump::merge_domains`] can decode which
-    /// per-domain origin table an id indexes.
-    span_base: u64,
 }
 
 /// Bit position of the domain tag inside a span id. The low 48 bits
@@ -314,7 +311,6 @@ impl LineageRecorder {
             events: StagedEvents::default(),
             capacity: capacity.max(1),
             dropped: 0,
-            span_base: 0,
         }
     }
 
@@ -332,7 +328,7 @@ impl LineageRecorder {
             0,
             "base must be above the local bits"
         );
-        self.span_base = base;
+        self.events.span_base = base;
     }
 
     /// Allocate a span born now at `comp`, recording its `Sent` event.
@@ -344,7 +340,7 @@ impl LineageRecorder {
         meta: Option<PacketizeMeta>,
         payload_len: u32,
     ) -> u64 {
-        let span = self.span_base | self.origins.len() as u64;
+        let span = self.events.span_base | self.origins.len() as u64;
         self.origins.push(SpanOrigin {
             time_ns,
             comp,
@@ -361,10 +357,11 @@ impl LineageRecorder {
             self.dropped += 1;
             return;
         }
-        self.events.push(Staged {
+        self.events.push(
+            &self.origins,
             span,
-            wide: WideRow::pack(time_ns, comp.0, stage, aux),
-        });
+            WideRow::pack(time_ns, comp.0, stage, aux),
+        );
     }
 
     /// Spans allocated so far.
@@ -379,7 +376,7 @@ impl LineageRecorder {
 
     /// True when nothing has been recorded.
     pub fn is_empty(&self) -> bool {
-        self.events.is_empty() && self.origins.is_empty()
+        self.events.len() == 0 && self.origins.is_empty()
     }
 
     /// Events discarded past the capacity cap.
@@ -407,9 +404,8 @@ impl LineageRecorder {
 pub struct LineagePart {
     /// Spans this recorder allocated; the local span id is the index.
     pub origins: Vec<SpanOrigin>,
-    /// Every stage transition this recorder saw, in recording order,
-    /// under domain-tagged span ids.
-    pub events: StagedEvents,
+    /// Every stage transition this recorder saw, in recording order.
+    events: StagedEvents,
     /// Component names in [`SymbolId`] order — a snapshot of the
     /// recorder's interner.
     pub components: Vec<String>,
@@ -417,31 +413,90 @@ pub struct LineagePart {
     pub dropped: u64,
 }
 
-/// A recorder's events in recording order, staged as 24-B records in
-/// fixed-size chunks: growing never copies what is already staged, and
-/// [`LineageDump::merge_domains`] frees each chunk as soon as its
-/// events are laid out. Iterating yields decoded [`LineageEvent`]s.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct StagedEvents {
-    chunks: Vec<Vec<Staged>>,
-    len: usize,
+impl LineagePart {
+    /// The events in recording order, decoded, under domain-tagged span
+    /// ids.
+    pub fn events(&self) -> impl Iterator<Item = LineageEvent> + '_ {
+        self.events.iter(&self.origins)
+    }
 }
 
-/// One staged event: its domain-tagged span id and its event in the
-/// recording part's symbol table.
+/// A recorder's events in recording order, staged as 16-B records in
+/// fixed-size chunks: growing never copies what is already staged, and
+/// [`LineageDump::merge_domains`] frees each chunk as soon as its
+/// events are laid out.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+struct StagedEvents {
+    chunks: Vec<Vec<Staged>>,
+    /// Span and time of each event whose span was born in another
+    /// domain, or whose time is not within `u32` ns after its birth.
+    spill: Vec<StagedSpill>,
+    len: usize,
+    /// OR-ed into every span id the recorder allocates. Zero for a
+    /// sequential run; a sharded run gives domain `d` the base
+    /// `d << SPAN_DOMAIN_SHIFT` so span ids allocated concurrently by
+    /// different domains never collide and
+    /// [`LineageDump::merge_domains`] can decode which per-domain
+    /// origin table an id indexes.
+    span_base: u64,
+}
+
+/// One staged event. A span this recorder allocated is its index in the
+/// origin table and the time is counted from the span's birth — the
+/// offset an [`EventLog`] row keeps as is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Staged {
+    /// Local index of the span, or [`SPILLED`].
+    span: u32,
+    /// Nanoseconds after the span's birth; for a spilled event, its
+    /// index in the spill table.
+    offset: u32,
+    /// `comp << STAGE_BITS | stage code`, in the recording part's
+    /// symbol table.
+    tag: u32,
+    aux: u32,
+}
+
+/// The span and time of a spilled staged event.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct StagedSpill {
+    /// Domain-tagged span id.
     span: u64,
-    wide: WideRow,
+    time_ns: u64,
 }
 
 impl StagedEvents {
-    fn push(&mut self, ev: Staged) {
+    /// Stage `ev` of `span`, `origins` being the recorder's origin
+    /// table.
+    fn push(&mut self, origins: &[SpanOrigin], span: u64, ev: WideRow) {
+        // A span of this domain has only its local bits left.
+        let local = span ^ self.span_base;
+        let offset = (local < u64::from(SPILLED))
+            .then(|| origins.get(local as usize))
+            .flatten()
+            .and_then(|origin| u32::try_from(ev.time_ns.checked_sub(origin.time_ns)?).ok());
+        let (span, offset) = match offset {
+            Some(offset) => (local as u32, offset),
+            None => {
+                self.spill.push(StagedSpill {
+                    span,
+                    time_ns: ev.time_ns,
+                });
+                let index = u32::try_from(self.spill.len() - 1).expect("spill index fits u32");
+                (SPILLED, index)
+            }
+        };
+        let staged = Staged {
+            span,
+            offset,
+            tag: ev.tag,
+            aux: ev.aux,
+        };
         match self.chunks.last_mut() {
-            Some(chunk) if chunk.len() < STAGE_CHUNK => chunk.push(ev),
+            Some(chunk) if chunk.len() < STAGE_CHUNK => chunk.push(staged),
             _ => {
                 let mut chunk = Vec::with_capacity(STAGE_CHUNK);
-                chunk.push(ev);
+                chunk.push(staged);
                 self.chunks.push(chunk);
             }
         }
@@ -449,34 +504,35 @@ impl StagedEvents {
     }
 
     /// Events staged.
-    pub fn len(&self) -> usize {
+    fn len(&self) -> usize {
         self.len
     }
 
-    /// True when nothing is staged.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
+    /// The domain-tagged span and the time of `ev`.
+    fn span_and_time(&self, origins: &[SpanOrigin], ev: Staged) -> (u64, u64) {
+        if ev.span == SPILLED {
+            let far = self.spill[ev.offset as usize];
+            (far.span, far.time_ns)
+        } else {
+            let born = origins[ev.span as usize].time_ns;
+            (
+                self.span_base | u64::from(ev.span),
+                born + u64::from(ev.offset),
+            )
+        }
     }
 
     /// The events in recording order, decoded.
-    pub fn iter(&self) -> impl Iterator<Item = LineageEvent> + '_ {
-        self.chunks
-            .iter()
-            .flatten()
-            .map(|ev| ev.wide.decode(ev.span))
-    }
-}
-
-impl FromIterator<LineageEvent> for StagedEvents {
-    fn from_iter<I: IntoIterator<Item = LineageEvent>>(events: I) -> StagedEvents {
-        let mut staged = StagedEvents::default();
-        for ev in events {
-            staged.push(Staged {
-                span: ev.span,
-                wide: WideRow::pack(ev.time_ns, ev.comp.0, ev.stage, ev.aux),
-            });
-        }
-        staged
+    fn iter<'a>(&'a self, origins: &'a [SpanOrigin]) -> impl Iterator<Item = LineageEvent> + 'a {
+        self.chunks.iter().flatten().map(move |&ev| {
+            let (span, time_ns) = self.span_and_time(origins, ev);
+            WideRow {
+                time_ns,
+                tag: ev.tag,
+                aux: ev.aux,
+            }
+            .decode(span)
+        })
     }
 }
 
@@ -496,8 +552,7 @@ pub struct LineageDump {
     pub dropped: u64,
 }
 
-/// An event with its full time: a staged record's body, and an
-/// [`EventLog`] spill row.
+/// An event with its full time: an [`EventLog`] spill row.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct WideRow {
     time_ns: u64,
@@ -590,7 +645,13 @@ impl Layout {
     /// time is not within `u32` ns after birth or its aux is too wide.
     fn pack(self, ev: WideRow, base: u64) -> Option<Row> {
         let offset = u32::try_from(ev.time_ns.checked_sub(base)?).ok()?;
-        let packed = u64::from(ev.aux) << self.aux_shift() | u64::from(ev.tag);
+        self.pack_offset(offset, ev.tag, ev.aux)
+    }
+
+    /// The row of an event `offset` ns after its span's birth, or
+    /// `None` when `aux` is too wide.
+    fn pack_offset(self, offset: u32, tag: u32, aux: u32) -> Option<Row> {
+        let packed = u64::from(aux) << self.aux_shift() | u64::from(tag);
         Some(Row {
             offset,
             packed: u32::try_from(packed).ok()?,
@@ -658,26 +719,39 @@ impl EventLog {
     /// Lay the parts' events out span-major. `bases` holds each span's
     /// birth time, `components` the size of the canonical symbol table,
     /// and `parts` pairs each part's events with its component remap;
-    /// `canonical` maps a domain-tagged span id to its index below
-    /// `bases.len()`, or `None` when the id is outside the origin
-    /// tables. A counting sort by span keeps each span's events in
-    /// part order, then recording order; a stable sort by time runs
-    /// only on the spans whose events are out of order. That is the
-    /// order a global stable sort by `(time, span)` gives each span.
-    /// Each staging chunk is freed once its events are packed.
+    /// `span_maps[d][i]` is the index below `bases.len()` of domain
+    /// `d`'s local span `i`. A counting sort by span keeps each span's
+    /// events in part order, then recording order; a stable sort by
+    /// time runs only on the spans whose events are out of order. That
+    /// is the order a global stable sort by `(time, span)` gives each
+    /// span. A staged event of a span its own domain allocated already
+    /// holds the row's offset. Each staging chunk is freed once its
+    /// events are packed.
     ///
     /// Panics on an event whose span or component is unknown.
     fn build(
         bases: Vec<u64>,
         components: usize,
         parts: Vec<(StagedEvents, Vec<u32>)>,
-        canonical: impl Fn(u64) -> Option<usize>,
+        span_maps: &[Vec<usize>],
     ) -> EventLog {
         let spans = bases.len();
         let span_of = |span: u64| {
-            canonical(span).unwrap_or_else(|| {
-                panic!("lineage event references span {span:#x}, outside the origin table")
-            })
+            span_maps
+                .get((span >> SPAN_DOMAIN_SHIFT) as usize)
+                .and_then(|map| map.get((span & SPAN_LOCAL_MASK) as usize))
+                .copied()
+                .unwrap_or_else(|| {
+                    panic!("lineage event references span {span:#x}, outside the origin table")
+                })
+        };
+        // The canonical span of each staged event of `events`.
+        let canonical = |events: &StagedEvents, ev: &Staged| {
+            if ev.span == SPILLED {
+                span_of(events.spill[ev.offset as usize].span)
+            } else {
+                span_of(events.span_base | u64::from(ev.span))
+            }
         };
         let total: usize = parts.iter().map(|(events, _)| events.len()).sum();
         assert!(
@@ -685,11 +759,10 @@ impl EventLog {
             "{total} lineage events overflow the log's u32 offsets"
         );
         let mut starts = vec![0u32; spans + 1];
-        for ev in parts
-            .iter()
-            .flat_map(|(events, _)| events.chunks.iter().flatten())
-        {
-            starts[span_of(ev.span) + 1] += 1;
+        for (events, _) in &parts {
+            for ev in events.chunks.iter().flatten() {
+                starts[canonical(events, ev) + 1] += 1;
+            }
         }
         for s in 0..spans {
             starts[s + 1] += starts[s];
@@ -698,22 +771,40 @@ impl EventLog {
         let mut cursor = starts[..spans].to_vec();
         let mut rows = vec![Row::default(); total];
         let mut spill = Vec::new();
-        for (events, comp_map) in parts {
-            for chunk in events.chunks {
+        for (mut events, comp_map) in parts {
+            for chunk in std::mem::take(&mut events.chunks) {
                 for ev in chunk {
-                    let comp = *comp_map.get(ev.wide.comp() as usize).unwrap_or_else(|| {
+                    let comp = *comp_map.get((ev.tag >> STAGE_BITS) as usize).unwrap_or_else(|| {
                         panic!(
                             "lineage event references component {}, outside its part's symbol table",
-                            ev.wide.comp()
+                            ev.tag >> STAGE_BITS
                         )
                     });
-                    let wide = WideRow {
-                        tag: comp << STAGE_BITS | ev.wide.tag & STAGE_MASK,
-                        ..ev.wide
+                    let span = canonical(&events, &ev);
+                    let tag = comp << STAGE_BITS | ev.tag & STAGE_MASK;
+                    let time_ns = || match ev.span {
+                        SPILLED => events.spill[ev.offset as usize].time_ns,
+                        _ => bases[span] + u64::from(ev.offset),
                     };
-                    let span = span_of(ev.span);
-                    let row = layout.pack(wide, bases[span]).unwrap_or_else(|| {
-                        spill.push(wide);
+                    // A local event's staged offset is already its
+                    // row's; only a spilled one is timed from the birth.
+                    let row = match ev.span {
+                        SPILLED => layout.pack(
+                            WideRow {
+                                time_ns: time_ns(),
+                                tag,
+                                aux: ev.aux,
+                            },
+                            bases[span],
+                        ),
+                        _ => layout.pack_offset(ev.offset, tag, ev.aux),
+                    };
+                    let row = row.unwrap_or_else(|| {
+                        spill.push(WideRow {
+                            time_ns: time_ns(),
+                            tag,
+                            aux: ev.aux,
+                        });
                         Row {
                             offset: (spill.len() - 1) as u32,
                             packed: SPILL_CODE,
@@ -1046,10 +1137,7 @@ impl LineageDump {
             origins.iter().map(|o| o.time_ns).collect(),
             components.len(),
             parts.into_iter().map(|p| p.events).zip(comp_maps).collect(),
-            |span| {
-                let part = span_maps.get((span >> SPAN_DOMAIN_SHIFT) as usize)?;
-                part.get((span & SPAN_LOCAL_MASK) as usize).copied()
-            },
+            &span_maps,
         );
 
         LineageDump {
@@ -1406,11 +1494,31 @@ mod tests {
 
     /// A dump's events back as a single part (domain 0).
     fn part_of(dump: &LineageDump) -> LineagePart {
+        staged_part(
+            dump.origins.clone(),
+            dump.events.iter(),
+            dump.components.clone(),
+            dump.dropped,
+        )
+    }
+
+    /// A domain-0 part holding `events`, staged as a recorder would.
+    fn staged_part(
+        origins: Vec<SpanOrigin>,
+        events: impl IntoIterator<Item = LineageEvent>,
+        components: Vec<String>,
+        dropped: u64,
+    ) -> LineagePart {
+        let mut staged = StagedEvents::default();
+        for ev in events {
+            let wide = WideRow::pack(ev.time_ns, ev.comp.0, ev.stage, ev.aux);
+            staged.push(&origins, ev.span, wide);
+        }
         LineagePart {
-            origins: dump.origins.clone(),
-            events: dump.events.iter().collect(),
-            components: dump.components.clone(),
-            dropped: dump.dropped,
+            origins,
+            events: staged,
+            components,
+            dropped,
         }
     }
 
@@ -1499,24 +1607,22 @@ mod tests {
 
     #[test]
     fn validate_requires_sent_first() {
-        let dump = LineageDump::merge_domains(vec![LineagePart {
-            origins: vec![SpanOrigin {
+        let dump = LineageDump::merge_domains(vec![staged_part(
+            vec![SpanOrigin {
                 time_ns: 0,
                 comp: SymbolId(0),
                 meta: None,
             }],
-            events: [LineageEvent {
+            [LineageEvent {
                 span: 0,
                 time_ns: 1,
                 comp: SymbolId(0),
                 stage: Stage::Delivered,
                 aux: 0,
-            }]
-            .into_iter()
-            .collect(),
-            components: vec!["node:a".to_string()],
-            dropped: 0,
-        }]);
+            }],
+            vec!["node:a".to_string()],
+            0,
+        )]);
         assert!(dump.validate().unwrap_err().contains("Sent"));
     }
 
@@ -1787,7 +1893,7 @@ mod tests {
     #[test]
     fn events_are_span_major_and_8_bytes_a_row() {
         assert_eq!(std::mem::size_of::<Row>(), 8);
-        assert_eq!(std::mem::size_of::<Staged>(), 24);
+        assert_eq!(std::mem::size_of::<Staged>(), 16);
         let dump = sample_dump();
         let spans: Vec<u64> = dump.events.iter().map(|e| e.span).collect();
         assert!(spans.is_sorted(), "span-major order: {spans:?}");

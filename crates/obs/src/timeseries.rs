@@ -18,14 +18,19 @@
 //! newest window; there is no reordering and no timer.
 //!
 //! Series keys are `(&'static str, SymbolId)` pairs against the shared
-//! [`Interner`]. The recorder finds a series through a dense slot table
-//! indexed by the component's symbol: each component lists its few
-//! series names, matched by pointer first and by content as a fallback,
-//! so the per-event cost is a short scan and an integer add — no
-//! hashing, and no allocation once a series exists. An idle gap
-//! zero-fills at most one ring's worth of windows; the rest of the gap
-//! is counted as evicted without being materialised, so memory is
-//! bounded by the ring however long the gap. [`TimeSeriesRecorder::finish`]
+//! [`Interner`]. A series is created by its first sample, given by
+//! name ([`TimeSeriesRecorder::counter_add`],
+//! [`TimeSeriesRecorder::gauge_max`]), which returns a [`SeriesId`];
+//! a hot hook keeps that handle and records every later sample through
+//! [`TimeSeriesRecorder::record`]. Each series keeps its open (newest)
+//! window apart from its ring, so a sample inside it is one compare
+//! against the window's end and one add — no name lookup, no division,
+//! no ring access. The ring, the zero-fill of idle windows and the
+//! eviction run once per series per window, when a sample opens a
+//! later one. An idle gap zero-fills at most one ring's worth of
+//! windows; the rest of the gap is counted as evicted without being
+//! materialised, so memory is bounded by the ring however long the
+//! gap. [`TimeSeriesRecorder::finish`]
 //! resolves the symbols into a self-contained [`SeriesDump`] that can
 //! be exported (JSONL/CSV), merged across runs, and rendered by
 //! `turbulence watch`.
@@ -33,6 +38,7 @@
 use crate::intern::{Interner, SymbolId};
 use std::collections::VecDeque;
 use std::fmt::Write as _;
+use std::num::NonZeroU32;
 
 /// Default window width: 1 simulated second.
 pub const DEFAULT_WINDOW_NS: u64 = 1_000_000_000;
@@ -59,23 +65,81 @@ impl SeriesKind {
             SeriesKind::Gauge => "gauge",
         }
     }
+
+    /// `sample` folded into a window holding `window`.
+    fn combine(self, window: u64, sample: u64) -> u64 {
+        match self {
+            SeriesKind::Counter => window + sample,
+            SeriesKind::Gauge => window.max(sample),
+        }
+    }
 }
 
-/// One live series inside the recorder.
+/// A handle on one series of a [`TimeSeriesRecorder`], returned by the
+/// sample that created the series and valid for that recorder only.
+/// It carries the series' kind, so recording through it reads nothing
+/// but the open window. `Option<SeriesId>` is 4 B.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SeriesId(NonZeroU32);
+
+/// The handle bit marking a gauge.
+const GAUGE_BIT: u32 = 1 << 31;
+
+impl SeriesId {
+    fn new(index: usize, kind: SeriesKind) -> SeriesId {
+        let raw = u32::try_from(index + 1)
+            .ok()
+            .filter(|&raw| raw < GAUGE_BIT)
+            .expect("series count fits 31 bits");
+        let kind_bit = match kind {
+            SeriesKind::Counter => 0,
+            SeriesKind::Gauge => GAUGE_BIT,
+        };
+        SeriesId(NonZeroU32::new(raw | kind_bit).expect("raw is at least 1"))
+    }
+
+    fn index(self) -> usize {
+        ((self.0.get() & !GAUGE_BIT) - 1) as usize
+    }
+
+    fn kind(self) -> SeriesKind {
+        if self.0.get() & GAUGE_BIT == 0 {
+            SeriesKind::Counter
+        } else {
+            SeriesKind::Gauge
+        }
+    }
+}
+
+/// A series' open (newest) window. Kept in a dense table of its own,
+/// apart from the ring of closed windows, so a sample inside it touches
+/// nothing else.
+#[derive(Debug, Clone, Copy)]
+struct OpenWindow {
+    /// Exclusive end, in ns: every sample before it combines into
+    /// `value`. Saturates at `u64::MAX`.
+    end: u64,
+    /// The window's value so far.
+    value: u64,
+}
+
+/// One live series inside the recorder, less its open window.
 #[derive(Debug, Clone)]
 struct SeriesBuf {
-    name: &'static str,
-    comp: SymbolId,
     kind: SeriesKind,
-    /// Window index of `values[0]`.
-    first_window: u64,
-    values: VecDeque<u64>,
+    /// Window index of the open window.
+    open_window: u64,
+    /// Closed windows up to the open one, oldest first; at most
+    /// `capacity - 1` of them.
+    closed: VecDeque<u64>,
     /// Windows evicted from the front of the ring.
     evicted: u64,
-    /// Lifetime total of every delta (counters) — survives eviction,
-    /// so reconciliation against always-on counters never depends on
-    /// ring capacity. For gauges this is the all-time maximum.
-    total: u64,
+    /// Lifetime total of every closed window (counters) — survives
+    /// eviction, so reconciliation against always-on counters never
+    /// depends on ring capacity. For gauges this is the maximum.
+    closed_total: u64,
+    name: &'static str,
+    comp: SymbolId,
 }
 
 /// The recorder: a set of ring-buffered windowed series fed at event
@@ -84,10 +148,12 @@ struct SeriesBuf {
 pub struct TimeSeriesRecorder {
     window_ns: u64,
     capacity: usize,
+    /// Indexed by [`SeriesId::index`], like `series`.
+    open: Vec<OpenWindow>,
     series: Vec<SeriesBuf>,
     /// Indexed by `SymbolId::index()`: the component's series names and
-    /// their slots in `series`. Grown on demand.
-    by_comp: Vec<Vec<(&'static str, u32)>>,
+    /// their handles. Read only to resolve a sample given by name.
+    by_comp: Vec<Vec<(&'static str, SeriesId)>>,
 }
 
 impl TimeSeriesRecorder {
@@ -106,6 +172,7 @@ impl TimeSeriesRecorder {
                 window_ns
             },
             capacity: capacity.max(1),
+            open: Vec::new(),
             series: Vec::new(),
             by_comp: Vec::new(),
         }
@@ -128,29 +195,45 @@ impl TimeSeriesRecorder {
 
     /// Retained windows summed over every series.
     pub fn window_count(&self) -> usize {
-        self.series.iter().map(|s| s.values.len()).sum()
+        self.series.iter().map(|s| s.closed.len() + 1).sum()
     }
 
     /// Add `delta` to the counter series `(name, comp)` in the window
-    /// containing `time_ns`.
-    pub fn counter_add(&mut self, time_ns: u64, name: &'static str, comp: SymbolId, delta: u64) {
-        self.record(SeriesKind::Counter, time_ns, name, comp, delta);
+    /// containing `time_ns`, creating the series on its first sample.
+    /// Returns the series' handle for later [`Self::record`] calls.
+    pub fn counter_add(
+        &mut self,
+        time_ns: u64,
+        name: &'static str,
+        comp: SymbolId,
+        delta: u64,
+    ) -> SeriesId {
+        self.record_named(SeriesKind::Counter, time_ns, name, comp, delta)
     }
 
     /// Raise the gauge series `(name, comp)` to `value` in the window
-    /// containing `time_ns` if the window is below it.
-    pub fn gauge_max(&mut self, time_ns: u64, name: &'static str, comp: SymbolId, value: u64) {
-        self.record(SeriesKind::Gauge, time_ns, name, comp, value);
+    /// containing `time_ns` if the window is below it, creating the
+    /// series on its first sample. Returns the series' handle.
+    pub fn gauge_max(
+        &mut self,
+        time_ns: u64,
+        name: &'static str,
+        comp: SymbolId,
+        value: u64,
+    ) -> SeriesId {
+        self.record_named(SeriesKind::Gauge, time_ns, name, comp, value)
     }
 
-    fn record(
+    /// Find `(name, comp)` or create it with this first sample, then
+    /// record through its handle.
+    fn record_named(
         &mut self,
         kind: SeriesKind,
         time_ns: u64,
         name: &'static str,
         comp: SymbolId,
         value: u64,
-    ) {
+    ) -> SeriesId {
         if comp.index() >= self.by_comp.len() {
             self.by_comp.resize_with(comp.index() + 1, Vec::new);
         }
@@ -158,66 +241,88 @@ impl TimeSeriesRecorder {
         // Pointer equality is the fast path; the content compare keeps
         // one literal with two addresses (across codegen units) on one
         // series.
-        let idx = match slots
+        if let Some(&(_, id)) = slots
             .iter()
             .find(|(n, _)| std::ptr::eq(*n, name) || *n == name)
         {
-            Some(&(_, i)) => i as usize,
-            None => {
-                let i = self.series.len();
-                self.series.push(SeriesBuf {
-                    name,
-                    comp,
-                    kind,
-                    first_window: 0,
-                    values: VecDeque::new(),
-                    evicted: 0,
-                    total: 0,
-                });
-                slots.push((name, i as u32));
-                i
-            }
-        };
-        let s = &mut self.series[idx];
-        assert_eq!(s.kind, kind, "series {name} recorded with mixed kinds");
-        let w = time_ns / self.window_ns;
-        if s.values.is_empty() {
-            s.first_window = w;
-            s.values.push_back(value);
+            assert_eq!(id.kind(), kind, "series {name} recorded with mixed kinds");
+            self.record(id, time_ns, value);
+            return id;
+        }
+        let id = SeriesId::new(self.series.len(), kind);
+        let window = time_ns / self.window_ns;
+        self.open.push(OpenWindow {
+            end: window_end(window, self.window_ns),
+            value,
+        });
+        self.series.push(SeriesBuf {
+            kind,
+            open_window: window,
+            closed: VecDeque::new(),
+            evicted: 0,
+            closed_total: 0,
+            name,
+            comp,
+        });
+        slots.push((name, id));
+        id
+    }
+
+    /// Record `value` at `time_ns` into the series behind `id`: a
+    /// counter adds it to the window, a gauge raises the window to it.
+    /// Within the open window this is one compare and one add; the
+    /// ring is touched only when a sample opens a later window.
+    #[inline]
+    pub fn record(&mut self, id: SeriesId, time_ns: u64, value: u64) {
+        let open = &mut self.open[id.index()];
+        if time_ns < open.end {
+            debug_assert!(
+                time_ns / self.window_ns >= self.series[id.index()].open_window,
+                "simulated time went backwards in series {}",
+                self.series[id.index()].name
+            );
+            open.value = id.kind().combine(open.value, value);
         } else {
-            let last = s.first_window + s.values.len() as u64 - 1;
-            debug_assert!(w >= last, "simulated time went backwards in series {name}");
-            if w <= last {
-                // Same (newest) window: combine.
-                let back = s.values.back_mut().expect("non-empty");
-                match kind {
-                    SeriesKind::Counter => *back += value,
-                    SeriesKind::Gauge => *back = (*back).max(value),
-                }
-            } else {
-                // Zero-fill idle windows, then open the new one. At most
-                // `capacity` zeros can survive the trim below; when the
-                // gap is longer every older window is evicted anyway, so
-                // the excess is evicted arithmetically, not pushed.
-                let gap = w - last - 1;
-                let fill = gap.min(self.capacity as u64);
-                s.first_window += gap - fill;
-                s.evicted += gap - fill;
-                for _ in 0..fill {
-                    s.values.push_back(0);
-                }
-                s.values.push_back(value);
-            }
+            self.open_window(id, time_ns, value);
         }
-        match kind {
-            SeriesKind::Counter => s.total += value,
-            SeriesKind::Gauge => s.total = s.total.max(value),
+    }
+
+    /// Close the open window of `id` and open the one holding
+    /// `time_ns` with `value`. Idle windows between the two are
+    /// zero-filled; at most `capacity - 1` of them can be retained
+    /// behind the new window, so when the gap is longer everything
+    /// older is evicted and the excess is counted, not pushed.
+    #[cold]
+    fn open_window(&mut self, id: SeriesId, time_ns: u64, value: u64) {
+        let cap = self.capacity as u64;
+        let window_ns = self.window_ns;
+        let open = &mut self.open[id.index()];
+        let s = &mut self.series[id.index()];
+        let w = time_ns / window_ns;
+        if w <= s.open_window {
+            // The open window reaches past `u64::MAX` ns.
+            debug_assert_eq!(w, s.open_window, "simulated time went backwards");
+            open.value = s.kind.combine(open.value, value);
+            return;
         }
-        while s.values.len() > self.capacity {
-            s.values.pop_front();
-            s.first_window += 1;
+        s.closed_total = s.kind.combine(s.closed_total, open.value);
+        s.closed.push_back(open.value);
+        let gap = w - s.open_window - 1;
+        let kept = gap.min(cap - 1);
+        if kept < gap {
+            s.evicted += gap - kept + s.closed.len() as u64;
+            s.closed.clear();
+        }
+        s.closed.extend(std::iter::repeat_n(0, kept as usize));
+        while s.closed.len() as u64 >= cap {
+            s.closed.pop_front();
             s.evicted += 1;
         }
+        s.open_window = w;
+        *open = OpenWindow {
+            end: window_end(w, window_ns),
+            value,
+        };
     }
 
     /// Resolve the symbols through `interner` and snapshot every
@@ -227,14 +332,15 @@ impl TimeSeriesRecorder {
         let mut series: Vec<SeriesData> = self
             .series
             .iter()
-            .map(|s| SeriesData {
+            .zip(&self.open)
+            .map(|(s, open)| SeriesData {
                 metric: s.name.to_string(),
                 component: interner.resolve(s.comp).to_string(),
                 kind: s.kind,
-                first_window: s.first_window,
-                values: s.values.iter().copied().collect(),
+                first_window: s.open_window - s.closed.len() as u64,
+                values: s.closed.iter().copied().chain([open.value]).collect(),
                 evicted: s.evicted,
-                total: s.total,
+                total: s.kind.combine(s.closed_total, open.value),
             })
             .collect();
         series.sort_by(|a, b| (&a.metric, &a.component).cmp(&(&b.metric, &b.component)));
@@ -243,6 +349,11 @@ impl TimeSeriesRecorder {
             series,
         }
     }
+}
+
+/// Exclusive end, in ns, of window `window`, saturating at `u64::MAX`.
+fn window_end(window: u64, window_ns: u64) -> u64 {
+    window.saturating_add(1).saturating_mul(window_ns)
 }
 
 /// One exported series: resolved labels plus the windowed values.

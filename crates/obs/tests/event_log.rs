@@ -8,7 +8,9 @@
 //! power of two — are merged, and every span's decoded timeline is
 //! compared with a naive reference: remap the parts' events into one
 //! flat list, stable-sort it by `(time, span)`, then bucket it per
-//! span.
+//! span. Each part's staged events must first decode back to exactly
+//! the calls its recorder took, so the reference does not inherit a
+//! staging bug.
 
 use std::collections::BTreeMap;
 use turb_obs::lineage::{
@@ -70,8 +72,20 @@ fn aux_bits(components: usize) -> u32 {
 const FAR: u64 = 1 << 32;
 
 /// One random recording split over up to three domains, over a merged
-/// table of `TABLE_SIZES` names.
+/// table of `TABLE_SIZES` names, checked against the calls each
+/// recorder took.
 fn random_parts(rng: &mut Rng) -> Vec<LineagePart> {
+    let (parts, calls) = random_recording(rng);
+    for (d, (part, want)) in parts.iter().zip(&calls).enumerate() {
+        let got: Vec<LineageEvent> = part.events().collect();
+        assert_eq!(&got, want, "domain {d}: staged events decode to the calls");
+    }
+    parts
+}
+
+/// [`random_parts`] unchecked, with each recorder's kept calls as the
+/// events they should decode to.
+fn random_recording(rng: &mut Rng) -> (Vec<LineagePart>, Vec<Vec<LineageEvent>>) {
     let stages = all_stages();
     let n = TABLE_SIZES[rng.below(TABLE_SIZES.len() as u64) as usize];
     let names: Vec<String> = (0..n).map(|i| format!("comp:{i:02}")).collect();
@@ -114,6 +128,7 @@ fn random_parts(rng: &mut Rng) -> Vec<LineagePart> {
     // later events more than `u32::MAX` ns after its birth.
     let mut clocks = vec![0u64; domains];
     let mut spans: Vec<(u64, u64)> = Vec::new();
+    let mut calls: Vec<Vec<LineageEvent>> = vec![Vec::new(); domains];
     for _ in 0..rng.below(300) {
         let d = rng.below(domains as u64) as usize;
         clocks[d] += match rng.below(40) {
@@ -121,9 +136,18 @@ fn random_parts(rng: &mut Rng) -> Vec<LineagePart> {
             _ => rng.below(3),
         };
         let comp = comps[d][rng.below(comps[d].len() as u64) as usize];
-        if spans.is_empty() || rng.below(4) == 0 {
-            let span = recorders[d].begin_span(clocks[d], comp, None, rng.below(2000) as u32);
+        let kept = recorders[d].len();
+        let call = if spans.is_empty() || rng.below(4) == 0 {
+            let aux = rng.below(2000) as u32;
+            let span = recorders[d].begin_span(clocks[d], comp, None, aux);
             spans.push((span, clocks[d]));
+            LineageEvent {
+                span,
+                time_ns: clocks[d],
+                comp,
+                stage: Stage::Sent,
+                aux,
+            }
         } else {
             let (span, born) = spans[rng.below(spans.len() as u64) as usize];
             let stage = stages[rng.below(stages.len() as u64) as usize];
@@ -140,13 +164,24 @@ fn random_parts(rng: &mut Rng) -> Vec<LineagePart> {
                 _ => rng.below(1 << 10) as u32,
             };
             recorders[d].record(span, time_ns, comp, stage, aux);
+            LineageEvent {
+                span,
+                time_ns,
+                comp,
+                stage,
+                aux,
+            }
+        };
+        if recorders[d].len() > kept {
+            calls[d].push(call);
         }
     }
-    recorders
+    let parts = recorders
         .into_iter()
         .zip(&interners)
         .map(|(rec, interner)| rec.finish(interner))
-        .collect()
+        .collect();
+    (parts, calls)
 }
 
 /// The merge as it was before the log went span-major: remap every
@@ -181,7 +216,7 @@ fn reference(parts: &[LineagePart]) -> (Vec<SpanOrigin>, Vec<String>, Vec<Vec<Li
     }
     let mut flat = Vec::new();
     for (part, p) in parts.iter().enumerate() {
-        for ev in p.events.iter() {
+        for ev in p.events() {
             let origin_part = (ev.span >> SPAN_DOMAIN_SHIFT) as usize;
             let local = (ev.span & SPAN_LOCAL_MASK) as usize;
             flat.push(LineageEvent {
@@ -201,7 +236,7 @@ fn reference(parts: &[LineagePart]) -> (Vec<SpanOrigin>, Vec<String>, Vec<Vec<Li
 
 fn check(parts: Vec<LineagePart>, case: u64) {
     let (origins, components, buckets) = reference(&parts);
-    let total: usize = parts.iter().map(|p| p.events.len()).sum();
+    let total: usize = parts.iter().map(|p| p.events().count()).sum();
     let dropped: u64 = parts.iter().map(|p| p.dropped).sum();
     let dump = LineageDump::merge_domains(parts);
 
@@ -257,6 +292,7 @@ fn generator_covers_the_hard_cases() {
     let mut rng = Rng(0x5eed_1065);
     let (mut unsorted, mut evicted, mut empty, mut ties) = (0, 0, 0, 0);
     let (mut far, mut at_limit, mut aux_full, mut aux_over) = (0, 0, 0, 0);
+    let mut foreign = 0;
     let mut table_sizes = BTreeMap::new();
     for _ in 0..400 {
         let parts = random_parts(&mut rng);
@@ -269,8 +305,13 @@ fn generator_covers_the_hard_cases() {
         // Each span's times in part-then-recording order, keyed by the
         // domain-tagged id: the order the counting sort leaves them in.
         let mut by_span: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
-        for ev in parts.iter().flat_map(|p| p.events.iter()) {
+        for (d, ev) in parts
+            .iter()
+            .enumerate()
+            .flat_map(|(d, p)| p.events().map(move |ev| (d, ev)))
+        {
             by_span.entry(ev.span).or_default().push(ev.time_ns);
+            foreign += usize::from((ev.span >> SPAN_DOMAIN_SHIFT) as usize != d);
             let part = &parts[(ev.span >> SPAN_DOMAIN_SHIFT) as usize];
             let born = part.origins[(ev.span & SPAN_LOCAL_MASK) as usize].time_ns;
             match ev.time_ns.checked_sub(born) {
@@ -294,6 +335,10 @@ fn generator_covers_the_hard_cases() {
     assert!(empty > 10, "only {empty} spans without events");
     assert!(ties > 100, "only {ties} equal-time neighbours");
     assert!(far > 100, "only {far} events 2^32 ns or more after birth");
+    assert!(
+        foreign > 100,
+        "only {foreign} events of another domain's span"
+    );
     assert!(at_limit > 10, "only {at_limit} events at the offset limit");
     assert!(
         aux_full > 100,
@@ -311,6 +356,60 @@ fn generator_covers_the_hard_cases() {
     }
 }
 
+/// Every way a staged event leaves the 16-B form — a span born in
+/// another domain, a time 2^32 ns or more after birth or before it —
+/// and an aux too wide for the merged row, next to events that stage
+/// and pack whole: each part decodes to the calls its recorder took,
+/// and the merged timelines match the reference.
+#[test]
+fn staged_spills_decode_to_the_recorded_events() {
+    let mut interner = Interner::new();
+    let (a, b) = (interner.intern("node:a"), interner.intern("node:b"));
+    let mut d0 = LineageRecorder::default();
+    let mut d1 = LineageRecorder::default();
+    d1.set_span_base(1 << SPAN_DOMAIN_SHIFT);
+    let born = 1_000;
+    let span = d0.begin_span(born, a, None, 1_400);
+    let local = d1.begin_span(born + 5, b, None, 64);
+    let far = born + u64::from(u32::MAX);
+    let mut calls: [Vec<LineageEvent>; 2] = [Vec::new(), Vec::new()];
+    let ev = |span, time_ns, comp, stage, aux| LineageEvent {
+        span,
+        time_ns,
+        comp,
+        stage,
+        aux,
+    };
+    calls[0].push(ev(span, born, a, Stage::Sent, 1_400));
+    calls[1].push(ev(local, born + 5, b, Stage::Sent, 64));
+    for (d, event) in [
+        (0, ev(span, born, a, Stage::LinkTx, 0)),
+        (0, ev(span, far, a, Stage::Arrived, 185)),
+        (0, ev(span, far + 1, a, Stage::Buffered, 60_000)),
+        (0, ev(span, born + 7, a, Stage::Delivered, u32::MAX)),
+        (0, ev(span, born - 1, a, Stage::Sniffed, 3)),
+        (1, ev(span, born + 9, b, Stage::Arrived, 0)),
+        (1, ev(span, far + 9, b, Stage::Played, u32::MAX)),
+        (1, ev(local, far + 5, b, Stage::Arrived, 0)),
+        (1, ev(local, far + 6, b, Stage::Delivered, 1 << 30)),
+    ] {
+        let rec = if d == 0 { &mut d0 } else { &mut d1 };
+        rec.record(
+            event.span,
+            event.time_ns,
+            event.comp,
+            event.stage,
+            event.aux,
+        );
+        calls[d].push(event);
+    }
+    let parts = vec![d0.finish(&interner), d1.finish(&interner)];
+    for (part, want) in parts.iter().zip(&calls) {
+        assert_eq!(&part.events().collect::<Vec<_>>(), want);
+    }
+    check(parts, 0);
+}
+
 /// Every stage and drop cause survives the packed tag, at every
 /// component id the merge hands out.
 #[test]
@@ -326,8 +425,7 @@ fn every_stage_round_trips_through_the_packed_tag() {
     }
     let part = rec.finish(&interner);
     let want: Vec<(Stage, &str, u32)> = part
-        .events
-        .iter()
+        .events()
         .map(|e| (e.stage, NAMES[e.comp.index()], e.aux))
         .collect();
     let dump = LineageDump::merge_domains(vec![part]);

@@ -9,7 +9,8 @@
 //! [`TimeSeriesRecorder::finish`] dump must equal it field by field.
 //! The name pool holds content-equal names at different addresses, so
 //! a series lookup that matches names by pointer alone splits a series
-//! in two.
+//! in two. A second property drives the handle path
+//! ([`TimeSeriesRecorder::record`]) the engine's hooks use.
 
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -88,7 +89,7 @@ proptest! {
             match kind {
                 SeriesKind::Counter => ts.counter_add(now, name, comps[comp_i], value),
                 SeriesKind::Gauge => ts.gauge_max(now, name, comps[comp_i], value),
-            }
+            };
             let r = reference
                 .entry((name.to_string(), COMPS[comp_i].to_string()))
                 .or_insert(RefSeries { kind, first: window, values: Vec::new(), total: 0 });
@@ -122,5 +123,196 @@ proptest! {
             prop_assert_eq!(&got.values[..], &want.values[evicted..], "{}/{}", metric, component);
             prop_assert_eq!(got.total, want.total, "{}/{}", metric, component);
         }
+    }
+}
+
+/// Series names for the handle-path property: three counters, three
+/// gauges.
+const HANDLE_NAMES: [(&str, SeriesKind); 6] = [
+    ("link_tx_bytes_total", SeriesKind::Counter),
+    ("node_rx_bytes_total", SeriesKind::Counter),
+    ("link_dropped_fault_total", SeriesKind::Counter),
+    ("link_queue_depth_bytes", SeriesKind::Gauge),
+    ("reassembly_backlog_groups", SeriesKind::Gauge),
+    ("player_buffer_ms", SeriesKind::Gauge),
+];
+
+/// A reference series kept sparse: every window ever touched, none
+/// evicted.
+struct Sparse {
+    kind: SeriesKind,
+    windows: BTreeMap<u64, u64>,
+}
+
+impl Sparse {
+    fn combine(&self, a: u64, b: u64) -> u64 {
+        match self.kind {
+            SeriesKind::Counter => a + b,
+            SeriesKind::Gauge => a.max(b),
+        }
+    }
+
+    /// What a recorder with ring capacity `cap` retains:
+    /// `(first_window, evicted, values, total)`.
+    fn expect(&self, cap: usize) -> (u64, u64, Vec<u64>, u64) {
+        let first = *self.windows.keys().next().expect("a series has a sample");
+        let last = *self
+            .windows
+            .keys()
+            .next_back()
+            .expect("a series has a sample");
+        let kept_from = first.max((last + 1).saturating_sub(cap as u64));
+        let values = (kept_from..=last)
+            .map(|w| self.windows.get(&w).copied().unwrap_or(0))
+            .collect();
+        let total = self.windows.values().fold(0, |t, &v| self.combine(t, v));
+        (kept_from, kept_from - first, values, total)
+    }
+}
+
+type Expected = BTreeMap<(String, String), (SeriesKind, u64, u64, Vec<u64>, u64)>;
+
+/// `SeriesDump::merge` by hand: align absolute windows, combine where
+/// both retain one, sum evictions, combine totals.
+fn merge_expected(a: &Expected, b: &Expected) -> Expected {
+    let mut out = a.clone();
+    for (key, bs) in b {
+        let Some(asr) = out.get(key).cloned() else {
+            out.insert(key.clone(), bs.clone());
+            continue;
+        };
+        let (kind, a_first, a_ev, a_vals, a_total) = asr;
+        let (_, b_first, b_ev, b_vals, b_total) = bs;
+        let first = a_first.min(*b_first);
+        let end = (a_first + a_vals.len() as u64).max(b_first + b_vals.len() as u64);
+        let mut values = vec![0u64; (end - first) as usize];
+        let combine = |x: u64, y: u64| match kind {
+            SeriesKind::Counter => x + y,
+            SeriesKind::Gauge => x.max(y),
+        };
+        for (i, v) in a_vals.iter().enumerate() {
+            values[(a_first - first) as usize + i] = *v;
+        }
+        for (i, v) in b_vals.iter().enumerate() {
+            let slot = &mut values[(b_first - first) as usize + i];
+            *slot = combine(*slot, *v);
+        }
+        out.insert(
+            key.clone(),
+            (kind, first, a_ev + b_ev, values, combine(a_total, *b_total)),
+        );
+    }
+    out
+}
+
+fn expected(reference: &BTreeMap<(String, String), Sparse>, cap: usize) -> Expected {
+    reference
+        .iter()
+        .map(|(key, r)| {
+            let (first, evicted, values, total) = r.expect(cap);
+            (key.clone(), (r.kind, first, evicted, values, total))
+        })
+        .collect()
+}
+
+fn dumped(dump: &turb_obs::SeriesDump) -> Expected {
+    dump.series
+        .iter()
+        .map(|s| {
+            (
+                (s.metric.clone(), s.component.clone()),
+                (s.kind, s.first_window, s.evicted, s.values.clone(), s.total),
+            )
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The handle path against a sparse `BTreeMap` reference: up to 48
+    /// series interleaved over two recorders (two runs, each with its
+    /// own clock), 1-ns windows among the widths, gaps up to 1,000
+    /// windows past a ring of 1–6, samples given by handle or by name,
+    /// and `finish` taken mid-window while recording goes on. The two
+    /// dumps must then merge to the merged reference.
+    #[test]
+    fn handles_match_the_reference_through_finish_and_merge(
+        cap in 1usize..=6,
+        width_i in 0usize..4,
+        ops in proptest::collection::vec(
+            (0usize..2, 0usize..6, 0usize..8, 0usize..9, 0u64..1_000_000, 0u64..16),
+            0..200,
+        ),
+    ) {
+        let window_ns = [1, 1, 7, 1_000_000_000][width_i];
+        let jumps = [0, 0, 1, 2, cap as u64 - 1, cap as u64, cap as u64 + 1, 3 * cap as u64 + 5, 1000];
+        let mut interner = Interner::new();
+        let comps: Vec<_> = (0..8).map(|i| interner.intern(&format!("comp:{i}"))).collect();
+        let mut recs = [
+            TimeSeriesRecorder::with_capacity(window_ns, cap),
+            TimeSeriesRecorder::with_capacity(window_ns, cap),
+        ];
+        let mut handles: [BTreeMap<(usize, usize), turb_obs::SeriesId>; 2] = Default::default();
+        let mut reference: [BTreeMap<(String, String), Sparse>; 2] = Default::default();
+        let (mut now, mut window) = ([0u64; 2], [0u64; 2]);
+        for (part, name_i, comp_i, jump_i, offset, flags) in ops {
+            let (name, kind) = HANDLE_NAMES[name_i];
+            let jump = jumps[jump_i];
+            let offset = offset % window_ns;
+            now[part] = if jump == 0 {
+                now[part].max(window[part] * window_ns + offset)
+            } else {
+                (window[part] + jump) * window_ns + offset
+            };
+            window[part] = now[part] / window_ns;
+            let value = flags * 37 % 101;
+
+            let rec = &mut recs[part];
+            match handles[part].get(&(name_i, comp_i)) {
+                // Now and then a known series is sampled by name: both
+                // paths must reach the same series.
+                Some(&id) if flags % 4 != 0 => rec.record(id, now[part], value),
+                _ => {
+                    let id = match kind {
+                        SeriesKind::Counter => rec.counter_add(now[part], name, comps[comp_i], value),
+                        SeriesKind::Gauge => rec.gauge_max(now[part], name, comps[comp_i], value),
+                    };
+                    let first = *handles[part].entry((name_i, comp_i)).or_insert(id);
+                    prop_assert_eq!(first, id, "a series keeps its handle");
+                }
+            }
+            let r = reference[part]
+                .entry((name.to_string(), format!("comp:{comp_i}")))
+                .or_insert(Sparse { kind, windows: BTreeMap::new() });
+            let old = r.windows.get(&window[part]).copied().unwrap_or(0);
+            let new = r.combine(old, value);
+            r.windows.insert(window[part], new);
+
+            // Finish mid-window, then keep recording.
+            if flags == 15 {
+                let want = expected(&reference[part], cap);
+                prop_assert_eq!(dumped(&recs[part].finish(&interner)), want);
+            }
+        }
+
+        let mut merged = None;
+        for part in 0..2 {
+            let want = expected(&reference[part], cap);
+            let dump = recs[part].finish(&interner);
+            prop_assert_eq!(dump.window_ns, window_ns);
+            prop_assert_eq!(recs[part].series_count(), want.len());
+            prop_assert_eq!(
+                recs[part].window_count(),
+                want.values().map(|s| s.3.len()).sum::<usize>()
+            );
+            prop_assert_eq!(dumped(&dump), want);
+            match merged.as_mut() {
+                None => merged = Some(dump),
+                Some(m) => m.merge(&dump),
+            }
+        }
+        let want = merge_expected(&expected(&reference[0], cap), &expected(&reference[1], cap));
+        prop_assert_eq!(dumped(&merged.expect("two parts")), want);
     }
 }

@@ -11,7 +11,7 @@
 use crate::error::WireError;
 use crate::ipv4::{Ipv4Packet, IPV4_HEADER_LEN};
 use bytes::{Bytes, BytesMut};
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::net::Ipv4Addr;
 
 /// Split `packet` into MTU-sized fragments.
@@ -182,11 +182,19 @@ pub struct ReassemblyStats {
     pub invalid: u64,
 }
 
+/// The key a datagram's fragments share: (src, dst, protocol,
+/// identification).
+type DatagramKey = (Ipv4Addr, Ipv4Addr, u8, u16);
+
 /// Reassembles fragmented IPv4 datagrams keyed by
 /// (src, dst, protocol, identification), with a per-datagram timeout.
 #[derive(Debug)]
 pub struct Reassembler {
-    partials: HashMap<(Ipv4Addr, Ipv4Addr, u8, u16), Partial>,
+    partials: HashMap<DatagramKey, Partial>,
+    /// `(first_seen, key)` of every partial, oldest first, so expiry
+    /// looks only at the front. An entry outlives its partial when the
+    /// datagram completes; it is skipped when it reaches the front.
+    by_age: VecDeque<(u64, DatagramKey)>,
     timeout: u64,
     stats: ReassemblyStats,
 }
@@ -198,6 +206,7 @@ impl Reassembler {
     pub fn new(timeout: u64) -> Self {
         Reassembler {
             partials: HashMap::new(),
+            by_age: VecDeque::new(),
             timeout,
             stats: ReassemblyStats::default(),
         }
@@ -214,11 +223,18 @@ impl Reassembler {
         let key = packet.datagram_key();
         let offset = packet.fragment_offset_bytes();
         let end = offset + packet.payload.len();
-        let partial = self.partials.entry(key).or_insert_with(|| Partial {
-            pieces: Vec::new(),
-            total_len: None,
-            template: packet.clone(),
-            first_seen: now,
+        let by_age = &mut self.by_age;
+        let partial = self.partials.entry(key).or_insert_with(|| {
+            // Callers' clocks are monotone, so this is an append; an
+            // earlier `now` still lands in order.
+            let at = by_age.partition_point(|&(seen, _)| seen <= now);
+            by_age.insert(at, (now, key));
+            Partial {
+                pieces: Vec::new(),
+                total_len: None,
+                template: packet.clone(),
+                first_seen: now,
+            }
         });
         // Fail closed on fragments that contradict the datagram's
         // declared length instead of silently clamping at assembly.
@@ -272,19 +288,31 @@ impl Reassembler {
     /// abandoned datagram's header template. Expired partials are
     /// visited in a deterministic order (first-seen time, then the
     /// datagram key) regardless of `HashMap` iteration order, so
-    /// same-seed runs observe identical callback sequences.
+    /// same-seed runs observe identical callback sequences. When
+    /// nothing has expired this is one compare against the oldest
+    /// partial.
     pub fn expire_with(&mut self, now: u64, mut on_expired: impl FnMut(&Ipv4Packet)) -> usize {
         let timeout = self.timeout;
-        let mut expired: Vec<_> = self
-            .partials
-            .iter()
-            .filter(|(_, p)| now.saturating_sub(p.first_seen) >= timeout)
-            .map(|(key, p)| (p.first_seen, *key))
-            .collect();
-        expired.sort_unstable();
-        for (_, key) in &expired {
-            let partial = self.partials.remove(key).expect("expired key present");
-            on_expired(&partial.template);
+        let mut expired = Vec::new();
+        while let Some(&(seen, key)) = self.by_age.front() {
+            if now.saturating_sub(seen) < timeout {
+                break;
+            }
+            self.by_age.pop_front();
+            // Skip entries whose datagram completed (or whose key was
+            // reused by a later datagram).
+            if self
+                .partials
+                .get(&key)
+                .is_some_and(|p| p.first_seen == seen)
+            {
+                let partial = self.partials.remove(&key).expect("present");
+                expired.push((seen, key, partial.template));
+            }
+        }
+        expired.sort_unstable_by_key(|&(seen, key, _)| (seen, key));
+        for (_, _, template) in &expired {
+            on_expired(template);
         }
         self.stats.timed_out += expired.len() as u64;
         expired.len()
@@ -426,6 +454,39 @@ mod tests {
         assert_eq!(seen, vec![(2, 2), (3, 3), (1, 1)]);
         assert_eq!(r.stats().timed_out, 3);
         assert_eq!(r.pending(), 0);
+    }
+
+    /// Equal first-seen times leave in key order, however they arrived;
+    /// a completed datagram whose ident is reused does not expire the
+    /// new one early; each call expires only what is due.
+    #[test]
+    fn expiry_batches_follow_first_seen_then_key() {
+        let first = |ident: u16| {
+            let mut p = packet(2000);
+            p.identification = ident;
+            fragment(p, 1500).unwrap()
+        };
+        let mut r = Reassembler::new(1000);
+        for (ident, seen) in [(9u16, 10u64), (4, 10), (7, 10), (5, 500)] {
+            assert!(r.push(first(ident)[0].clone(), seen).is_none());
+        }
+        // Ident 6 completes at 20, then a new datagram reuses it at 600.
+        for f in first(6) {
+            r.push(f, 20);
+        }
+        assert!(r.push(first(6)[0].clone(), 600).is_none());
+        let expire = |r: &mut Reassembler, now| {
+            let mut idents = Vec::new();
+            r.expire_with(now, |t| idents.push(t.identification));
+            idents
+        };
+        assert_eq!(expire(&mut r, 1009), Vec::<u16>::new());
+        assert_eq!(expire(&mut r, 1010), vec![4, 7, 9]);
+        assert_eq!(expire(&mut r, 1599), vec![5]);
+        assert_eq!(r.pending(), 1);
+        assert_eq!(expire(&mut r, 1600), vec![6]);
+        assert_eq!(r.stats().timed_out, 5);
+        assert_eq!(r.stats().reassembled, 1);
     }
 
     #[test]
