@@ -51,6 +51,11 @@ const _: () = assert!(DROP_CODE_BASE + (DropCause::ALL.len() as u32) <= SPILL_CO
 /// written cost no RSS, and a freed chunk goes straight back to the OS
 /// instead of leaving a hole that fragments the heap across runs.
 const STAGE_CHUNK: usize = 1 << 21;
+/// Spill-table entries reserved at a recorder's first spill: 128 Ki
+/// entries, 2 MiB, of which only what is written costs RSS. Growing the
+/// table by doubling instead churns the heap once per run and left the
+/// lossy corpus' peak RSS higher than with no table at all.
+const SPILL_CHUNK: usize = STAGE_CHUNK / 16;
 /// A staged record's `span` when its span and time sit in the spill
 /// table.
 const SPILLED: u32 = u32::MAX;
@@ -478,6 +483,9 @@ impl StagedEvents {
         let (span, offset) = match offset {
             Some(offset) => (local as u32, offset),
             None => {
+                if self.spill.capacity() == 0 {
+                    self.spill.reserve_exact(SPILL_CHUNK);
+                }
                 self.spill.push(StagedSpill {
                     span,
                     time_ns: ev.time_ns,

@@ -192,8 +192,8 @@ type DatagramKey = (Ipv4Addr, Ipv4Addr, u8, u16);
 pub struct Reassembler {
     partials: HashMap<DatagramKey, Partial>,
     /// `(first_seen, key)` of every partial, oldest first, so expiry
-    /// looks only at the front. An entry outlives its partial when the
-    /// datagram completes; it is skipped when it reaches the front.
+    /// looks only at the front. An entry can outlive its partial when
+    /// the datagram completes; it is skipped when it reaches the front.
     by_age: VecDeque<(u64, DatagramKey)>,
     timeout: u64,
     stats: ReassemblyStats,
@@ -267,6 +267,11 @@ impl Reassembler {
         }
         if partial.is_complete() {
             let partial = self.partials.remove(&key).expect("present");
+            // A datagram that completes before a later one begins is
+            // the newest entry: drop it now, not when it ages out.
+            if self.by_age.back() == Some(&(partial.first_seen, key)) {
+                self.by_age.pop_back();
+            }
             let payload = partial.assemble();
             let mut whole = partial.template;
             whole.payload = payload;
