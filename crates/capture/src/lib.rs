@@ -18,4 +18,4 @@ pub mod sniffer;
 pub use filter::Filter;
 pub use frag::{FragmentGroups, FragmentationStats, Frame};
 pub use record::PacketRecord;
-pub use sniffer::{Capture, CaptureHandle, Sniffer};
+pub use sniffer::{Capture, Sniffer};

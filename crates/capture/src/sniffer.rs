@@ -2,10 +2,10 @@
 
 use crate::filter::Filter;
 use crate::record::PacketRecord;
-use std::sync::{Arc, Mutex};
-use turb_netsim::{NodeId, Simulation};
+use turb_netsim::{NodeId, Simulation, Tap, TapEvent, TapId};
 
-/// A finished (or in-progress) capture buffer.
+/// A capture buffer. As a [`Tap`] it dissects and keeps every packet
+/// crossing its node.
 #[derive(Debug, Default, Clone)]
 pub struct Capture {
     records: Vec<PacketRecord>,
@@ -108,30 +108,24 @@ impl Capture {
     }
 }
 
-/// Shared handle to a capture buffer; the simulation's tap holds one
-/// clone, the analysis holds the other.
-pub type CaptureHandle = Arc<Mutex<Capture>>;
+impl Tap for Capture {
+    fn observe(&mut self, ev: &TapEvent<'_>) {
+        self.sniffed += 1;
+        self.records
+            .push(PacketRecord::dissect(ev.time, ev.direction, ev.packet));
+    }
+}
 
 /// Attaches capture taps to simulated nodes.
 pub struct Sniffer;
 
 impl Sniffer {
     /// Start capturing at `node` (both directions, like Ethereal on the
-    /// paper's client machine). Returns the handle the analysis reads
-    /// after — or during — the run.
-    pub fn attach(sim: &mut Simulation, node: NodeId) -> CaptureHandle {
-        let handle: CaptureHandle = Arc::new(Mutex::new(Capture::with_capacity_hint()));
-        let tap_handle = handle.clone();
-        sim.add_tap(
-            node,
-            Box::new(move |ev| {
-                let record = PacketRecord::dissect(ev.time, ev.direction, ev.packet);
-                let mut capture = tap_handle.lock().unwrap();
-                capture.sniffed += 1;
-                capture.records.push(record);
-            }),
-        );
-        handle
+    /// paper's client machine). The simulation owns the capture while
+    /// it runs; after the run, `sim.take_tap::<Capture>(id)` hands it
+    /// back.
+    pub fn attach(sim: &mut Simulation, node: NodeId) -> TapId {
+        sim.add_tap(node, Box::new(Capture::with_capacity_hint()))
     }
 }
 
@@ -160,7 +154,7 @@ mod tests {
         }
     }
 
-    fn run_capture() -> CaptureHandle {
+    fn run_capture() -> Capture {
         let mut sim = Simulation::new(1);
         let a = sim.add_host("a", Ipv4Addr::new(10, 0, 0, 1));
         let b = sim.add_host("b", Ipv4Addr::new(10, 0, 0, 2));
@@ -178,13 +172,12 @@ mod tests {
             false,
         );
         sim.run_until(SimTime::ZERO + SimDuration::from_secs(2));
-        capture
+        sim.take_tap(capture)
     }
 
     #[test]
     fn captures_arrivals_including_fragments() {
         let capture = run_capture();
-        let capture = capture.lock().unwrap();
         // 300 and 100 bytes unfragmented; 2000 bytes = 2 fragments;
         // plus the ICMP port-unreachables b sends back (Tx direction).
         let rx_udp = capture.filtered(&Filter::Udp.and(Filter::direction_rx()));
@@ -198,7 +191,6 @@ mod tests {
     #[test]
     fn interarrivals_reflect_the_send_pacing() {
         let capture = run_capture();
-        let capture = capture.lock().unwrap();
         // First packet of each datagram arrives ≈10 ms apart.
         let filter = Filter::Udp
             .and(Filter::direction_rx())
@@ -213,7 +205,6 @@ mod tests {
     #[test]
     fn wire_lengths_include_ethernet_header() {
         let capture = run_capture();
-        let capture = capture.lock().unwrap();
         let lens = capture.wire_lengths(&Filter::Udp.and(Filter::direction_rx()));
         // 100B payload → 100+8+20+14 = 142 on the wire.
         assert!(lens.contains(&142.0), "lens = {lens:?}");

@@ -9,7 +9,6 @@
 use bytes::Bytes;
 use std::fmt::Write as _;
 use std::net::Ipv4Addr;
-use std::sync::{Arc, Mutex};
 use turb_media::{corpus, ClipPair, RateClass};
 use turb_netsim::prelude::*;
 use turbulence::{run_pair, PairRunConfig};
@@ -98,14 +97,12 @@ impl Application for Periodic {
 }
 
 /// Records the arrival time, in seconds, of every datagram it receives.
-struct Sink(Arc<Mutex<Vec<f64>>>);
+#[derive(Default)]
+struct Sink(Vec<f64>);
 
 impl Application for Sink {
     fn on_udp(&mut self, ctx: &mut Ctx<'_>, _from: (Ipv4Addr, u16), _port: u16, _data: Bytes) {
-        self.0
-            .lock()
-            .expect("arrival log poisoned")
-            .push(ctx.now().as_secs_f64());
+        self.0.push(ctx.now().as_secs_f64());
     }
 }
 
@@ -148,10 +145,9 @@ fn arrival_gap_std(jitter_std_ms: u64) -> f64 {
         remaining: 500,
     };
     sim.add_app(a, Box::new(cbr), None, false);
-    let arrivals = Arc::new(Mutex::new(Vec::new()));
-    sim.add_app(z, Box::new(Sink(arrivals.clone())), Some(6000), false);
+    let sink = sim.add_app(z, Box::new(Sink::default()), Some(6000), false);
     sim.run_to_idle(SimTime(u64::MAX));
-    let times = arrivals.lock().expect("arrival log poisoned");
+    let times = sim.take_app::<Sink>(sink).0;
     let gaps: Vec<f64> = times.windows(2).map(|w| w[1] - w[0]).collect();
     let mean = gaps.iter().sum::<f64>() / gaps.len() as f64;
     (gaps.iter().map(|g| (g - mean).powi(2)).sum::<f64>() / gaps.len() as f64).sqrt()
@@ -159,7 +155,7 @@ fn arrival_gap_std(jitter_std_ms: u64) -> f64 {
 
 pub fn red_vs_droptail() -> String {
     use turb_netsim::tcp::TcpConfig;
-    use turb_netsim::tcp_apps::spawn_bulk_transfer;
+    use turb_netsim::tcp_apps::{spawn_bulk_transfer, BulkSender};
     use turb_netsim::RedQueue;
 
     // A greedy TCP flow against an unresponsive 600 Kbit/s firehose on
@@ -189,8 +185,8 @@ pub fn red_vs_droptail() -> String {
             remaining: u32::MAX,
         };
         sim.add_app(a, Box::new(firehose), None, false);
-        sim.add_app(b, Box::new(Sink(Default::default())), Some(6000), false);
-        let report = spawn_bulk_transfer(
+        sim.add_app(b, Box::new(Sink::default()), Some(6000), false);
+        let (tcp, _) = spawn_bulk_transfer(
             &mut sim,
             a,
             b,
@@ -200,7 +196,7 @@ pub fn red_vs_droptail() -> String {
             TcpConfig::default(),
         );
         sim.run_until(SimTime::ZERO + SimDuration::from_secs(60));
-        let acked = report.lock().expect("transfer report poisoned").bytes_acked;
+        let acked = sim.take_app::<BulkSender>(tcp).stats.bytes_acked;
         let goodput = acked as f64 * 8.0 / 60.0 / 1000.0;
         let link = sim.core().link(ab);
         (goodput, link.stats.dropped_queue, link.stats.dropped_red)
@@ -294,8 +290,7 @@ pub fn burst_loss_vs_fragmentation() -> String {
             &mut rng,
         );
         sim.run_to_idle(SimTime::ZERO + SimDuration::from_secs(200));
-        let log = wmp.log.lock().expect("tracker log poisoned");
-        let datagram_loss = log.loss_rate();
+        let datagram_loss = wmp.take_log(&mut sim).loss_rate();
         let link_stats = sim.core().link(sc).fault.stats();
         let packet_loss = link_stats.dropped as f64 / link_stats.offered.max(1) as f64;
         (packet_loss, datagram_loss)

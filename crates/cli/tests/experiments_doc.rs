@@ -1,25 +1,37 @@
-//! EXPERIMENTS.md's measured blocks are copies of `turbulence` output.
+//! The measured blocks of EXPERIMENTS.md and README.md are copies of
+//! `turbulence` output.
 //!
 //! A fence is a `<!-- turbulence ARGS -->` line directly before a
-//! ```` ```text ```` block. Each distinct ARGS runs once, and every line
-//! of each of its blocks must appear, verbatim and contiguous, in that
-//! command's stdout. A failure names the command and the first line of
-//! the block it did not print.
+//! ```` ```text ```` block. Each distinct ARGS runs once, whichever file
+//! its blocks are in, and every line of each of its blocks must appear,
+//! verbatim and contiguous, in that command's stdout. A failure names
+//! the command and the file and line of the first block line it did not
+//! print.
 
 use std::collections::BTreeMap;
 use std::process::Command;
 
-const DOC: &str = include_str!("../../../EXPERIMENTS.md");
+const DOCS: [(&str, &str); 2] = [
+    ("EXPERIMENTS.md", include_str!("../../../EXPERIMENTS.md")),
+    ("README.md", include_str!("../../../README.md")),
+];
 
-/// A fenced block: its first line's number in the file, and its lines.
+/// A fenced block: its file, its first line's number there, and its
+/// lines.
 struct Block {
+    file: &'static str,
     line: usize,
     lines: Vec<&'static str>,
 }
 
-/// Every fenced block of `doc`, grouped by the ARGS of its marker.
-fn fences(doc: &'static str) -> BTreeMap<&'static str, Vec<Block>> {
-    let mut fences: BTreeMap<_, Vec<Block>> = BTreeMap::new();
+/// Add every fenced block of `doc` (named `file`) to `fences`, under
+/// the ARGS of its marker; returns how many there were.
+fn fences(
+    fences: &mut BTreeMap<&'static str, Vec<Block>>,
+    file: &'static str,
+    doc: &'static str,
+) -> usize {
+    let mut found = 0;
     let mut lines = doc.lines().enumerate();
     while let Some((i, line)) = lines.next() {
         let Some(args) = line
@@ -31,7 +43,7 @@ fn fences(doc: &'static str) -> BTreeMap<&'static str, Vec<Block>> {
         assert_eq!(
             lines.next().map(|(_, l)| l),
             Some("```text"),
-            "EXPERIMENTS.md:{}: the marker must sit directly before a ```text block",
+            "{file}:{}: the marker must sit directly before a ```text block",
             i + 1
         );
         let block: Vec<&str> = lines
@@ -39,13 +51,15 @@ fn fences(doc: &'static str) -> BTreeMap<&'static str, Vec<Block>> {
             .map(|(_, l)| l)
             .take_while(|l| *l != "```")
             .collect();
-        assert!(!block.is_empty(), "EXPERIMENTS.md:{}: empty block", i + 1);
+        assert!(!block.is_empty(), "{file}:{}: empty block", i + 1);
         fences.entry(args).or_default().push(Block {
+            file,
             line: i + 3,
             lines: block,
         });
+        found += 1;
     }
-    fences
+    found
 }
 
 fn run(args: &str) -> String {
@@ -82,16 +96,22 @@ fn first_missing(block: &[&str], stdout: &[&str]) -> Option<usize> {
 
 #[test]
 fn every_fenced_block_is_what_its_command_prints() {
-    let fences = fences(DOC);
-    assert!(!fences.is_empty(), "EXPERIMENTS.md has no fenced blocks");
+    let mut all = BTreeMap::new();
+    for (file, doc) in DOCS {
+        assert!(
+            fences(&mut all, file, doc) > 0,
+            "{file} has no fenced blocks"
+        );
+    }
 
-    for (args, blocks) in &fences {
+    for (args, blocks) in &all {
         let stdout = run(args);
         let stdout: Vec<&str> = stdout.lines().collect();
         for block in blocks {
             if let Some(i) = first_missing(&block.lines, &stdout) {
                 panic!(
-                    "`turbulence {args}` does not print EXPERIMENTS.md:{}: {:?}",
+                    "`turbulence {args}` does not print {}:{}: {:?}",
+                    block.file,
                     block.line + i,
                     block.lines[i]
                 );

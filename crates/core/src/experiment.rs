@@ -10,7 +10,7 @@ use std::net::Ipv4Addr;
 use std::sync::OnceLock;
 use turb_capture::{Capture, FragmentGroups, Sniffer};
 use turb_media::{ClipPair, RateClass};
-use turb_netsim::tools::{self, PingReport, TracertReport};
+use turb_netsim::tools::{self, PingApp, PingReport, TracertApp, TracertReport};
 use turb_netsim::{
     EngineKind, InternetScenario, ScenarioConfig, SchedulerKind, ShardKind, SimDuration, SimRng,
     SimTime, Simulation,
@@ -408,17 +408,9 @@ pub fn run_pair(config: &PairRunConfig) -> PairRunResult {
     );
     sim.run_until(check_start + SimDuration::from_secs(10));
 
-    let capture = std::sync::Arc::try_unwrap(capture)
-        .map(|c| c.into_inner().expect("capture lock poisoned"))
-        .unwrap_or_else(|arc| {
-            // The tap closure still holds a clone; clone the data out.
-            arc.lock().unwrap().clone()
-        });
-
-    // Clone out of the shared handles before the simulation (which
-    // still holds tap/app clones) goes out of scope.
-    let real_log = real.log.lock().unwrap().clone();
-    let wmp_log = wmp.log.lock().unwrap().clone();
+    let capture = sim.take_tap::<Capture>(capture);
+    let real_log = real.take_log(&mut sim);
+    let wmp_log = wmp.take_log(&mut sim);
     let mut telemetry = config.telemetry.then(|| {
         harvest(
             &label,
@@ -433,24 +425,23 @@ pub fn run_pair(config: &PairRunConfig) -> PairRunResult {
         let dumps = sim.finish_observers();
         (t.lineage, t.series, t.sessions) = (dumps.lineage, dumps.series, dumps.sessions);
     }
-    let result = PairRunResult {
+    PairRunResult {
         set_id: config.set_id,
         class: config.pair.class(),
         seed: config.seed,
         real: real_log,
         wmp: wmp_log,
         capture,
-        ping_before: ping_before.lock().unwrap().clone(),
-        ping_after: ping_after.lock().unwrap().clone(),
-        tracert_before: tracert_before.lock().unwrap().clone(),
-        tracert_after: tracert_after.lock().unwrap().clone(),
+        ping_before: sim.take_app::<PingApp>(ping_before).report,
+        ping_after: sim.take_app::<PingApp>(ping_after).report,
+        tracert_before: sim.take_app::<TracertApp>(tracert_before).report,
+        tracert_after: sim.take_app::<TracertApp>(tracert_after).report,
         server_addr: site.server_addr,
         configured_hops: site.hop_count,
         stream_start,
         telemetry,
         stream_groups: OnceLock::new(),
-    };
-    result
+    }
 }
 
 #[cfg(test)]

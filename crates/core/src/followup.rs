@@ -8,7 +8,7 @@
 use std::net::Ipv4Addr;
 use turb_media::{Clip, PlayerId};
 use turb_netsim::tcp::TcpConfig;
-use turb_netsim::tcp_apps::spawn_bulk_transfer;
+use turb_netsim::tcp_apps::{spawn_bulk_transfer, BulkSender};
 use turb_netsim::{LinkConfig, SimDuration, SimRng, SimTime, Simulation};
 use turb_players::{spawn_stream, AppStatsLog, StreamConfig};
 
@@ -100,7 +100,7 @@ fn tcp_goodput(config: &FriendlinessConfig, with_stream: bool) -> (f64, Option<A
     );
     let mut rng = SimRng::new(config.seed ^ 0xf41e);
 
-    let stream_log = with_stream.then(|| {
+    let stream = with_stream.then(|| {
         let stream_config = StreamConfig {
             clip: config.clip.clone(),
             server_addr: Ipv4Addr::new(204, 71, 0, 33),
@@ -112,12 +112,12 @@ fn tcp_goodput(config: &FriendlinessConfig, with_stream: bool) -> (f64, Option<A
             client_port: 7000,
             bottleneck_bps: config.bottleneck_bps,
         };
-        spawn_stream(&mut sim, server, client, stream_config, &mut rng).log
+        spawn_stream(&mut sim, server, client, stream_config, &mut rng)
     });
 
     // A TCP transfer big enough to stay busy for the whole window.
     let total = (config.bottleneck_bps as f64 / 8.0 * config.observe_secs * 2.0) as u64;
-    let report = spawn_bulk_transfer(
+    let (tcp, _) = spawn_bulk_transfer(
         &mut sim,
         server,
         client,
@@ -127,9 +127,9 @@ fn tcp_goodput(config: &FriendlinessConfig, with_stream: bool) -> (f64, Option<A
         TcpConfig::default(),
     );
     sim.run_until(SimTime::ZERO + SimDuration::from_secs_f64(config.observe_secs));
-    let acked = report.lock().unwrap().bytes_acked;
+    let acked = sim.take_app::<BulkSender>(tcp).stats.bytes_acked;
     let goodput_kbps = acked as f64 * 8.0 / config.observe_secs / 1000.0;
-    (goodput_kbps, stream_log.map(|l| l.lock().unwrap().clone()))
+    (goodput_kbps, stream.map(|s| s.take_log(&mut sim)))
 }
 
 /// Run one TCP-friendliness trial: TCP alone, then TCP sharing the

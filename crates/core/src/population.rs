@@ -599,7 +599,11 @@ pub fn run_fleet(config: &FleetRunConfig) -> FleetRunResult {
         + 2 * windows as u64 * std::mem::size_of::<u64>() as u64
         + member_count * std::mem::size_of::<u32>() as u64;
     let heap_bytes_per_session = steady_heap / specs.len().max(1) as u64;
-    let send_slots: u64 = ledger.slots.iter().map(|&n| u64::from(n)).sum();
+    let send_slots: u64 = scenario
+        .take_send_slots(&mut sim)
+        .iter()
+        .map(|&(slots, _)| slots as u64)
+        .sum();
     let slot_memory_bytes = send_slots * slot_heap_bytes(config.payload_bytes);
 
     let metrics = registry.render_text();

@@ -85,7 +85,7 @@ pub fn run_scale(config: &ScaleRunConfig) -> ScaleRunResult {
     let mut registry = MetricsRegistry::new();
     sim.collect_metrics(&mut registry);
     let stats = sim.sim_stats();
-    let total = scenario.total_received();
+    let (total, background) = scenario.take_totals(&mut sim);
 
     let mut blob = registry.render_text().into_bytes();
     blob.extend_from_slice(&stats.events_processed.to_le_bytes());
@@ -93,7 +93,6 @@ pub fn run_scale(config: &ScaleRunConfig) -> ScaleRunResult {
     blob.extend_from_slice(&total.datagrams.to_le_bytes());
     blob.extend_from_slice(&total.bytes.to_le_bytes());
 
-    let background_datagrams = scenario.background.lock().unwrap().datagrams;
     ScaleRunResult {
         wall_ns,
         events_processed: stats.events_processed,
@@ -102,7 +101,7 @@ pub fn run_scale(config: &ScaleRunConfig) -> ScaleRunResult {
         digest: fnv1a(&blob),
         diag: sim.shard_diag(),
         fluid: sim.fluid_diag(),
-        background_datagrams,
+        background_datagrams: background.datagrams,
     }
 }
 

@@ -31,6 +31,7 @@
 //! across schedulers, shard counts, and engines (at zero background),
 //! exactly like the scale scenario.
 
+use crate::node::AppId;
 use crate::sim::{Application, Ctx, Simulation};
 use crate::time::{SimDuration, SimTime};
 use crate::topology::ScaleScenario;
@@ -89,21 +90,17 @@ pub struct FleetLedger {
     /// Background payload bytes delivered per 1 s window (stays zero
     /// under the hybrid engine: fluid moves rate, not datagrams).
     pub bg_window_bytes: Vec<u64>,
-    /// Send slots each group's driver allocated: its high water of
-    /// sessions live at once.
-    pub slots: Vec<u32>,
-    /// Of those, slots a live session holds right now, per group; all
-    /// zero once every session has sent its last datagram.
-    pub slots_held: Vec<u32>,
 }
 
-/// The attached fleet: handles back to the shared ledger.
+/// The attached fleet: the shared ledger and each group's driver.
 #[derive(Debug)]
 pub struct FleetScenario {
     /// Delivery totals, filled in as the simulation runs.
     pub ledger: Arc<Mutex<FleetLedger>>,
     /// Number of 1 s windows the ledger tracks.
     pub windows: usize,
+    /// Each group's driver app; see [`FleetScenario::take_send_slots`].
+    pub drivers: Vec<AppId>,
 }
 
 /// A live session's send state: its datagram, encoded once at the
@@ -156,9 +153,6 @@ struct FleetDriver {
     slots: Vec<LiveSlot>,
     /// Indices of `slots` no live session holds.
     free: Vec<u32>,
-    /// Where the slot counts are reported, under `group`.
-    ledger: Arc<Mutex<FleetLedger>>,
-    group: usize,
     /// When `on_start` ran: start instants are offsets from it.
     started_at: SimTime,
     /// First of the `members.len()` seqs reserved for start timers.
@@ -203,15 +197,12 @@ impl FleetDriver {
             udp,
             left: spec.packets,
         };
-        let mut ledger = self.ledger.lock().unwrap();
-        ledger.slots_held[self.group] += 1;
         match self.free.pop() {
             Some(s) => {
                 self.slots[s as usize] = slot;
                 s as usize
             }
             None => {
-                ledger.slots[self.group] += 1;
                 self.slots.push(slot);
                 self.slots.len() - 1
             }
@@ -224,7 +215,6 @@ impl FleetDriver {
     fn return_slot(&mut self, s: usize) {
         self.slots[s].udp = Bytes::new();
         self.free.push(s as u32);
-        self.ledger.lock().unwrap().slots_held[self.group] -= 1;
     }
 }
 
@@ -339,8 +329,6 @@ impl FleetScenario {
             delivered: vec![0u32; specs.len()],
             fg_window_bytes: vec![0u64; windows],
             bg_window_bytes: vec![0u64; windows],
-            slots: vec![0; groups],
-            slots_held: vec![0; groups],
         }));
         let server_addrs: Arc<Vec<Ipv4Addr>> =
             Arc::new(base.groups.iter().map(|g| g.server_addr).collect());
@@ -354,6 +342,7 @@ impl FleetScenario {
             members[spec.group as usize].push(id as u32);
         }
 
+        let mut drivers = Vec::with_capacity(groups);
         for (g, group) in base.groups.iter().enumerate() {
             // The group's driver host, behind its ring router. 10.128+g
             // keeps clear of the scale clients' 10.g.* block.
@@ -367,7 +356,7 @@ impl FleetScenario {
             sim.core_mut().node_mut(driver).default_route = Some(up);
             sim.core_mut().node_mut(group.router).add_route(addr, down);
 
-            sim.add_app(
+            drivers.push(sim.add_app(
                 driver,
                 Box::new(FleetDriver {
                     specs: specs.clone(),
@@ -375,14 +364,12 @@ impl FleetScenario {
                     members: std::mem::take(&mut members[g]),
                     slots: Vec::new(),
                     free: Vec::new(),
-                    ledger: ledger.clone(),
-                    group: g,
                     started_at: SimTime::ZERO,
                     seq_base: 0,
                 }),
                 None,
                 false,
-            );
+            ));
             sim.add_app(
                 group.server,
                 Box::new(FleetSink {
@@ -403,7 +390,25 @@ impl FleetScenario {
             );
         }
 
-        FleetScenario { ledger, windows }
+        FleetScenario {
+            ledger,
+            windows,
+            drivers,
+        }
+    }
+
+    /// Take the drivers back after the run. Per group: the send slots
+    /// its driver allocated (its high water of sessions live at once)
+    /// and, of those, the slots a live session still holds (none once
+    /// every session has sent its last datagram).
+    pub fn take_send_slots(&self, sim: &mut Simulation) -> Vec<(usize, usize)> {
+        self.drivers
+            .iter()
+            .map(|&id| {
+                let driver = sim.take_app::<FleetDriver>(id);
+                (driver.slots.len(), driver.slots.len() - driver.free.len())
+            })
+            .collect()
     }
 }
 
@@ -412,7 +417,20 @@ mod tests {
     use super::*;
     use crate::link::NodeId;
     use crate::shard::ShardKind;
-    use crate::sim::{Direction, TapEvent};
+    use crate::sim::{Direction, Tap, TapEvent, TapId};
+
+    /// Logs every UDP datagram its node sends, with its addresses.
+    #[derive(Default)]
+    struct SentLog(Vec<(Ipv4Addr, Ipv4Addr, Bytes)>);
+
+    impl Tap for SentLog {
+        fn observe(&mut self, ev: &TapEvent<'_>) {
+            if ev.direction == Direction::Tx {
+                let p = ev.packet;
+                self.0.push((p.src, p.dst, p.payload.clone()));
+            }
+        }
+    }
     use crate::topology::{ScaleConfig, ScaleScenario};
 
     fn spec(start_ms: u64, packets: u32, group: u16, background: bool) -> SessionSpec {
@@ -492,27 +510,22 @@ mod tests {
             );
             // Every UDP datagram a driver puts on the wire, with the
             // addresses it travels between.
-            let sent: Arc<Mutex<Vec<(Ipv4Addr, Ipv4Addr, Bytes)>>> = Arc::default();
-            for g in 0..base.groups.len() {
-                let name = format!("fleet-g{g}-driver");
-                let driver = (0..sim.core().node_count())
-                    .map(NodeId)
-                    .find(|&n| sim.core().node(n).name == name)
-                    .expect("one driver per group");
-                let sent = sent.clone();
-                sim.add_tap(
-                    driver,
-                    Box::new(move |ev: &TapEvent<'_>| {
-                        if ev.direction == Direction::Tx {
-                            let p = ev.packet;
-                            sent.lock().unwrap().push((p.src, p.dst, p.payload.clone()));
-                        }
-                    }),
-                );
-            }
+            let taps: Vec<TapId> = (0..base.groups.len())
+                .map(|g| {
+                    let name = format!("fleet-g{g}-driver");
+                    let driver = (0..sim.core().node_count())
+                        .map(NodeId)
+                        .find(|&n| sim.core().node(n).name == name)
+                        .expect("one driver per group");
+                    sim.add_tap(driver, Box::new(SentLog::default()))
+                })
+                .collect();
             sim.run_to_idle(SimTime::ZERO + SimDuration::from_secs(10));
 
-            let sent = sent.lock().unwrap();
+            let sent: Vec<_> = taps
+                .iter()
+                .flat_map(|&tap| sim.take_tap::<SentLog>(tap).0)
+                .collect();
             let offered: u32 = specs.iter().map(|s| s.packets).sum();
             assert_eq!(sent.len(), offered as usize, "{shards:?}");
             for (src, dst, udp) in sent.iter() {
@@ -532,12 +545,11 @@ mod tests {
                 assert_eq!(*udp, fresh, "session {id}, {shards:?}");
             }
 
-            let ledger = scenario.ledger.lock().unwrap();
-            assert_eq!(ledger.slots_held, [0; 4], "a slot was never returned");
             let high_water = sim.sim_stats().queue_high_water;
-            for (g, &slots) in ledger.slots.iter().enumerate() {
+            for (g, (slots, held)) in scenario.take_send_slots(&mut sim).into_iter().enumerate() {
+                assert_eq!(held, 0, "group {g}: a slot was never returned");
                 assert!(
-                    slots >= 1 && u64::from(slots) <= high_water,
+                    slots >= 1 && slots as u64 <= high_water,
                     "group {g}: {slots} slots against a queue high water of {high_water}"
                 );
             }

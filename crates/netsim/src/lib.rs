@@ -20,7 +20,8 @@
 //!   as rates over link routes, recomputed only at demand breakpoints;
 //!   the packet path sees them as reduced residual link capacity.
 //! * [`sim`] — the engine: event queue, [`Application`] trait,
-//!   [`Ctx`] capability handle, sniffer taps.
+//!   [`Ctx`] capability handle, sniffer [`Tap`]s. The simulation owns
+//!   its apps and taps; [`Simulation::take_app`] hands one back.
 //! * [`ObserverDumps`] — what a run's observers (lineage, time
 //!   series, session rollups) recorded, from
 //!   [`Simulation::finish_observers`]; one observer set per shard
@@ -51,7 +52,7 @@
 //! let mut sim = Simulation::new(7);
 //! let mut rng = SimRng::new(7);
 //! let scenario = InternetScenario::build(&mut sim, &mut rng, &ScenarioConfig::default());
-//! let report = tools::spawn_ping(
+//! let ping = tools::spawn_ping(
 //!     &mut sim,
 //!     scenario.client,
 //!     scenario.sites[0].server_addr,
@@ -61,7 +62,8 @@
 //!     &mut rng,
 //! );
 //! sim.run_until(SimTime::ZERO + SimDuration::from_secs(10));
-//! assert_eq!(report.lock().unwrap().received, 4);
+//! let report = sim.take_app::<tools::PingApp>(ping).report;
+//! assert_eq!(report.received, 4);
 //! ```
 
 pub mod fault;
@@ -91,7 +93,7 @@ pub use red::RedQueue;
 pub use rng::SimRng;
 pub use shard::{ShardDiag, ShardDomainStats, ShardKind};
 pub use sim::{
-    Application, Ctx, Direction, SchedulerKind, SimCore, SimStats, Simulation, Tap, TapEvent,
+    Application, Ctx, Direction, SchedulerKind, SimCore, SimStats, Simulation, Tap, TapEvent, TapId,
 };
 pub use time::{SimDuration, SimTime};
 // Lineage vocabulary re-exported so apps built on `Ctx` don't need a
@@ -108,7 +110,9 @@ pub mod prelude {
     pub use crate::node::AppId;
     pub use crate::rng::SimRng;
     pub use crate::shard::{ShardDiag, ShardDomainStats, ShardKind};
-    pub use crate::sim::{Application, Ctx, Direction, SchedulerKind, Simulation, TapEvent};
+    pub use crate::sim::{
+        Application, Ctx, Direction, SchedulerKind, Simulation, Tap, TapEvent, TapId,
+    };
     pub use crate::time::{SimDuration, SimTime};
     pub use crate::tools;
     pub use crate::topology::{InternetScenario, ScenarioConfig};

@@ -209,7 +209,7 @@ mod tests {
                 false,
             );
             sim.add_app(b, Box::new(Sink), Some(6000), false);
-            let report = spawn_bulk_transfer(
+            let (tx, _) = spawn_bulk_transfer(
                 &mut sim,
                 a,
                 b,
@@ -219,8 +219,9 @@ mod tests {
                 TcpConfig::default(),
             );
             sim.run_until(SimTime::ZERO + SimDuration::from_secs(60));
-            let acked = report.lock().unwrap().bytes_acked;
-            acked
+            sim.take_app::<crate::tcp_apps::BulkSender>(tx)
+                .stats
+                .bytes_acked
         };
         let droptail = run(false);
         let red = run(true);

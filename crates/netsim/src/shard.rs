@@ -36,8 +36,8 @@
 use crate::link::{Link, LinkId, NodeId};
 use crate::node::{AppId, Node};
 use crate::sim::{
-    collect_link_metrics, collect_node_metrics, collect_sim_metrics, AppSlot, Application,
-    Delivery, Event, EventQueue, SchedulerKind, SimCore, SimStats, Simulation,
+    collect_link_metrics, collect_node_metrics, collect_sim_metrics, Application, Delivery, Event,
+    EventQueue, SchedulerKind, SimCore, SimStats, Simulation, Slot, Tap, TapId,
 };
 use crate::time::SimTime;
 use crate::wheel::SchedStats;
@@ -490,13 +490,24 @@ fn worker(sim: &mut Simulation, mailbox: &Mutex<Mailbox>, barrier: &Barrier) -> 
     }
 }
 
+/// Domain `d`'s copy of a full-length app or tap vector: the slots on
+/// its own nodes move here, every other slot stays empty, so ids index
+/// alike in every domain.
+fn own_slots<T: ?Sized>(slots: &mut [Slot<T>], node_domain: &[u16], d: usize) -> Vec<Slot<T>> {
+    let own = |s: &mut Slot<T>| Slot {
+        node: s.node,
+        held: s.held.take_if(|_| node_domain[s.node.0] as usize == d),
+    };
+    slots.iter_mut().map(own).collect()
+}
+
 impl ShardedEngine {
     /// Split a fully built simulation into `n` domains. Called lazily
     /// by the outer [`Simulation`] on its first `run_*` call, so all
     /// topology, application, and observer setup is already in place.
     pub(crate) fn partition(
         mut core: SimCore,
-        apps: Vec<AppSlot>,
+        mut apps: Vec<Slot<dyn Application>>,
         deliveries: Vec<Delivery>,
         n: usize,
     ) -> ShardedEngine {
@@ -535,17 +546,10 @@ impl ShardedEngine {
 
         // Dismember the core. Nodes, links, taps, and the original
         // observers move to their owning domains; every domain keeps
-        // full-length node/link/app vectors (placeholders in foreign
-        // slots) so global ids index directly everywhere.
+        // full-length node/link/app/tap vectors (placeholders in
+        // foreign slots) so global ids index directly everywhere.
         let mut nodes: Vec<Option<Node>> = core.nodes.into_iter().map(Some).collect();
         let mut links: Vec<Option<Link>> = core.links.into_iter().map(Some).collect();
-        let mut app_slots: Vec<(NodeId, Option<Box<dyn Application>>)> =
-            apps.into_iter().map(|s| (s.node, s.app)).collect();
-        let mut taps_by_domain: Vec<Vec<(NodeId, crate::sim::Tap)>> =
-            (0..n).map(|_| Vec::new()).collect();
-        for (node, tap) in core.taps {
-            taps_by_domain[node_domain[node.0] as usize].push((node, tap));
-        }
 
         // Lightweight per-entity metadata for placeholder construction.
         let node_meta: Vec<(
@@ -597,17 +601,6 @@ impl ShardedEngine {
                         }
                     })
                     .collect();
-                let domain_apps: Vec<AppSlot> = app_slots
-                    .iter_mut()
-                    .map(|(node, app)| AppSlot {
-                        node: *node,
-                        app: if node_domain[node.0] as usize == d {
-                            app.take()
-                        } else {
-                            None
-                        },
-                    })
-                    .collect();
                 Simulation {
                     core: SimCore {
                         now,
@@ -615,7 +608,7 @@ impl ShardedEngine {
                         seq: 0,
                         nodes: domain_nodes,
                         links: domain_links,
-                        taps: std::mem::take(&mut taps_by_domain[d]),
+                        taps: own_slots(&mut core.taps, &node_domain, d),
                         // Never drawn mid-run: every mid-run draw goes
                         // through a per-node or per-link stream.
                         rng: core.rng.clone(),
@@ -637,7 +630,7 @@ impl ShardedEngine {
                         fluid_applied: if d == 0 { core.fluid_applied } else { 0 },
                         fluid: crate::fluid::FluidChains::default(),
                     },
-                    apps: domain_apps,
+                    apps: own_slots(&mut apps, &node_domain, d),
                     deliveries: if d == 0 {
                         deliveries.clone_capacity()
                     } else {
@@ -909,6 +902,18 @@ impl ShardedEngine {
         self.domains[0].core.links.len()
     }
 
+    /// App `id`'s live slot: the one in its node's domain.
+    pub(crate) fn app_slot(&mut self, id: AppId) -> &mut Slot<dyn Application> {
+        let owner = self.node_domain[self.domains[0].apps[id.0].node.0] as usize;
+        &mut self.domains[owner].apps[id.0]
+    }
+
+    /// Tap `id`'s live slot: the one in its node's domain.
+    pub(crate) fn tap_slot(&mut self, id: TapId) -> &mut Slot<dyn Tap> {
+        let owner = self.node_domain[self.domains[0].core.taps[id.0].node.0] as usize;
+        &mut self.domains[owner].core.taps[id.0]
+    }
+
     /// Add an application mid-run: the live slot goes to the owning
     /// domain, every other domain gets a placeholder so [`AppId`]s
     /// stay globally consistent.
@@ -923,9 +928,9 @@ impl ShardedEngine {
         let owner = self.node_domain[node.0] as usize;
         let mut app = Some(app);
         for (d, sim) in self.domains.iter_mut().enumerate() {
-            sim.apps.push(AppSlot {
+            sim.apps.push(Slot {
                 node,
-                app: if d == owner { app.take() } else { None },
+                held: if d == owner { app.take() } else { None },
             });
         }
         let start = self.now;
@@ -1052,6 +1057,7 @@ impl CloneCapacity for Vec<Delivery> {
 mod tests {
     use super::*;
     use crate::link::LinkConfig;
+    use crate::sim::{Ctx, Direction, TapEvent};
     use crate::time::SimDuration;
 
     fn link(id: usize, from: usize, to: usize, prop_ms: u64) -> Link {
@@ -1141,6 +1147,104 @@ mod tests {
         let reported: Vec<u64> = diag.per_domain.iter().map(|d| d.max_queue_depth).collect();
         assert_eq!(reported, own);
         assert_eq!(sim.sim_stats().events_processed, 136);
+    }
+
+    /// Sends `left` 100-byte datagrams to `peer`:6000, one a
+    /// millisecond.
+    struct Sender {
+        peer: std::net::Ipv4Addr,
+        left: u32,
+    }
+    impl Application for Sender {
+        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+            ctx.set_timer_after(SimDuration::from_millis(1), 0);
+        }
+        fn on_timer(&mut self, ctx: &mut Ctx<'_>, _token: u64) {
+            ctx.send_udp(5000, self.peer, 6000, bytes::Bytes::from(vec![0u8; 100]));
+            self.left -= 1;
+            if self.left > 0 {
+                ctx.set_timer_after(SimDuration::from_millis(1), 0);
+            }
+        }
+    }
+
+    /// The arrival time of every datagram it receives.
+    #[derive(Default)]
+    struct Arrivals(Vec<SimTime>);
+    impl Application for Arrivals {
+        fn on_udp(
+            &mut self,
+            ctx: &mut Ctx<'_>,
+            _from: (std::net::Ipv4Addr, u16),
+            _port: u16,
+            _payload: bytes::Bytes,
+        ) {
+            self.0.push(ctx.now());
+        }
+    }
+
+    /// Packets crossing its node, by direction.
+    #[derive(Debug, Default, PartialEq)]
+    struct Crossings {
+        rx: u32,
+        tx: u32,
+    }
+    impl Tap for Crossings {
+        fn observe(&mut self, ev: &TapEvent<'_>) {
+            match ev.direction {
+                Direction::Rx => self.rx += 1,
+                Direction::Tx => self.tx += 1,
+            }
+        }
+    }
+
+    /// Two hosts 3 ms apart; `a` sends 20 datagrams to `b`, which
+    /// records them in an app and a tap. Returns the simulation, run to
+    /// idle, and the ids of both.
+    fn run_into_b(shards: ShardKind) -> (Simulation, AppId, TapId) {
+        let mut sim = Simulation::new(3);
+        sim.set_shards(shards);
+        let b_addr = std::net::Ipv4Addr::new(10, 0, 0, 2);
+        let a = sim.add_host("a", std::net::Ipv4Addr::new(10, 0, 0, 1));
+        let b = sim.add_host("b", b_addr);
+        let (ab, ba) = sim.add_duplex(a, b, LinkConfig::ethernet_10m(SimDuration::from_millis(3)));
+        sim.core_mut().node_mut(a).default_route = Some(ab);
+        sim.core_mut().node_mut(b).default_route = Some(ba);
+        assert_eq!(assign_domains(&sim.core().links, 2, 2), [0, 1]);
+        sim.add_app(
+            a,
+            Box::new(Sender {
+                peer: b_addr,
+                left: 20,
+            }),
+            None,
+            false,
+        );
+        let arrivals = sim.add_app(b, Box::new(Arrivals::default()), Some(6000), false);
+        let tap = sim.add_tap(b, Box::new(Crossings::default()));
+        sim.run_to_idle(SimTime::ZERO + SimDuration::from_secs(1));
+        (sim, arrivals, tap)
+    }
+
+    #[test]
+    fn apps_and_taps_come_back_from_the_domain_that_owns_them() {
+        let (mut seq, app, tap) = run_into_b(ShardKind::Sequential);
+        let (mut shd, shd_app, shd_tap) = run_into_b(ShardKind::Sharded(2));
+        assert!(shd.shard_diag().is_some(), "the run was partitioned");
+        let arrivals = seq.take_app::<Arrivals>(app).0;
+        assert_eq!(arrivals.len(), 20);
+        assert_eq!(shd.take_app::<Arrivals>(shd_app).0, arrivals);
+        let crossings = seq.take_tap::<Crossings>(tap);
+        assert_eq!(crossings, Crossings { rx: 20, tx: 0 });
+        assert_eq!(shd.take_tap::<Crossings>(shd_tap), crossings);
+    }
+
+    #[test]
+    #[should_panic(expected = "app 1 is a turb_netsim::shard::tests::Arrivals, \
+                               not a turb_netsim::shard::tests::Idle")]
+    fn a_sharded_take_of_the_wrong_type_names_both() {
+        let (mut sim, app, _) = run_into_b(ShardKind::Sharded(2));
+        sim.take_app::<Idle>(app);
     }
 
     /// Drive the barrier the way `ShardedEngine::run` does, with no

@@ -20,6 +20,7 @@ use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
 use crate::wheel::{SchedStats, TimingWheel};
 use bytes::Bytes;
+use std::any::Any;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::net::Ipv4Addr;
@@ -56,15 +57,54 @@ pub struct TapEvent<'a> {
     pub packet: &'a Ipv4Packet,
 }
 
-/// A sniffer hook: called for every packet leaving or arriving at the
-/// tapped node. Implemented as a boxed closure so capture buffers can
-/// live outside the simulation (e.g. behind `Arc<Mutex<..>>`).
-pub type Tap = Box<dyn FnMut(&TapEvent<'_>) + Send>;
+/// Hands a boxed [`Application`] or [`Tap`] back as its concrete type;
+/// implemented for every `Send + 'static` type.
+pub trait IntoAny: Any + Send {
+    /// The concrete type's name, and the box as `dyn Any`.
+    fn into_any(self: Box<Self>) -> (&'static str, Box<dyn Any + Send>);
+}
+
+impl<T: Any + Send> IntoAny for T {
+    fn into_any(self: Box<Self>) -> (&'static str, Box<dyn Any + Send>) {
+        (std::any::type_name::<T>(), self)
+    }
+}
+
+/// A sniffer hook: sees every packet leaving or arriving at the tapped
+/// node. [`Simulation::take_tap`] hands it back after the run.
+pub trait Tap: IntoAny {
+    /// One packet crossed the tapped node.
+    fn observe(&mut self, event: &TapEvent<'_>);
+}
+
+/// A tap's id, from [`Simulation::add_tap`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct TapId(pub usize);
+
+/// An app or tap and the node it runs on. The slot stays, empty, once
+/// what it held is taken, so ids keep indexing.
+pub(crate) struct Slot<T: ?Sized> {
+    pub(crate) node: NodeId,
+    pub(crate) held: Option<Box<T>>,
+}
+
+impl<T: ?Sized + IntoAny> Slot<T> {
+    /// Take what the slot holds as a `U`, or panic naming `what`.
+    fn take<U: Any>(&mut self, what: std::fmt::Arguments<'_>) -> U {
+        let held = self.held.take().map(IntoAny::into_any);
+        let (name, any) = held.unwrap_or_else(|| panic!("{what} was already taken"));
+        match any.downcast::<U>() {
+            Ok(taken) => *taken,
+            Err(_) => panic!("{what} is a {name}, not a {}", std::any::type_name::<U>()),
+        }
+    }
+}
 
 /// Callbacks implemented by simulated applications (players, trackers,
-/// ping, traceroute, traffic generators).
+/// ping, traceroute, traffic generators). [`Simulation::take_app`]
+/// hands one back after the run, with what it recorded.
 #[allow(unused_variables)]
-pub trait Application: Send {
+pub trait Application: IntoAny {
     /// Called once when the simulation starts (or when the app is added
     /// to a running simulation).
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {}
@@ -659,7 +699,7 @@ pub struct SimCore {
     pub(crate) seq: u64,
     pub(crate) nodes: Vec<Node>,
     pub(crate) links: Vec<Link>,
-    pub(crate) taps: Vec<(NodeId, Tap)>,
+    pub(crate) taps: Vec<Slot<dyn Tap>>,
     pub(crate) rng: SimRng,
     pub(crate) stats: SimStats,
     /// The symbol table and the optional recorders; see
@@ -953,10 +993,11 @@ impl SimCore {
         }
         let ev_time = self.now;
         let mut observed = false;
-        for (tapped, tap) in &mut self.taps {
-            if *tapped == node {
+        for slot in &mut self.taps {
+            if slot.node == node {
                 observed = true;
-                tap(&TapEvent {
+                let tap = slot.held.as_deref_mut().expect("a tap was taken mid-run");
+                tap.observe(&TapEvent {
                     time: ev_time,
                     node,
                     direction,
@@ -1720,15 +1761,10 @@ impl<'a> Ctx<'a> {
 /// this just keeps the `Instant::now` call off the per-event path.
 const PROGRESS_EVENT_STRIDE: u64 = 1 << 16;
 
-pub(crate) struct AppSlot {
-    pub(crate) node: NodeId,
-    pub(crate) app: Option<Box<dyn Application>>,
-}
-
 /// The simulation: network core plus applications.
 pub struct Simulation {
     pub(crate) core: SimCore,
-    pub(crate) apps: Vec<AppSlot>,
+    pub(crate) apps: Vec<Slot<dyn Application>>,
     /// Reusable delivery buffer for the event loop: arrivals are the
     /// hot path, and a fresh `Vec` per event showed up in profiles.
     pub(crate) deliveries: Vec<Delivery>,
@@ -2139,9 +2175,9 @@ impl Simulation {
             return sh.add_app(node, app, udp_port, listen_icmp);
         }
         let id = AppId(self.apps.len());
-        self.apps.push(AppSlot {
+        self.apps.push(Slot {
             node,
-            app: Some(app),
+            held: Some(app),
         });
         if let Some(port) = udp_port {
             let previous = self.core.nodes[node.0].ports.insert(port, id);
@@ -2167,10 +2203,37 @@ impl Simulation {
 
     /// Attach a sniffer tap to `node`; it observes every packet the
     /// node sends or receives (both directions, like Ethereal on the
-    /// client machine).
-    pub fn add_tap(&mut self, node: NodeId, tap: Tap) {
+    /// client machine). Read what it recorded after the run through
+    /// [`Simulation::take_tap`].
+    pub fn add_tap(&mut self, node: NodeId, tap: Box<dyn Tap>) -> TapId {
         self.assert_unpartitioned("add_tap");
-        self.core.taps.push((node, tap));
+        self.core.taps.push(Slot {
+            node,
+            held: Some(tap),
+        });
+        TapId(self.core.taps.len() - 1)
+    }
+
+    /// Take app `id` back as its concrete type `T`, with what it
+    /// recorded (in a sharded run, from its node's domain). An event
+    /// still addressed to it then panics. Panics, naming both types,
+    /// unless the app is a `T` not yet taken.
+    pub fn take_app<T: Application>(&mut self, id: AppId) -> T {
+        let slot = match self.sharded.as_deref_mut() {
+            Some(sh) => sh.app_slot(id),
+            None => &mut self.apps[id.0],
+        };
+        slot.take(format_args!("app {}", id.0))
+    }
+
+    /// [`Simulation::take_app`] for taps: a packet crossing the node
+    /// afterwards panics.
+    pub fn take_tap<T: Tap>(&mut self, id: TapId) -> T {
+        let slot = match self.sharded.as_deref_mut() {
+            Some(sh) => sh.tap_slot(id),
+            None => &mut self.core.taps[id.0],
+        };
+        slot.take(format_args!("tap {}", id.0))
     }
 
     /// Current simulated time.
@@ -2245,8 +2308,8 @@ impl Simulation {
 
     fn dispatch(&mut self, app_id: AppId, f: impl FnOnce(&mut dyn Application, &mut Ctx<'_>)) {
         let node = self.apps[app_id.0].node;
-        let Some(mut app) = self.apps[app_id.0].app.take() else {
-            return; // app removed itself? (not supported, but be safe)
+        let Some(mut app) = self.apps[app_id.0].held.take() else {
+            panic!("app {} got an event after it was taken", app_id.0);
         };
         {
             let mut ctx = Ctx {
@@ -2256,7 +2319,7 @@ impl Simulation {
             };
             f(app.as_mut(), &mut ctx);
         }
-        self.apps[app_id.0].app = Some(app);
+        self.apps[app_id.0].held = Some(app);
     }
 
     /// Process one event. Returns `false` when the queue is empty.
@@ -2395,8 +2458,6 @@ impl Simulation {
 mod tests {
     use super::*;
 
-    use std::sync::{Arc, Mutex};
-
     fn two_hosts(seed: u64) -> (Simulation, NodeId, NodeId) {
         let mut sim = Simulation::new(seed);
         let a = sim.add_host("a", Ipv4Addr::new(10, 0, 0, 1));
@@ -2415,7 +2476,7 @@ mod tests {
     struct Echoer {
         peer: Ipv4Addr,
         send_at_start: bool,
-        received: Arc<Mutex<Vec<(SimTime, Bytes)>>>,
+        received: Vec<(SimTime, Bytes)>,
     }
 
     impl Application for Echoer {
@@ -2435,69 +2496,49 @@ mod tests {
             if payload.as_ref() == b"ping over udp" {
                 ctx.send_udp(6000, from.0, from.1, Bytes::from_static(b"pong"));
             }
-            self.received.lock().unwrap().push((ctx.now(), payload));
+            self.received.push((ctx.now(), payload));
         }
+    }
+
+    /// A pinging [`Echoer`] on `a` (port 5000) and an answering one on
+    /// `b` (port 6000), between the hosts of [`two_hosts`].
+    fn echo_pair(sim: &mut Simulation, a: NodeId, b: NodeId) -> (AppId, AppId) {
+        let mut add = |node, peer, port, send_at_start| {
+            let app = Echoer {
+                peer,
+                send_at_start,
+                received: Vec::new(),
+            };
+            sim.add_app(node, Box::new(app), Some(port), false)
+        };
+        (
+            add(a, Ipv4Addr::new(10, 0, 0, 2), 5000, true),
+            add(b, Ipv4Addr::new(10, 0, 0, 1), 6000, false),
+        )
+    }
+
+    /// What [`Echoer`] `id` received, taken back from `sim`.
+    fn received(sim: &mut Simulation, id: AppId) -> Vec<(SimTime, Bytes)> {
+        sim.take_app::<Echoer>(id).received
     }
 
     #[test]
     fn udp_roundtrip_between_hosts() {
         let (mut sim, a, b) = two_hosts(1);
-        let a_rx = Arc::new(Mutex::new(Vec::new()));
-        let b_rx = Arc::new(Mutex::new(Vec::new()));
-        sim.add_app(
-            a,
-            Box::new(Echoer {
-                peer: Ipv4Addr::new(10, 0, 0, 2),
-                send_at_start: true,
-                received: a_rx.clone(),
-            }),
-            Some(5000),
-            false,
-        );
-        sim.add_app(
-            b,
-            Box::new(Echoer {
-                peer: Ipv4Addr::new(10, 0, 0, 1),
-                send_at_start: false,
-                received: b_rx.clone(),
-            }),
-            Some(6000),
-            false,
-        );
+        let (ping, pong) = echo_pair(&mut sim, a, b);
         sim.run_until(SimTime(10_000_000_000));
-        assert_eq!(b_rx.lock().unwrap().len(), 1, "b received the ping");
-        assert_eq!(a_rx.lock().unwrap().len(), 1, "a received the pong");
+        let b_rx = received(&mut sim, pong);
+        assert_eq!(b_rx.len(), 1, "b received the ping");
+        assert_eq!(received(&mut sim, ping).len(), 1, "a received the pong");
         // Latency sanity: one-way ≥ propagation (1 ms).
-        let (t, _) = b_rx.lock().unwrap()[0].clone();
-        assert!(t >= SimTime(1_000_000));
+        assert!(b_rx[0].0 >= SimTime(1_000_000));
     }
 
     #[test]
     fn lineage_tracks_udp_roundtrip() {
         let (mut sim, a, b) = two_hosts(1);
         sim.enable_lineage();
-        let a_rx = Arc::new(Mutex::new(Vec::new()));
-        let b_rx = Arc::new(Mutex::new(Vec::new()));
-        sim.add_app(
-            a,
-            Box::new(Echoer {
-                peer: Ipv4Addr::new(10, 0, 0, 2),
-                send_at_start: true,
-                received: a_rx.clone(),
-            }),
-            Some(5000),
-            false,
-        );
-        sim.add_app(
-            b,
-            Box::new(Echoer {
-                peer: Ipv4Addr::new(10, 0, 0, 1),
-                send_at_start: false,
-                received: b_rx.clone(),
-            }),
-            Some(6000),
-            false,
-        );
+        let (ping, pong) = echo_pair(&mut sim, a, b);
         sim.run_until(SimTime(10_000_000_000));
         let dump = sim.finish_observers().lineage.expect("lineage was enabled");
         dump.validate().expect("dump is well-formed");
@@ -2512,8 +2553,8 @@ mod tests {
             assert!(stages.iter().any(|s| matches!(s, S::Delivered)));
         }
         // Tracing never perturbs the run itself.
-        assert_eq!(b_rx.lock().unwrap().len(), 1);
-        assert_eq!(a_rx.lock().unwrap().len(), 1);
+        assert_eq!(received(&mut sim, pong).len(), 1);
+        assert_eq!(received(&mut sim, ping).len(), 1);
     }
 
     #[test]
@@ -2523,30 +2564,9 @@ mod tests {
             if trace {
                 sim.enable_lineage();
             }
-            let a_rx = Arc::new(Mutex::new(Vec::new()));
-            let b_rx = Arc::new(Mutex::new(Vec::new()));
-            sim.add_app(
-                a,
-                Box::new(Echoer {
-                    peer: Ipv4Addr::new(10, 0, 0, 2),
-                    send_at_start: true,
-                    received: a_rx.clone(),
-                }),
-                Some(5000),
-                false,
-            );
-            sim.add_app(
-                b,
-                Box::new(Echoer {
-                    peer: Ipv4Addr::new(10, 0, 0, 1),
-                    send_at_start: false,
-                    received: b_rx.clone(),
-                }),
-                Some(6000),
-                false,
-            );
+            let (_, pong) = echo_pair(&mut sim, a, b);
             sim.run_until(SimTime(10_000_000_000));
-            let arrivals: Vec<SimTime> = b_rx.lock().unwrap().iter().map(|(t, _)| *t).collect();
+            let arrivals: Vec<SimTime> = received(&mut sim, pong).iter().map(|(t, _)| *t).collect();
             (sim.sim_stats(), arrivals)
         };
         assert_eq!(run(false), run(true));
@@ -2568,8 +2588,9 @@ mod tests {
                 ctx.send_udp(5000, self.peer, 6000, Bytes::from(vec![0u8; 4000]));
             }
         }
+        #[derive(Default)]
         struct Sink {
-            got: Arc<Mutex<Vec<Option<u64>>>>,
+            got: Vec<Option<u64>>,
         }
         impl Application for Sink {
             fn on_udp(
@@ -2579,12 +2600,11 @@ mod tests {
                 _dst_port: u16,
                 _payload: Bytes,
             ) {
-                self.got.lock().unwrap().push(ctx.lineage_current_span());
+                self.got.push(ctx.lineage_current_span());
             }
         }
         let (mut sim, a, b) = two_hosts(4);
         sim.enable_lineage();
-        let got = Arc::new(Mutex::new(Vec::new()));
         sim.add_app(
             a,
             Box::new(BigSender {
@@ -2593,13 +2613,13 @@ mod tests {
             Some(5000),
             false,
         );
-        sim.add_app(b, Box::new(Sink { got: got.clone() }), Some(6000), false);
+        let sink = sim.add_app(b, Box::new(Sink::default()), Some(6000), false);
         sim.run_until(SimTime(10_000_000_000));
         let dump = sim.finish_observers().lineage.unwrap();
         dump.validate().unwrap();
         assert_eq!(dump.origins.len(), 1);
         // The receiving app saw the span of the reassembled datagram.
-        assert_eq!(got.lock().unwrap().as_slice(), &[Some(0)]);
+        assert_eq!(sim.take_app::<Sink>(sink).got, [Some(0)]);
         let meta = dump.origins[0].meta.expect("packetize meta recorded");
         assert_eq!(
             (meta.player, meta.sequence, meta.media_time_ms),
@@ -2628,7 +2648,7 @@ mod tests {
     fn unbound_port_triggers_port_unreachable() {
         struct Prober {
             peer: Ipv4Addr,
-            unreachable: Arc<Mutex<u32>>,
+            unreachable: u32,
         }
         impl Application for Prober {
             fn on_start(&mut self, ctx: &mut Ctx<'_>) {
@@ -2636,23 +2656,22 @@ mod tests {
             }
             fn on_icmp(&mut self, _ctx: &mut Ctx<'_>, _from: Ipv4Addr, msg: IcmpMessage) {
                 if matches!(msg, IcmpMessage::DestinationUnreachable { code: 3, .. }) {
-                    *self.unreachable.lock().unwrap() += 1;
+                    self.unreachable += 1;
                 }
             }
         }
         let (mut sim, a, _b) = two_hosts(2);
-        let hits = Arc::new(Mutex::new(0));
-        sim.add_app(
+        let prober = sim.add_app(
             a,
             Box::new(Prober {
                 peer: Ipv4Addr::new(10, 0, 0, 2),
-                unreachable: hits.clone(),
+                unreachable: 0,
             }),
             Some(4000),
             true,
         );
         sim.run_until(SimTime(5_000_000_000));
-        assert_eq!(*hits.lock().unwrap(), 1);
+        assert_eq!(sim.take_app::<Prober>(prober).unreachable, 1);
     }
 
     #[test]
@@ -2675,7 +2694,7 @@ mod tests {
         struct TtlProbe {
             dst: Ipv4Addr,
             ttl: u8,
-            time_exceeded_from: Arc<Mutex<Vec<Ipv4Addr>>>,
+            time_exceeded_from: Vec<Ipv4Addr>,
         }
         impl Application for TtlProbe {
             fn on_start(&mut self, ctx: &mut Ctx<'_>) {
@@ -2683,46 +2702,38 @@ mod tests {
             }
             fn on_icmp(&mut self, _ctx: &mut Ctx<'_>, from: Ipv4Addr, msg: IcmpMessage) {
                 if matches!(msg, IcmpMessage::TimeExceeded { .. }) {
-                    self.time_exceeded_from.lock().unwrap().push(from);
+                    self.time_exceeded_from.push(from);
                 }
             }
         }
-        let hops = Arc::new(Mutex::new(Vec::new()));
-        sim.add_app(
-            a,
-            Box::new(TtlProbe {
-                dst: addr_b,
-                ttl: 1,
-                time_exceeded_from: hops.clone(),
-            }),
-            Some(4000),
-            true,
-        );
+        let probe = |ttl| TtlProbe {
+            dst: addr_b,
+            ttl,
+            time_exceeded_from: Vec::new(),
+        };
+        let probe1 = sim.add_app(a, Box::new(probe(1)), Some(4000), true);
         sim.run_until(SimTime(5_000_000_000));
-        assert_eq!(
-            hops.lock().unwrap().as_slice(),
-            &[Ipv4Addr::new(10, 0, 0, 254)]
-        );
         assert_eq!(sim.node_stats(r).ttl_expired, 1);
         // With ttl 2 the probe reaches b and comes back port-unreachable,
-        // so no new time-exceeded is recorded.
-        let before = hops.lock().unwrap().len();
-        let probe2 = TtlProbe {
-            dst: addr_b,
-            ttl: 2,
-            time_exceeded_from: hops.clone(),
-        };
-        sim.add_app(a, Box::new(probe2), Some(4001), true);
+        // so neither probe records a new time-exceeded.
+        let probe2 = sim.add_app(a, Box::new(probe(2)), Some(4001), true);
         sim.run_until(SimTime(10_000_000_000));
-        assert_eq!(hops.lock().unwrap().len(), before);
         assert_eq!(sim.node_stats(b).udp_unreachable, 1);
+        assert_eq!(
+            sim.take_app::<TtlProbe>(probe1).time_exceeded_from,
+            [Ipv4Addr::new(10, 0, 0, 254)]
+        );
+        assert!(sim
+            .take_app::<TtlProbe>(probe2)
+            .time_exceeded_from
+            .is_empty());
     }
 
     #[test]
     fn hosts_answer_ping() {
         struct Pinger {
             dst: Ipv4Addr,
-            rtt: Arc<Mutex<Option<SimDuration>>>,
+            rtt: Option<SimDuration>,
             sent_at: SimTime,
         }
         impl Application for Pinger {
@@ -2739,24 +2750,26 @@ mod tests {
             }
             fn on_icmp(&mut self, ctx: &mut Ctx<'_>, _from: Ipv4Addr, msg: IcmpMessage) {
                 if let IcmpMessage::EchoReply { ident: 77, .. } = msg {
-                    *self.rtt.lock().unwrap() = Some(ctx.now().since(self.sent_at));
+                    self.rtt = Some(ctx.now().since(self.sent_at));
                 }
             }
         }
         let (mut sim, a, _b) = two_hosts(4);
-        let rtt = Arc::new(Mutex::new(None));
-        sim.add_app(
+        let pinger = sim.add_app(
             a,
             Box::new(Pinger {
                 dst: Ipv4Addr::new(10, 0, 0, 2),
-                rtt: rtt.clone(),
+                rtt: None,
                 sent_at: SimTime::ZERO,
             }),
             None,
             true,
         );
         sim.run_until(SimTime(5_000_000_000));
-        let rtt = rtt.lock().unwrap().expect("got an echo reply");
+        let rtt = sim
+            .take_app::<Pinger>(pinger)
+            .rtt
+            .expect("got an echo reply");
         // ≥ 2 × 1 ms propagation.
         assert!(rtt >= SimDuration::from_millis(2));
         assert!(rtt < SimDuration::from_millis(5));
@@ -2773,8 +2786,9 @@ mod tests {
                 ctx.send_udp(5000, self.peer, 6000, Bytes::from(vec![0xabu8; 4096]));
             }
         }
+        #[derive(Default)]
         struct Sink {
-            got: Arc<Mutex<Vec<usize>>>,
+            got: Vec<usize>,
         }
         impl Application for Sink {
             fn on_udp(
@@ -2784,11 +2798,10 @@ mod tests {
                 _dst_port: u16,
                 payload: Bytes,
             ) {
-                self.got.lock().unwrap().push(payload.len());
+                self.got.push(payload.len());
             }
         }
         let (mut sim, a, b) = two_hosts(5);
-        let got = Arc::new(Mutex::new(Vec::new()));
         sim.add_app(
             a,
             Box::new(BigSender {
@@ -2797,56 +2810,89 @@ mod tests {
             None,
             false,
         );
-        sim.add_app(b, Box::new(Sink { got: got.clone() }), Some(6000), false);
+        let sink = sim.add_app(b, Box::new(Sink::default()), Some(6000), false);
 
         // Tap the receiver to count on-the-wire fragments.
-        let frames = Arc::new(Mutex::new(0usize));
-        let frames_tap = frames.clone();
-        sim.add_tap(
-            b,
-            Box::new(move |ev| {
-                if ev.direction == Direction::Rx {
-                    *frames_tap.lock().unwrap() += 1;
-                }
-            }),
-        );
+        let frames = sim.add_tap(b, Box::new(RxCount::default()));
         sim.run_until(SimTime(5_000_000_000));
-        assert_eq!(got.lock().unwrap().as_slice(), &[4096]);
+        assert_eq!(sim.take_app::<Sink>(sink).got, [4096]);
         assert_eq!(
-            *frames.lock().unwrap(),
+            sim.take_tap::<RxCount>(frames).0,
             3,
             "4 KiB + UDP header = 3 fragments"
         );
+    }
+
+    /// Counts the packets arriving at its node.
+    #[derive(Default)]
+    struct RxCount(usize);
+
+    impl Tap for RxCount {
+        fn observe(&mut self, ev: &TapEvent<'_>) {
+            if ev.direction == Direction::Rx {
+                self.0 += 1;
+            }
+        }
+    }
+
+    /// Counts the timers it set itself, one per millisecond, `left` of
+    /// them.
+    struct Ticker {
+        left: u32,
+        ticks: u32,
+    }
+
+    impl Application for Ticker {
+        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+            ctx.set_timer_after(SimDuration::from_millis(1), 0);
+        }
+        fn on_timer(&mut self, ctx: &mut Ctx<'_>, _token: u64) {
+            self.ticks += 1;
+            if self.ticks < self.left {
+                ctx.set_timer_after(SimDuration::from_millis(1), 0);
+            }
+        }
+    }
+
+    struct Quiet;
+    impl Application for Quiet {}
+
+    #[test]
+    #[should_panic(expected = "app 0 is a turb_netsim::sim::tests::Ticker, \
+                               not a turb_netsim::sim::tests::Quiet")]
+    fn a_take_of_the_wrong_type_names_both() {
+        let (mut sim, a, _) = two_hosts(1);
+        let id = sim.add_app(a, Box::new(Ticker { left: 1, ticks: 0 }), None, false);
+        sim.run_until(SimTime(1_000_000_000));
+        sim.take_app::<Quiet>(id);
+    }
+
+    #[test]
+    #[should_panic(expected = "app 0 was already taken")]
+    fn an_app_is_taken_once() {
+        let (mut sim, a, _) = two_hosts(1);
+        let id = sim.add_app(a, Box::new(Ticker { left: 1, ticks: 0 }), None, false);
+        sim.take_app::<Ticker>(id);
+        sim.take_app::<Ticker>(id);
+    }
+
+    #[test]
+    #[should_panic(expected = "app 0 got an event after it was taken")]
+    fn an_event_for_a_taken_app_panics() {
+        let (mut sim, a, _) = two_hosts(1);
+        let id = sim.add_app(a, Box::new(Ticker { left: 3, ticks: 0 }), None, false);
+        sim.run_until(SimTime(1_500_000));
+        sim.take_app::<Ticker>(id);
+        sim.run_until(SimTime(1_000_000_000));
     }
 
     #[test]
     fn identical_seeds_give_identical_runs() {
         fn run(seed: u64) -> Vec<(SimTime, Bytes)> {
             let (mut sim, a, b) = two_hosts(seed);
-            let b_rx = Arc::new(Mutex::new(Vec::new()));
-            sim.add_app(
-                a,
-                Box::new(Echoer {
-                    peer: Ipv4Addr::new(10, 0, 0, 2),
-                    send_at_start: true,
-                    received: Arc::new(Mutex::new(Vec::new())),
-                }),
-                Some(5000),
-                false,
-            );
-            sim.add_app(
-                b,
-                Box::new(Echoer {
-                    peer: Ipv4Addr::new(10, 0, 0, 1),
-                    send_at_start: false,
-                    received: b_rx.clone(),
-                }),
-                Some(6000),
-                false,
-            );
+            let (_, pong) = echo_pair(&mut sim, a, b);
             sim.run_until(SimTime(10_000_000_000));
-            let out = b_rx.lock().unwrap().clone();
-            out
+            received(&mut sim, pong)
         }
         assert_eq!(run(42), run(42));
     }
@@ -2895,29 +2941,9 @@ mod tests {
                 });
             }
         }
-        let b_rx = Arc::new(Mutex::new(Vec::new()));
-        sim.add_app(
-            a,
-            Box::new(Echoer {
-                peer: Ipv4Addr::new(10, 0, 0, 2),
-                send_at_start: true,
-                received: Arc::new(Mutex::new(Vec::new())),
-            }),
-            Some(5000),
-            false,
-        );
-        sim.add_app(
-            b,
-            Box::new(Echoer {
-                peer: Ipv4Addr::new(10, 0, 0, 1),
-                send_at_start: false,
-                received: b_rx.clone(),
-            }),
-            Some(6000),
-            false,
-        );
+        let (_, pong) = echo_pair(&mut sim, a, b);
         sim.run_until(SimTime(10_000_000_000));
-        let arrival = b_rx.lock().unwrap()[0].0;
+        let arrival = received(&mut sim, pong)[0].0;
         (arrival, sim.sim_stats(), sim.fluid_diag())
     }
 

@@ -2,42 +2,17 @@
 //!
 //! The bulk sender is the classic "FTP flow" used as the reference
 //! traffic in TCP-friendliness studies — exactly the comparator §VI's
-//! proposed follow-up needs against the streaming players.
+//! proposed follow-up needs against the streaming players. Each side
+//! keeps its own results; take it back after the run with
+//! [`Simulation::take_app`].
 
 use crate::link::NodeId;
+use crate::node::AppId;
 use crate::sim::{Application, Ctx, Simulation};
 use crate::tcp::{TcpConfig, TcpDriver, TcpStats};
 use crate::time::SimTime;
 use std::net::Ipv4Addr;
-use std::sync::{Arc, Mutex};
 use turb_wire::tcp::TcpSegment;
-
-/// Progress shared out of a bulk transfer.
-#[derive(Debug, Clone, Default)]
-pub struct BulkReport {
-    /// Bytes acknowledged end to end.
-    pub bytes_acked: u64,
-    /// Bytes the receiver consumed.
-    pub bytes_received: u64,
-    /// When the transfer finished (all data acked), if it did.
-    pub finished_at: Option<SimTime>,
-    /// When the transfer started (SYN sent).
-    pub started_at: Option<SimTime>,
-    /// Sender-side connection stats at the end.
-    pub sender_stats: TcpStats,
-}
-
-impl BulkReport {
-    /// Average goodput over the transfer in bit/s, if finished.
-    pub fn goodput_bps(&self) -> Option<f64> {
-        match (self.started_at, self.finished_at) {
-            (Some(a), Some(b)) if b > a => {
-                Some(self.bytes_acked as f64 * 8.0 / b.since(a).as_secs_f64())
-            }
-            _ => None,
-        }
-    }
-}
 
 /// A greedy TCP sender: connects and pushes `total_bytes` as fast as
 /// the window allows, then closes.
@@ -49,10 +24,14 @@ pub struct BulkSender {
     written: u64,
     driver: Option<TcpDriver>,
     config: TcpConfig,
-    report: Arc<Mutex<BulkReport>>,
+    /// Connection stats as of the last segment or timer
+    /// (`bytes_acked` is what arrived end to end).
+    pub stats: TcpStats,
+    /// When the transfer started (SYN sent).
+    pub started_at: Option<SimTime>,
+    /// When the transfer finished (all data acked), if it did.
+    pub finished_at: Option<SimTime>,
 }
-
-const TOKEN_PUMP: u64 = 0xF00D;
 
 impl BulkSender {
     fn fill(&mut self, ctx: &mut Ctx<'_>) {
@@ -72,19 +51,16 @@ impl BulkSender {
         if self.written >= self.total_bytes {
             driver.close(ctx);
         }
-        let stats = driver.conn.stats();
-        let mut report = self.report.lock().unwrap();
-        report.bytes_acked = stats.bytes_acked;
-        report.sender_stats = stats;
-        if stats.bytes_acked >= self.total_bytes && report.finished_at.is_none() {
-            report.finished_at = Some(ctx.now());
+        self.stats = driver.conn.stats();
+        if self.stats.bytes_acked >= self.total_bytes && self.finished_at.is_none() {
+            self.finished_at = Some(ctx.now());
         }
     }
 }
 
 impl Application for BulkSender {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        self.report.lock().unwrap().started_at = Some(ctx.now());
+        self.started_at = Some(ctx.now());
         self.driver = Some(TcpDriver::connect(
             ctx,
             self.local_port,
@@ -102,9 +78,6 @@ impl Application for BulkSender {
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
-        if token == TOKEN_PUMP {
-            return;
-        }
         if let Some(driver) = self.driver.as_mut() {
             driver.on_timer(ctx, token);
         }
@@ -117,7 +90,8 @@ pub struct BulkReceiver {
     local_port: u16,
     config: TcpConfig,
     driver: Option<TcpDriver>,
-    report: Arc<Mutex<BulkReport>>,
+    /// Bytes this side consumed.
+    pub bytes_received: u64,
 }
 
 impl Application for BulkReceiver {
@@ -128,10 +102,7 @@ impl Application for BulkReceiver {
     fn on_tcp(&mut self, ctx: &mut Ctx<'_>, from: Ipv4Addr, segment: TcpSegment) {
         if let Some(driver) = self.driver.as_mut() {
             driver.on_segment(ctx, from, segment);
-            let drained = driver.conn.take_received();
-            if !drained.is_empty() {
-                self.report.lock().unwrap().bytes_received += drained.len() as u64;
-            }
+            self.bytes_received += driver.conn.take_received().len() as u64;
             // Mirror the peer's close.
             if driver.conn.state() == crate::tcp::State::CloseWait {
                 driver.close(ctx);
@@ -147,7 +118,8 @@ impl Application for BulkReceiver {
 }
 
 /// Install a bulk TCP transfer of `total_bytes` from `sender_node` to
-/// `receiver_node`. Returns the shared progress report.
+/// `receiver_node`. Returns the ids of the [`BulkSender`] and the
+/// [`BulkReceiver`], in that order.
 pub fn spawn_bulk_transfer(
     sim: &mut Simulation,
     sender_node: NodeId,
@@ -156,14 +128,13 @@ pub fn spawn_bulk_transfer(
     ports: (u16, u16),
     total_bytes: u64,
     config: TcpConfig,
-) -> Arc<Mutex<BulkReport>> {
+) -> (AppId, AppId) {
     let (local_port, server_port) = ports;
-    let report = Arc::new(Mutex::new(BulkReport::default()));
     let receiver = BulkReceiver {
         local_port: server_port,
         config,
         driver: None,
-        report: report.clone(),
+        bytes_received: 0,
     };
     let receiver_app = sim.add_app(receiver_node, Box::new(receiver), None, false);
     sim.bind_tcp_port(receiver_node, server_port, receiver_app);
@@ -175,11 +146,13 @@ pub fn spawn_bulk_transfer(
         written: 0,
         driver: None,
         config,
-        report: report.clone(),
+        stats: TcpStats::default(),
+        started_at: None,
+        finished_at: None,
     };
     let sender_app = sim.add_app(sender_node, Box::new(sender), None, false);
     sim.bind_tcp_port(sender_node, local_port, sender_app);
-    report
+    (sender_app, receiver_app)
 }
 
 #[cfg(test)]
@@ -188,6 +161,16 @@ mod tests {
     use crate::fault::FaultInjector;
     use crate::link::LinkConfig;
     use crate::prelude::*;
+
+    /// Average goodput over the transfer in bit/s, if it finished.
+    fn goodput_bps(sender: &BulkSender) -> Option<f64> {
+        match (sender.started_at, sender.finished_at) {
+            (Some(a), Some(b)) if b > a => {
+                Some(sender.stats.bytes_acked as f64 * 8.0 / b.since(a).as_secs_f64())
+            }
+            _ => None,
+        }
+    }
 
     fn two_hosts(seed: u64, link: LinkConfig) -> (Simulation, NodeId, NodeId) {
         let mut sim = Simulation::new(seed);
@@ -202,7 +185,7 @@ mod tests {
     #[test]
     fn bulk_transfer_completes_on_a_clean_link() {
         let (mut sim, a, b) = two_hosts(1, LinkConfig::ethernet_10m(SimDuration::from_millis(10)));
-        let report = spawn_bulk_transfer(
+        let (tx, rx) = spawn_bulk_transfer(
             &mut sim,
             a,
             b,
@@ -212,10 +195,10 @@ mod tests {
             TcpConfig::default(),
         );
         sim.run_to_idle(SimTime::ZERO + SimDuration::from_secs(120));
-        let report = report.lock().unwrap();
-        assert_eq!(report.bytes_received, 1_000_000);
-        assert_eq!(report.bytes_acked, 1_000_000);
-        let goodput = report.goodput_bps().expect("finished");
+        let sender = sim.take_app::<BulkSender>(tx);
+        assert_eq!(sim.take_app::<BulkReceiver>(rx).bytes_received, 1_000_000);
+        assert_eq!(sender.stats.bytes_acked, 1_000_000);
+        let goodput = goodput_bps(&sender).expect("finished");
         // 10 Mbit/s link, 20 ms RTT: should get well above 1 Mbit/s
         // and below the line rate.
         assert!(goodput > 1_000_000.0, "goodput = {goodput}");
@@ -235,7 +218,7 @@ mod tests {
         );
         let _ = ab;
         sim.core_mut().link_mut(crate::link::LinkId(0)).fault = FaultInjector::bernoulli(0.02);
-        let report = spawn_bulk_transfer(
+        let (tx, rx) = spawn_bulk_transfer(
             &mut sim,
             a,
             b,
@@ -245,9 +228,9 @@ mod tests {
             TcpConfig::default(),
         );
         sim.run_to_idle(SimTime::ZERO + SimDuration::from_secs(600));
-        let report = report.lock().unwrap();
-        assert_eq!(report.bytes_received, 500_000, "reliable despite loss");
-        let stats = report.sender_stats;
+        let received = sim.take_app::<BulkReceiver>(rx).bytes_received;
+        assert_eq!(received, 500_000, "reliable despite loss");
+        let stats = sim.take_app::<BulkSender>(tx).stats;
         assert!(
             stats.fast_retransmits + stats.timeouts > 0,
             "losses must have triggered recovery: {stats:?}"
@@ -265,7 +248,7 @@ mod tests {
         };
         let (mut sim, a, b) = two_hosts(3, link);
         let size = 2_000_000u64;
-        let r1 = spawn_bulk_transfer(
+        let (tx1, _) = spawn_bulk_transfer(
             &mut sim,
             a,
             b,
@@ -274,7 +257,7 @@ mod tests {
             size,
             TcpConfig::default(),
         );
-        let r2 = spawn_bulk_transfer(
+        let (tx2, _) = spawn_bulk_transfer(
             &mut sim,
             a,
             b,
@@ -284,8 +267,9 @@ mod tests {
             TcpConfig::default(),
         );
         sim.run_to_idle(SimTime::ZERO + SimDuration::from_secs(600));
-        let g1 = r1.lock().unwrap().goodput_bps().expect("flow 1 finished");
-        let g2 = r2.lock().unwrap().goodput_bps().expect("flow 2 finished");
+        let mut goodput = |tx| goodput_bps(&sim.take_app::<BulkSender>(tx));
+        let g1 = goodput(tx1).expect("flow 1 finished");
+        let g2 = goodput(tx2).expect("flow 2 finished");
         let ratio = g1.max(g2) / g1.min(g2);
         assert!(ratio < 2.5, "unfair split: {g1} vs {g2}");
         // Combined they use most of the link.
@@ -297,7 +281,7 @@ mod tests {
         let run = |seed: u64| -> (u64, Option<SimTime>) {
             let (mut sim, a, b) =
                 two_hosts(seed, LinkConfig::ethernet_10m(SimDuration::from_millis(5)));
-            let report = spawn_bulk_transfer(
+            let (tx, rx) = spawn_bulk_transfer(
                 &mut sim,
                 a,
                 b,
@@ -307,8 +291,8 @@ mod tests {
                 TcpConfig::default(),
             );
             sim.run_to_idle(SimTime::ZERO + SimDuration::from_secs(60));
-            let r = report.lock().unwrap();
-            (r.bytes_received, r.finished_at)
+            let received = sim.take_app::<BulkReceiver>(rx).bytes_received;
+            (received, sim.take_app::<BulkSender>(tx).finished_at)
         };
         assert_eq!(run(7), run(7));
     }

@@ -4,16 +4,18 @@
 //! verify that the network status had not dramatically changed"; §3.A
 //! builds Figures 1 and 2 from their output. These are implemented as
 //! ordinary [`Application`]s so they share the network with the
-//! streaming sessions, exactly like the real tools did.
+//! streaming sessions, exactly like the real tools did. Each app keeps
+//! its report as a plain field; take the app back after the run with
+//! [`Simulation::take_app`] and read it.
 
 use crate::link::NodeId;
+use crate::node::AppId;
 use crate::rng::SimRng;
 use crate::sim::{Application, Ctx, Simulation};
 use crate::time::{SimDuration, SimTime};
 use bytes::Bytes;
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
-use std::sync::{Arc, Mutex};
 use turb_wire::icmp::IcmpMessage;
 
 /// Results of a ping run.
@@ -56,7 +58,7 @@ impl PingReport {
 const TOKEN_SEND: u64 = 1;
 
 /// A `ping`-alike: sends `count` echo requests at `interval`, records
-/// RTTs into a shared report.
+/// RTTs into its report.
 pub struct PingApp {
     dst: Ipv4Addr,
     count: u32,
@@ -66,7 +68,8 @@ pub struct PingApp {
     ident: u16,
     next_seq: u16,
     outstanding: HashMap<u16, SimTime>,
-    report: Arc<Mutex<PingReport>>,
+    /// What the run measured.
+    pub report: PingReport,
 }
 
 impl PingApp {
@@ -74,7 +77,7 @@ impl PingApp {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.outstanding.insert(seq, ctx.now());
-        self.report.lock().unwrap().sent += 1;
+        self.report.sent += 1;
         ctx.send_icmp(
             self.dst,
             IcmpMessage::EchoRequest {
@@ -106,18 +109,16 @@ impl Application for PingApp {
         if let IcmpMessage::EchoReply { ident, seq, .. } = msg {
             if ident == self.ident {
                 if let Some(sent_at) = self.outstanding.remove(&seq) {
-                    let rtt = ctx.now().since(sent_at);
-                    let mut report = self.report.lock().unwrap();
-                    report.received += 1;
-                    report.rtts.push(rtt);
+                    self.report.received += 1;
+                    self.report.rtts.push(ctx.now().since(sent_at));
                 }
             }
         }
     }
 }
 
-/// Install a ping run on `node` targeting `dst`. Returns a handle to
-/// the report, populated as the simulation runs.
+/// Install a ping run on `node` targeting `dst`. Returns the
+/// [`PingApp`]'s id.
 pub fn spawn_ping(
     sim: &mut Simulation,
     node: NodeId,
@@ -126,8 +127,7 @@ pub fn spawn_ping(
     interval: SimDuration,
     start_after: SimDuration,
     rng: &mut SimRng,
-) -> Arc<Mutex<PingReport>> {
-    let report = Arc::new(Mutex::new(PingReport::default()));
+) -> AppId {
     let app = PingApp {
         dst,
         count,
@@ -137,10 +137,9 @@ pub fn spawn_ping(
         ident: rng.range_u64(1, u64::from(u16::MAX)) as u16,
         next_seq: 0,
         outstanding: HashMap::new(),
-        report: report.clone(),
+        report: PingReport::default(),
     };
-    sim.add_app(node, Box::new(app), None, true);
-    report
+    sim.add_app(node, Box::new(app), None, true)
 }
 
 /// One hop of a traceroute: the responding router (or `None` on
@@ -190,7 +189,8 @@ pub struct TracertApp {
     current_ttl: u8,
     sent_at: SimTime,
     answered: bool,
-    report: Arc<Mutex<TracertReport>>,
+    /// What the run measured.
+    pub report: TracertReport,
 }
 
 impl TracertApp {
@@ -208,11 +208,8 @@ impl TracertApp {
     }
 
     fn advance(&mut self, ctx: &mut Ctx<'_>, result: HopResult, reached: bool) {
-        {
-            let mut report = self.report.lock().unwrap();
-            report.hops.push(result);
-            report.reached = reached;
-        }
+        self.report.hops.push(result);
+        self.report.reached = reached;
         self.answered = true;
         if reached || self.current_ttl >= self.max_ttl {
             return;
@@ -269,7 +266,7 @@ impl Application for TracertApp {
 }
 
 /// Install a tracert run on `node` targeting `dst`. Each app instance
-/// needs a distinct `src_port`. Returns a handle to the report.
+/// needs a distinct `src_port`. Returns the [`TracertApp`]'s id.
 pub fn spawn_tracert(
     sim: &mut Simulation,
     node: NodeId,
@@ -277,8 +274,7 @@ pub fn spawn_tracert(
     src_port: u16,
     max_ttl: u8,
     probe_timeout: SimDuration,
-) -> Arc<Mutex<TracertReport>> {
-    let report = Arc::new(Mutex::new(TracertReport::default()));
+) -> AppId {
     let app = TracertApp {
         dst,
         src_port,
@@ -287,10 +283,9 @@ pub fn spawn_tracert(
         current_ttl: 0,
         sent_at: SimTime::ZERO,
         answered: false,
-        report: report.clone(),
+        report: TracertReport::default(),
     };
-    sim.add_app(node, Box::new(app), Some(src_port), true);
-    report
+    sim.add_app(node, Box::new(app), Some(src_port), true)
 }
 
 #[cfg(test)]
@@ -309,7 +304,7 @@ mod tests {
     fn ping_measures_rtt_close_to_configured_path_delay() {
         let (mut sim, scenario, mut rng) = scenario(11);
         let site = &scenario.sites[0];
-        let report = spawn_ping(
+        let ping = spawn_ping(
             &mut sim,
             scenario.client,
             site.server_addr,
@@ -319,7 +314,7 @@ mod tests {
             &mut rng,
         );
         sim.run_until(SimTime(20_000_000_000));
-        let report = report.lock().unwrap();
+        let report = sim.take_app::<PingApp>(ping).report;
         assert_eq!(report.sent, 10);
         assert_eq!(report.received, 10);
         let median = report.median_rtt().unwrap();
@@ -336,17 +331,22 @@ mod tests {
     #[test]
     fn tracert_discovers_the_configured_hop_count() {
         let (mut sim, scenario, _rng) = scenario(12);
+        // One site at a time. Every tracert listens to all ICMP at the
+        // client, so each app is taken only once every run is over.
+        let mut tracerts = Vec::new();
         for site in &scenario.sites {
-            let report = spawn_tracert(
+            tracerts.push(spawn_tracert(
                 &mut sim,
                 scenario.client,
                 site.server_addr,
                 40_000 + site.server.0 as u16,
                 64,
                 SimDuration::from_secs(2),
-            );
+            ));
             sim.run_until(SimTime(sim.now().as_nanos() + 400_000_000_000));
-            let report = report.lock().unwrap();
+        }
+        for (site, tracert) in scenario.sites.iter().zip(tracerts) {
+            let report = sim.take_app::<TracertApp>(tracert).report;
             assert!(report.reached, "site {:?} unreachable", site.server_addr);
             assert_eq!(
                 report.hop_count().unwrap(),
@@ -386,8 +386,8 @@ mod tests {
             &mut rng,
         );
         sim.run_until(SimTime(30_000_000_000));
-        assert_eq!(r0.lock().unwrap().received, 5);
-        assert_eq!(r1.lock().unwrap().received, 5);
+        assert_eq!(sim.take_app::<PingApp>(r0).report.received, 5);
+        assert_eq!(sim.take_app::<PingApp>(r1).report.received, 5);
     }
 
     #[test]

@@ -14,6 +14,7 @@
 
 use crate::fluid::{EngineKind, FluidFlow, RateSchedule};
 use crate::link::{LinkConfig, LinkId, NodeId};
+use crate::node::AppId;
 use crate::rng::SimRng;
 use crate::sim::Simulation;
 use crate::time::{SimDuration, SimTime};
@@ -302,7 +303,8 @@ pub struct ScaleGroup {
     pub clients: Vec<NodeId>,
 }
 
-/// Totals one group's sink has absorbed.
+/// Totals one sink has absorbed. The sink app itself: it counts every
+/// datagram bound to its port.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ScaleSinkReport {
     /// Datagrams received.
@@ -317,14 +319,14 @@ pub struct ScaleSinkReport {
 pub struct ScaleScenario {
     /// One entry per group, in ring order.
     pub groups: Vec<ScaleGroup>,
-    /// Per-group sink totals, filled in as the simulation runs.
-    pub sinks: Vec<std::sync::Arc<std::sync::Mutex<ScaleSinkReport>>>,
+    /// Each group's sink app; [`ScaleScenario::take_totals`] sums them.
+    pub sinks: Vec<AppId>,
     /// Total expected datagram sends (`clients * packets_per_client`).
     pub expected_sends: u64,
-    /// Aggregate totals absorbed by the background sinks. Stays zero
-    /// when `background_flows == 0` or under the hybrid engine (fluid
-    /// flows move rate, not datagrams).
-    pub background: std::sync::Arc<std::sync::Mutex<ScaleSinkReport>>,
+    /// The background sink apps, one per server. Empty when
+    /// `background_flows == 0` or under the hybrid engine (fluid flows
+    /// move rate, not datagrams).
+    pub background_sinks: Vec<AppId>,
     /// Forward ring link of each group (router `g` → router `g+1`).
     pub ring: Vec<LinkId>,
 }
@@ -369,11 +371,7 @@ impl crate::sim::Application for ScaleSource {
     }
 }
 
-struct ScaleSink {
-    report: std::sync::Arc<std::sync::Mutex<ScaleSinkReport>>,
-}
-
-impl crate::sim::Application for ScaleSink {
+impl crate::sim::Application for ScaleSinkReport {
     fn on_udp(
         &mut self,
         _ctx: &mut crate::sim::Ctx<'_>,
@@ -381,9 +379,8 @@ impl crate::sim::Application for ScaleSink {
         _dst_port: u16,
         payload: bytes::Bytes,
     ) {
-        let mut r = self.report.lock().unwrap();
-        r.datagrams += 1;
-        r.bytes += payload.len() as u64;
+        self.datagrams += 1;
+        self.bytes += payload.len() as u64;
     }
 }
 
@@ -486,16 +483,12 @@ impl ScaleScenario {
                 );
                 clients.push(client);
             }
-            let report = std::sync::Arc::new(std::sync::Mutex::new(ScaleSinkReport::default()));
-            sim.add_app(
+            sinks.push(sim.add_app(
                 servers[g],
-                Box::new(ScaleSink {
-                    report: report.clone(),
-                }),
+                Box::new(ScaleSinkReport::default()),
                 Some(SCALE_SINK_PORT),
                 false,
-            );
-            sinks.push(report);
+            ));
             groups.push(ScaleGroup {
                 router: routers[g],
                 server: servers[g],
@@ -510,7 +503,7 @@ impl ScaleScenario {
         // offsets. Everything below is arithmetic in `i` — no RNG —
         // and both engines see the same flow matrix; they differ only
         // in whether it moves datagrams or solver rate.
-        let background = std::sync::Arc::new(std::sync::Mutex::new(ScaleSinkReport::default()));
+        let mut background_sinks = Vec::new();
         if config.background_flows > 0 {
             let end_ns = (interval_ns * u64::from(config.packets_per_client)).max(interval_ns);
             let stagger_ns = (interval_ns / 8).max(1);
@@ -531,14 +524,12 @@ impl ScaleScenario {
                 }
                 EngineKind::Packet => {
                     for &server in &servers {
-                        sim.add_app(
+                        background_sinks.push(sim.add_app(
                             server,
-                            Box::new(ScaleSink {
-                                report: background.clone(),
-                            }),
+                            Box::new(ScaleSinkReport::default()),
                             Some(SCALE_BACKGROUND_PORT),
                             false,
-                        );
+                        ));
                     }
                     let gap_ns = (SCALE_BACKGROUND_PAYLOAD as u64 * 8 * 1_000_000_000)
                         / SCALE_BACKGROUND_DEMAND_BPS;
@@ -571,20 +562,24 @@ impl ScaleScenario {
             sinks,
             expected_sends: (g_count * config.clients_per_group) as u64
                 * u64::from(config.packets_per_client),
-            background,
+            background_sinks,
             ring,
         }
     }
 
-    /// Sum of all sinks' totals.
-    pub fn total_received(&self) -> ScaleSinkReport {
-        let mut total = ScaleSinkReport::default();
-        for sink in &self.sinks {
-            let r = sink.lock().unwrap();
-            total.datagrams += r.datagrams;
-            total.bytes += r.bytes;
-        }
-        total
+    /// Take every sink back after the run: the group sinks' summed
+    /// totals, then the background sinks' (zero when there are none).
+    pub fn take_totals(&self, sim: &mut Simulation) -> (ScaleSinkReport, ScaleSinkReport) {
+        let mut sum = |sinks: &[AppId]| {
+            let mut total = ScaleSinkReport::default();
+            for &id in sinks {
+                let r = sim.take_app::<ScaleSinkReport>(id);
+                total.datagrams += r.datagrams;
+                total.bytes += r.bytes;
+            }
+            total
+        };
+        (sum(&self.sinks), sum(&self.background_sinks))
     }
 }
 
@@ -651,17 +646,15 @@ mod tests {
         };
         let scenario = ScaleScenario::build(&mut sim, &config);
         sim.run_to_idle(crate::time::SimTime::ZERO + SimDuration::from_secs(30));
-        let total = scenario.total_received();
-        assert_eq!(total.datagrams, scenario.expected_sends);
-        assert_eq!(total.bytes, scenario.expected_sends * 200);
         // Cross-group senders exist (client 0 of each group at least),
         // so the ring links must have carried traffic.
-        let cross: u64 = scenario
-            .sinks
+        assert!(scenario
+            .ring
             .iter()
-            .map(|s| s.lock().unwrap().datagrams)
-            .sum();
-        assert!(cross > 0);
+            .all(|&l| sim.link(l).stats.tx_packets > 0));
+        let (total, _) = scenario.take_totals(&mut sim);
+        assert_eq!(total.datagrams, scenario.expected_sends);
+        assert_eq!(total.bytes, scenario.expected_sends * 200);
     }
 
     #[test]
@@ -716,9 +709,10 @@ mod tests {
         assert!(diag.peak_link_fluid_bps > 0);
         // Foreground still delivers everything: fluid shares slow the
         // ring but drop nothing.
-        assert_eq!(scenario.total_received().datagrams, scenario.expected_sends);
+        let (total, bg) = scenario.take_totals(&mut sim);
+        assert_eq!(total.datagrams, scenario.expected_sends);
         // No background datagrams exist under the hybrid engine.
-        assert_eq!(scenario.background.lock().unwrap().datagrams, 0);
+        assert_eq!(bg.datagrams, 0);
     }
 
     #[test]
@@ -727,11 +721,11 @@ mod tests {
         let scenario = ScaleScenario::build(&mut sim, &background_config(EngineKind::Packet, 12));
         sim.run_to_idle(crate::time::SimTime::ZERO + SimDuration::from_secs(30));
         assert!(sim.fluid_diag().is_none(), "packet engine uses no solver");
-        let bg = scenario.background.lock().unwrap();
+        let (total, bg) = scenario.take_totals(&mut sim);
         assert!(bg.datagrams > 0, "background senders must deliver");
         assert_eq!(bg.bytes, bg.datagrams * SCALE_BACKGROUND_PAYLOAD as u64);
         // Background stays off the foreground sinks entirely.
-        assert_eq!(scenario.total_received().datagrams, scenario.expected_sends);
+        assert_eq!(total.datagrams, scenario.expected_sends);
     }
 
     #[test]
@@ -741,7 +735,10 @@ mod tests {
             let scenario = ScaleScenario::build(&mut sim, &background_config(engine, 0));
             sim.run_to_idle(crate::time::SimTime::ZERO + SimDuration::from_secs(30));
             assert!(sim.fluid_diag().is_none());
-            (sim.sim_stats().events_processed, scenario.total_received())
+            (
+                sim.sim_stats().events_processed,
+                scenario.take_totals(&mut sim).0,
+            )
         };
         assert_eq!(run(EngineKind::Packet), run(EngineKind::Hybrid));
     }

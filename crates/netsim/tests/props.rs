@@ -96,7 +96,7 @@ mod end_to_end {
             let mut rng = SimRng::new(seed);
             let scenario =
                 InternetScenario::build(&mut sim, &mut rng, &ScenarioConfig::default());
-            let reports: Vec<_> = scenario
+            let pings: Vec<_> = scenario
                 .sites
                 .iter()
                 .map(|site| {
@@ -112,8 +112,8 @@ mod end_to_end {
                 })
                 .collect();
             sim.run_until(SimTime::ZERO + SimDuration::from_secs(30));
-            for report in reports {
-                let report = report.lock().unwrap();
+            for ping in pings {
+                let report = sim.take_app::<tools::PingApp>(ping).report;
                 prop_assert_eq!(report.received, 3);
                 let max = report.max_rtt().unwrap();
                 prop_assert!(max < SimDuration::from_millis(200), "rtt {max}");

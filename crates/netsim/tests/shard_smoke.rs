@@ -25,7 +25,7 @@ fn run(seed: u64, shards: ShardKind) -> RunOutput {
     sim.enable_timeseries(0);
     sim.set_shards(shards);
     let scenario = InternetScenario::build(&mut sim, &mut rng, &ScenarioConfig::default());
-    let reports: Vec<_> = scenario
+    let pings: Vec<_> = scenario
         .sites
         .iter()
         .map(|site| {
@@ -51,7 +51,10 @@ fn run(seed: u64, shards: ShardKind) -> RunOutput {
         series: dumps.series,
         events_processed: stats.events_processed,
         events_scheduled: stats.events_scheduled,
-        ping_received: reports.iter().map(|r| r.lock().unwrap().received).collect(),
+        ping_received: pings
+            .iter()
+            .map(|&id| sim.take_app::<tools::PingApp>(id).report.received)
+            .collect(),
     }
 }
 
@@ -131,7 +134,7 @@ fn scale_scenario_matches_sequential() {
         let mut registry = MetricsRegistry::new();
         sim.collect_metrics(&mut registry);
         (
-            scenario.total_received(),
+            scenario.take_totals(&mut sim).0,
             sim.sim_stats().events_processed,
             registry.render_text(),
         )
@@ -168,7 +171,7 @@ fn isolated_node_at_max_shards_yields_an_empty_domain_without_stalling() {
         sim.core_mut().node_mut(b).default_route = Some(ba);
         // The isolated node: no links, no apps, never any events.
         sim.add_host("island", Ipv4Addr::new(10, 0, 0, 3));
-        let report = tools::spawn_ping(
+        let ping = tools::spawn_ping(
             &mut sim,
             a,
             b_addr,
@@ -180,7 +183,7 @@ fn isolated_node_at_max_shards_yields_an_empty_domain_without_stalling() {
         sim.run_to_idle(SimTime::ZERO + SimDuration::from_secs(5));
         let mut registry = MetricsRegistry::new();
         sim.collect_metrics(&mut registry);
-        let received = report.lock().unwrap().received;
+        let received = sim.take_app::<tools::PingApp>(ping).report.received;
         (
             received,
             sim.sim_stats().events_processed,

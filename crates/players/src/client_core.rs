@@ -9,7 +9,6 @@ use crate::calibration::{END_FRAME_MARKER, PREROLL_SECS};
 use crate::config::{StreamConfig, START_REQUEST};
 use crate::stats::{AppStatsLog, NetEvent, SecondStats};
 use bytes::Bytes;
-use std::sync::{Arc, Mutex};
 use turb_media::codec;
 use turb_netsim::sim::Ctx;
 use turb_netsim::{SimDuration, SimTime};
@@ -26,8 +25,8 @@ pub const TOKEN_BATCH: u64 = 3;
 pub struct ClientCore {
     /// Session parameters.
     pub config: StreamConfig,
-    /// Shared statistics log.
-    pub log: Arc<Mutex<AppStatsLog>>,
+    /// The tracker's statistics log, filled in as the session runs.
+    pub log: AppStatsLog,
     fps: f64,
     started_at: Option<SimTime>,
     next_seq: u32,
@@ -47,13 +46,13 @@ pub struct ClientCore {
 }
 
 impl ClientCore {
-    /// Build the core and its shared log.
-    pub fn new(config: StreamConfig) -> (ClientCore, Arc<Mutex<AppStatsLog>>) {
-        let log = Arc::new(Mutex::new(AppStatsLog::new(config.clip.clone())));
+    /// Build the core with an empty log.
+    pub fn new(config: StreamConfig) -> ClientCore {
+        let log = AppStatsLog::new(config.clip.clone());
         let fps = codec::nominal_fps(config.clip.player, config.clip.encoded_kbps);
-        let core = ClientCore {
+        ClientCore {
             config,
-            log: log.clone(),
+            log,
             fps,
             started_at: None,
             next_seq: 0,
@@ -66,8 +65,7 @@ impl ClientCore {
             sec_lost: 0,
             finished_logging: false,
             lineage_pending: Vec::new(),
-        };
-        (core, log)
+        }
     }
 
     /// Kick off the session: send START, arm the retry and stats timers.
@@ -96,31 +94,29 @@ impl ClientCore {
         if header.frame_number == END_FRAME_MARKER {
             if !self.ended {
                 self.ended = true;
-                self.log.lock().unwrap().stream_end = Some(now);
+                self.log.stream_end = Some(now);
             }
             return None;
         }
-        {
-            let mut log = self.log.lock().unwrap();
-            if log.first_packet.is_none() {
-                log.first_packet = Some(now);
-            }
-            log.last_packet = Some(now);
-            log.bytes_total += payload.len() as u64;
-            log.net_events.push(NetEvent {
-                time_ns: now.as_nanos(),
-                seq: header.sequence,
-                bytes: payload.len() as u32,
-                media_time_ms: header.media_time_ms,
-                buffering: header.buffering,
-            });
-            // Sequence accounting: a jump forward counts the gap as
-            // lost; reordered (late) packets are not re-counted.
-            if header.sequence > self.next_seq {
-                let gap = header.sequence - self.next_seq;
-                log.packets_lost += gap;
-                self.sec_lost += gap;
-            }
+        let log = &mut self.log;
+        if log.first_packet.is_none() {
+            log.first_packet = Some(now);
+        }
+        log.last_packet = Some(now);
+        log.bytes_total += payload.len() as u64;
+        log.net_events.push(NetEvent {
+            time_ns: now.as_nanos(),
+            seq: header.sequence,
+            bytes: payload.len() as u32,
+            media_time_ms: header.media_time_ms,
+            buffering: header.buffering,
+        });
+        // Sequence accounting: a jump forward counts the gap as lost;
+        // reordered (late) packets are not re-counted.
+        if header.sequence > self.next_seq {
+            let gap = header.sequence - self.next_seq;
+            log.packets_lost += gap;
+            self.sec_lost += gap;
         }
         if header.sequence >= self.next_seq {
             self.next_seq = header.sequence + 1;
@@ -133,7 +129,7 @@ impl ClientCore {
         // buffered.
         if self.playout_start.is_none() && f64::from(self.max_media_ms) / 1000.0 >= PREROLL_SECS {
             self.playout_start = Some(now);
-            self.log.lock().unwrap().playout_start = Some(now);
+            self.log.playout_start = Some(now);
         }
         if let Some(span) = ctx.lineage_current_span() {
             ctx.lineage_buffered(span, header.media_time_ms);
@@ -226,19 +222,16 @@ impl ClientCore {
             let buffered_secs = f64::from(self.max_media_ms) / 1000.0;
             if !self.ended && position < self.config.clip.duration_secs && position >= buffered_secs
             {
-                self.log.lock().unwrap().buffer_underruns += 1;
+                self.log.buffer_underruns += 1;
             }
         }
-        {
-            let mut log = self.log.lock().unwrap();
-            log.per_second.push(SecondStats {
-                t_sec: self.cur_second,
-                bytes_received: self.sec_bytes,
-                kbps: self.sec_bytes as f64 * 8.0 / 1000.0,
-                frames_played: frames,
-                packets_received: self.sec_packets,
-            });
-        }
+        self.log.per_second.push(SecondStats {
+            t_sec: self.cur_second,
+            bytes_received: self.sec_bytes,
+            kbps: self.sec_bytes as f64 * 8.0 / 1000.0,
+            frames_played: frames,
+            packets_received: self.sec_packets,
+        });
         self.cur_second += 1;
         self.sec_bytes = 0;
         self.sec_packets = 0;
@@ -266,7 +259,7 @@ impl ClientCore {
 
     /// Retry tick: resend START while no data has arrived.
     pub fn on_retry(&mut self, ctx: &mut Ctx<'_>) {
-        if self.log.lock().unwrap().first_packet.is_none() && !self.ended {
+        if self.log.first_packet.is_none() && !self.ended {
             self.send_start(ctx);
             ctx.set_timer_after(SimDuration::from_secs(2), TOKEN_RETRY);
         }
@@ -302,7 +295,7 @@ mod tests {
             client_port: 7002,
             bottleneck_bps: 10_000_000,
         };
-        ClientCore::new(config).0
+        ClientCore::new(config)
     }
 
     #[test]

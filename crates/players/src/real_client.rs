@@ -7,22 +7,21 @@
 
 use crate::client_core::{ClientCore, TOKEN_RETRY, TOKEN_SECOND};
 use crate::config::StreamConfig;
-use crate::stats::AppStatsLog;
 use bytes::Bytes;
 use std::net::Ipv4Addr;
-use std::sync::{Arc, Mutex};
 use turb_netsim::sim::{Application, Ctx};
 
 /// The RealPlayer client + RealTracker instrumentation.
 pub struct RealClient {
-    core: ClientCore,
+    pub(crate) core: ClientCore,
 }
 
 impl RealClient {
-    /// Build the client and return it with its stats-log handle.
-    pub fn new(config: StreamConfig) -> (RealClient, Arc<Mutex<AppStatsLog>>) {
-        let (core, log) = ClientCore::new(config);
-        (RealClient { core }, log)
+    /// Build the client with an empty log.
+    pub fn new(config: StreamConfig) -> RealClient {
+        RealClient {
+            core: ClientCore::new(config),
+        }
     }
 }
 
@@ -57,11 +56,12 @@ mod tests {
     use super::*;
     use crate::calibration::{real_effective_ratio, REAL_OVERHEAD};
     use crate::real_server::RealServer;
+    use crate::stats::AppStatsLog;
     use turb_media::{corpus, RateClass};
     use turb_netsim::prelude::*;
     use turb_netsim::rng::SimRng;
 
-    fn run_session(class: RateClass, set: usize, seed: u64) -> Arc<Mutex<AppStatsLog>> {
+    fn run_session(class: RateClass, set: usize, seed: u64) -> AppStatsLog {
         let sets = corpus::table1();
         let pair = sets[set].pair(class).unwrap();
         let server_addr = std::net::Ipv4Addr::new(204, 71, 0, 33);
@@ -91,18 +91,21 @@ mod tests {
             Some(554),
             false,
         );
-        let (app, log) = RealClient::new(config.clone());
-        sim.add_app(client, Box::new(app), Some(7002), false);
+        let app = sim.add_app(
+            client,
+            Box::new(RealClient::new(config.clone())),
+            Some(7002),
+            false,
+        );
         let limit =
             SimTime::ZERO + SimDuration::from_secs_f64(config.clip.duration_secs * 2.0 + 60.0);
         sim.run_to_idle(limit);
-        log
+        sim.take_app::<RealClient>(app).core.log
     }
 
     #[test]
     fn full_session_delivers_the_budget_with_no_loss() {
         let log = run_session(RateClass::Low, 0, 7);
-        let log = log.lock().unwrap();
         assert!(log.stream_end.is_some());
         assert_eq!(log.packets_lost, 0);
         let expected = log.clip.media_bytes() as f64 * REAL_OVERHEAD;
@@ -118,7 +121,6 @@ mod tests {
         // Figure 3: "RealPlayer plays out at a slightly higher average
         // data rate than the encoded data rate".
         let log = run_session(RateClass::High, 0, 8);
-        let log = log.lock().unwrap();
         let avg = log.avg_playback_kbps();
         let encoded = log.clip.encoded_kbps;
         assert!(avg > encoded * 1.04, "{avg} vs {encoded}");
@@ -129,11 +131,11 @@ mod tests {
     fn buffering_ratio_matches_figure11() {
         // Low rate: ratio near 3.
         let low = run_session(RateClass::Low, 0, 9); // 36 Kbit/s
-        let r_low = low.lock().unwrap().buffering_ratio().unwrap();
+        let r_low = low.buffering_ratio().unwrap();
         assert!((2.3..=3.3).contains(&r_low), "low ratio = {r_low}");
         // High rate: lower ratio.
         let high = run_session(RateClass::High, 0, 9); // 284 Kbit/s
-        let r_high = high.lock().unwrap().buffering_ratio().unwrap();
+        let r_high = high.buffering_ratio().unwrap();
         assert!((1.2..=2.2).contains(&r_high), "high ratio = {r_high}");
         assert!(r_low > r_high);
     }
@@ -144,7 +146,6 @@ mod tests {
         // for MediaPlayer since RealPlayer transmits more of the
         // encoded clip during the buffering phase."
         let log = run_session(RateClass::High, 3, 10); // set 4: 245 s clip
-        let log = log.lock().unwrap();
         let streamed = log.streaming_duration_secs().unwrap();
         let clip = log.clip.duration_secs;
         assert!(streamed < clip - 15.0, "streamed {streamed} vs clip {clip}");
@@ -154,7 +155,6 @@ mod tests {
     fn burst_duration_is_near_20s_for_low_rate_clips() {
         // §IV: the elevated rate lasts ≈20 s for low-rate clips.
         let log = run_session(RateClass::Low, 3, 11); // 26 Kbit/s, 245 s clip
-        let log = log.lock().unwrap();
         let last_burst = log
             .net_events
             .iter()
@@ -172,7 +172,6 @@ mod tests {
         // §3.C: "IP fragments were not observed in any of the
         // RealPlayer traces" — every UDP payload fits the MTU.
         let log = run_session(RateClass::VeryHigh, 5, 12);
-        let log = log.lock().unwrap();
         assert!(!log.net_events.is_empty());
         for e in &log.net_events {
             assert!(e.bytes as usize <= 1472, "payload {}", e.bytes);
@@ -184,14 +183,14 @@ mod tests {
         // §3.H: Real's low-rate clip plays significantly faster than
         // the MediaPlayer clip of the same pair.
         let log = run_session(RateClass::Low, 4, 13); // 22 Kbit/s
-        let avg = log.lock().unwrap().avg_frame_rate();
+        let avg = log.avg_frame_rate();
         assert!(avg > 16.0, "fps = {avg}");
     }
 
     #[test]
     fn no_app_batches_for_realtracker() {
         let log = run_session(RateClass::Low, 0, 14);
-        assert!(log.lock().unwrap().app_batches.is_empty());
+        assert!(log.app_batches.is_empty());
     }
 
     #[test]

@@ -6,19 +6,30 @@ use crate::real_server::RealServer;
 use crate::stats::AppStatsLog;
 use crate::wmp_client::WmpClient;
 use crate::wmp_server::WmpServer;
-use std::sync::{Arc, Mutex};
 use turb_media::PlayerId;
 use turb_netsim::rng::SimRng;
-use turb_netsim::{AppId, NodeId, Simulation};
+use turb_netsim::{AppId, Application, NodeId, Simulation};
 
 /// Handles returned when a streaming session is installed.
+#[derive(Debug, Clone, Copy)]
 pub struct StreamHandles {
-    /// The tracker's statistics log, populated as the simulation runs.
-    pub log: Arc<Mutex<AppStatsLog>>,
+    /// Which player streams: the client app's type.
+    pub player: PlayerId,
     /// The server application id.
     pub server_app: AppId,
     /// The client application id.
     pub client_app: AppId,
+}
+
+impl StreamHandles {
+    /// Take the client back from the finished simulation and return
+    /// the tracker log it filled in.
+    pub fn take_log(&self, sim: &mut Simulation) -> AppStatsLog {
+        match self.player {
+            PlayerId::MediaPlayer => sim.take_app::<WmpClient>(self.client_app).core.log,
+            PlayerId::RealPlayer => sim.take_app::<RealClient>(self.client_app).core.log,
+        }
+    }
 }
 
 /// Install a server + tracked client for `config.clip` on the given
@@ -31,48 +42,24 @@ pub fn spawn_stream(
     config: StreamConfig,
     rng: &mut SimRng,
 ) -> StreamHandles {
-    match config.clip.player {
-        PlayerId::MediaPlayer => {
-            let server_app = sim.add_app(
-                server_node,
-                Box::new(WmpServer::new(config.clone())),
-                Some(config.server_port),
-                false,
-            );
-            let (client, log) = WmpClient::new(config.clone());
-            let client_app = sim.add_app(
-                client_node,
-                Box::new(client),
-                Some(config.client_port),
-                false,
-            );
-            StreamHandles {
-                log,
-                server_app,
-                client_app,
-            }
-        }
+    let player = config.clip.player;
+    let (server, client): (Box<dyn Application>, Box<dyn Application>) = match player {
+        PlayerId::MediaPlayer => (
+            Box::new(WmpServer::new(config.clone())),
+            Box::new(WmpClient::new(config.clone())),
+        ),
         PlayerId::RealPlayer => {
             let server_rng = rng.fork(config.client_port as u64 | 0x5ea1_0000);
-            let server_app = sim.add_app(
-                server_node,
+            (
                 Box::new(RealServer::new(config.clone(), server_rng)),
-                Some(config.server_port),
-                false,
-            );
-            let (client, log) = RealClient::new(config.clone());
-            let client_app = sim.add_app(
-                client_node,
-                Box::new(client),
-                Some(config.client_port),
-                false,
-            );
-            StreamHandles {
-                log,
-                server_app,
-                client_app,
-            }
+                Box::new(RealClient::new(config.clone())),
+            )
         }
+    };
+    StreamHandles {
+        player,
+        server_app: sim.add_app(server_node, server, Some(config.server_port), false),
+        client_app: sim.add_app(client_node, client, Some(config.client_port), false),
     }
 }
 
@@ -125,8 +112,8 @@ mod tests {
         let wmp = spawn_stream(&mut sim, server, client, wmp_cfg, &mut rng);
         sim.run_to_idle(SimTime::ZERO + SimDuration::from_secs(200));
 
-        let real_log = real.log.lock().unwrap();
-        let wmp_log = wmp.log.lock().unwrap();
+        let real_log = real.take_log(&mut sim);
+        let wmp_log = wmp.take_log(&mut sim);
         assert!(real_log.stream_end.is_some());
         assert!(wmp_log.stream_end.is_some());
         assert_eq!(real_log.packets_lost + wmp_log.packets_lost, 0);

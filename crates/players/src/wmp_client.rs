@@ -9,32 +9,25 @@
 
 use crate::client_core::{ClientCore, TOKEN_BATCH, TOKEN_RETRY, TOKEN_SECOND};
 use crate::config::StreamConfig;
-use crate::stats::{AppBatch, AppStatsLog};
+use crate::stats::AppBatch;
 use bytes::Bytes;
 use std::net::Ipv4Addr;
-use std::sync::{Arc, Mutex};
 use turb_netsim::sim::{Application, Ctx};
 use turb_netsim::SimDuration;
 
 /// The MediaPlayer client + MediaTracker instrumentation.
 pub struct WmpClient {
-    core: ClientCore,
+    pub(crate) core: ClientCore,
     pending_batch: Vec<u32>,
-    batch_timer_armed: bool,
 }
 
 impl WmpClient {
-    /// Build the client and return it with its stats-log handle.
-    pub fn new(config: StreamConfig) -> (WmpClient, Arc<Mutex<AppStatsLog>>) {
-        let (core, log) = ClientCore::new(config);
-        (
-            WmpClient {
-                core,
-                pending_batch: Vec::new(),
-                batch_timer_armed: false,
-            },
-            log,
-        )
+    /// Build the client with an empty log.
+    pub fn new(config: StreamConfig) -> WmpClient {
+        WmpClient {
+            core: ClientCore::new(config),
+            pending_batch: Vec::new(),
+        }
     }
 }
 
@@ -45,7 +38,6 @@ impl Application for WmpClient {
             SimDuration::from_millis(crate::calibration::WMP_INTERLEAVE_MS),
             TOKEN_BATCH,
         );
-        self.batch_timer_armed = true;
     }
 
     fn on_udp(
@@ -69,7 +61,7 @@ impl Application for WmpClient {
             TOKEN_BATCH => {
                 if !self.pending_batch.is_empty() {
                     let seqs = std::mem::take(&mut self.pending_batch);
-                    self.core.log.lock().unwrap().app_batches.push(AppBatch {
+                    self.core.log.app_batches.push(AppBatch {
                         time_ns: ctx.now().as_nanos(),
                         seqs,
                     });
@@ -83,8 +75,6 @@ impl Application for WmpClient {
                         SimDuration::from_millis(crate::calibration::WMP_INTERLEAVE_MS),
                         TOKEN_BATCH,
                     );
-                } else {
-                    self.batch_timer_armed = false;
                 }
             }
             _ => {}
@@ -95,12 +85,13 @@ impl Application for WmpClient {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stats::AppStatsLog;
     use crate::wmp_server::WmpServer;
     use turb_media::{corpus, RateClass};
     use turb_netsim::prelude::*;
 
     /// End-to-end: WMP server + client over a simple duplex link.
-    fn run_session(class: RateClass, set: usize) -> Arc<Mutex<AppStatsLog>> {
+    fn run_session(class: RateClass, set: usize) -> AppStatsLog {
         let sets = corpus::table1();
         let pair = sets[set].pair(class).unwrap();
         let server_addr = std::net::Ipv4Addr::new(204, 71, 0, 33);
@@ -129,18 +120,21 @@ mod tests {
             Some(1755),
             false,
         );
-        let (app, log) = WmpClient::new(config.clone());
-        sim.add_app(client, Box::new(app), Some(7000), false);
+        let app = sim.add_app(
+            client,
+            Box::new(WmpClient::new(config.clone())),
+            Some(7000),
+            false,
+        );
         let limit =
             SimTime::ZERO + SimDuration::from_secs_f64(config.clip.duration_secs * 2.0 + 60.0);
         sim.run_to_idle(limit);
-        log
+        sim.take_app::<WmpClient>(app).core.log
     }
 
     #[test]
     fn full_session_delivers_the_whole_clip() {
         let log = run_session(RateClass::Low, 4); // set 5 low: 39 Kbit/s
-        let log = log.lock().unwrap();
         assert!(log.first_packet.is_some());
         assert!(log.stream_end.is_some(), "END marker seen");
         assert_eq!(log.packets_lost, 0);
@@ -157,7 +151,6 @@ mod tests {
     fn playback_rate_matches_encoding_rate() {
         // Figure 3: "MediaPlayer tends to playback at the encoding rate".
         let log = run_session(RateClass::High, 4); // 250.4 Kbit/s
-        let log = log.lock().unwrap();
         let avg = log.avg_playback_kbps();
         let encoded = log.clip.encoded_kbps;
         assert!((avg - encoded).abs() / encoded < 0.05, "{avg} vs {encoded}");
@@ -168,7 +161,6 @@ mod tests {
         // §3.F: MediaPlayer buffers at the playout rate, so streaming
         // spans ≈ the clip duration.
         let log = run_session(RateClass::High, 1); // set 2: 39 s clip
-        let log = log.lock().unwrap();
         let streamed = log.streaming_duration_secs().unwrap();
         let clip = log.clip.duration_secs;
         assert!((streamed - clip).abs() < 3.0, "{streamed} vs {clip}");
@@ -179,7 +171,7 @@ mod tests {
         // Figure 11: "the ratio of buffering rate to playout rate for
         // MediaPlayer clips is 1".
         let log = run_session(RateClass::High, 0);
-        let ratio = log.lock().unwrap().buffering_ratio().unwrap();
+        let ratio = log.buffering_ratio().unwrap();
         assert!((ratio - 1.0).abs() < 0.1, "ratio = {ratio}");
     }
 
@@ -188,7 +180,6 @@ mod tests {
         // Figure 12: app-layer batches ≈1 s apart; for a high-rate clip
         // ≈10 datagrams per batch.
         let log = run_session(RateClass::High, 4); // 250.4 Kbit/s, 100 ms ticks
-        let log = log.lock().unwrap();
         assert!(log.app_batches.len() > 10);
         let mid = &log.app_batches[2..log.app_batches.len() - 2];
         for pair in mid.windows(2) {
@@ -203,7 +194,7 @@ mod tests {
     #[test]
     fn frame_rate_reaches_full_motion_on_high_rate_clips() {
         let log = run_session(RateClass::High, 4);
-        let avg = log.lock().unwrap().avg_frame_rate();
+        let avg = log.avg_frame_rate();
         assert!((24.0..=26.0).contains(&avg), "fps = {avg}");
     }
 
@@ -211,7 +202,7 @@ mod tests {
     fn low_rate_clip_plays_near_13_fps() {
         // Figure 13: the 39 Kbit/s MediaPlayer clip plays at 13 fps.
         let log = run_session(RateClass::Low, 4); // set 5 low: 39 Kbit/s... set index 4
-        let avg = log.lock().unwrap().avg_frame_rate();
+        let avg = log.avg_frame_rate();
         assert!((12.0..=14.5).contains(&avg), "fps = {avg}");
     }
 }

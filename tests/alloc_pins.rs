@@ -90,7 +90,7 @@ fn pair_run_allocations_are_pinned() {
     let config = corpus_configs(42).remove(0);
     assert_pinned(
         "run_pair(corpus_configs(42)[0])",
-        (76_928, 122_232_559),
+        (76_671, 119_037_591),
         || run_pair(&config),
     );
 }
@@ -103,7 +103,7 @@ fn fleet_run_allocations_are_pinned() {
     };
     assert_pinned(
         "10k-session run_fleet at seed 42",
-        (41_657, 26_606_652),
+        (41_648, 26_606_308),
         || run_fleet(&config),
     );
 }

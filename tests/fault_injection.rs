@@ -115,7 +115,7 @@ fn trackers_survive_total_blackout_mid_stream() {
     sim.core_mut().link_mut(sc).fault = turb_netsim::FaultInjector::bernoulli(1.0);
     let end = sim.run_to_idle(SimTime::ZERO + SimDuration::from_secs(1000));
 
-    let log = handles.log.lock().unwrap();
+    let log = handles.take_log(&mut sim);
     assert!(log.stream_end.is_none(), "END can never arrive");
     assert!(log.bytes_total > 0, "got the first 10 s");
     // The client's hard cap is duration*3 + 120 s; logging must stop by

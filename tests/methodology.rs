@@ -160,7 +160,7 @@ fn predicted_fragment_fraction(kbps: f64) -> f64 {
 /// client-side sniffer sees it over one 10 Mbit/s link.
 fn measured_fragment_fraction(kbps: f64) -> f64 {
     use std::net::Ipv4Addr;
-    use turb_capture::{Filter, FragmentGroups, Sniffer};
+    use turb_capture::{Capture, Filter, FragmentGroups, Sniffer};
     use turb_netsim::prelude::*;
     use turb_players::{spawn_stream, StreamConfig};
 
@@ -196,7 +196,7 @@ fn measured_fragment_fraction(kbps: f64) -> f64 {
     spawn_stream(&mut sim, server, client, config, &mut SimRng::new(0));
     sim.run_to_idle(SimTime::ZERO + SimDuration::from_secs(120));
 
-    let capture = capture.lock().unwrap();
+    let capture = sim.take_tap::<Capture>(capture);
     let records = capture.filtered(&Filter::stream_from(server_addr));
     FragmentGroups::build(records).stats().fragment_fraction()
 }

@@ -10,7 +10,7 @@
 //!    on the wire.
 
 use std::net::Ipv4Addr;
-use turb_capture::{Filter, FragmentGroups, Sniffer};
+use turb_capture::{Capture, Filter, FragmentGroups, Sniffer};
 use turb_media::{corpus, RateClass};
 use turb_netsim::prelude::*;
 use turbulence::runner::CorpusResult;
@@ -222,7 +222,7 @@ fn lossy_link_sim(
     loss: f64,
     queue_capacity: usize,
     blaster: Blaster,
-) -> (Simulation, NodeId, NodeId, turb_capture::CaptureHandle) {
+) -> (Simulation, NodeId, NodeId, TapId) {
     let mut sim = Simulation::new(seed);
     let a = sim.add_host("a", Ipv4Addr::new(10, 0, 0, 1));
     let b = sim.add_host("b", Ipv4Addr::new(10, 0, 0, 2));
@@ -266,9 +266,8 @@ fn link_drops_equal_sent_minus_sniffed() {
     sim.collect_metrics(&mut registry);
 
     let sent = sim.node_stats(a).tx_packets;
-    let sniffed = capture
-        .lock()
-        .unwrap()
+    let sniffed = sim
+        .take_tap::<Capture>(capture)
         .filtered(&Filter::direction_rx())
         .len() as u64;
     let dropped = registry.counter_total("link_dropped_queue_total")
@@ -313,7 +312,7 @@ fn reassembly_timeouts_match_sniffer_incomplete_groups() {
     sim.collect_metrics(&mut registry);
     let timed_out = registry.counter_total("reassembly_timed_out_total");
 
-    let capture = capture.lock().unwrap();
+    let capture = sim.take_tap::<Capture>(capture);
     let rx = capture.filtered(&Filter::Udp.and(Filter::direction_rx()));
     let groups = FragmentGroups::build(rx);
     let incomplete = groups.incomplete_groups() as u64;
