@@ -15,15 +15,6 @@ pub struct Capture {
 }
 
 impl Capture {
-    /// An empty capture pre-sized for a typical streaming run, so the
-    /// record vector doesn't regrow a dozen times while the clip plays.
-    pub fn with_capacity_hint() -> Capture {
-        Capture {
-            records: Vec::with_capacity(4096),
-            sniffed: 0,
-        }
-    }
-
     /// All records in capture order.
     pub fn records(&self) -> &[PacketRecord] {
         &self.records
@@ -125,7 +116,13 @@ impl Sniffer {
     /// it runs; after the run, `sim.take_tap::<Capture>(id)` hands it
     /// back.
     pub fn attach(sim: &mut Simulation, node: NodeId) -> TapId {
-        sim.add_tap(node, Box::new(Capture::with_capacity_hint()))
+        // Pre-sized for a typical streaming run, so the record vector
+        // doesn't regrow a dozen times while the clip plays.
+        let capture = Capture {
+            records: Vec::with_capacity(4096),
+            sniffed: 0,
+        };
+        sim.add_tap(node, Box::new(capture))
     }
 }
 

@@ -15,8 +15,6 @@ use turb_netsim::{AppId, Application, NodeId, Simulation};
 pub struct StreamHandles {
     /// Which player streams: the client app's type.
     pub player: PlayerId,
-    /// The server application id.
-    pub server_app: AppId,
     /// The client application id.
     pub client_app: AppId,
 }
@@ -56,9 +54,9 @@ pub fn spawn_stream(
             )
         }
     };
+    sim.add_app(server_node, server, Some(config.server_port), false);
     StreamHandles {
         player,
-        server_app: sim.add_app(server_node, server, Some(config.server_port), false),
         client_app: sim.add_app(client_node, client, Some(config.client_port), false),
     }
 }
