@@ -96,6 +96,16 @@ fn pair_run_allocations_are_pinned() {
 }
 
 #[test]
+fn pair_run_allocations_are_pinned_at_seed_7() {
+    let config = corpus_configs(7).remove(0);
+    assert_pinned(
+        "run_pair(corpus_configs(7)[0])",
+        (76_600, 119_029_370),
+        || run_pair(&config),
+    );
+}
+
+#[test]
 fn fleet_run_allocations_are_pinned() {
     let config = FleetRunConfig {
         sessions: 10_000,
@@ -104,6 +114,19 @@ fn fleet_run_allocations_are_pinned() {
     assert_pinned(
         "10k-session run_fleet at seed 42",
         (41_648, 26_606_308),
+        || run_fleet(&config),
+    );
+}
+
+#[test]
+fn fleet_run_allocations_are_pinned_at_seed_7() {
+    let config = FleetRunConfig {
+        sessions: 10_000,
+        ..FleetRunConfig::new(7)
+    };
+    assert_pinned(
+        "10k-session run_fleet at seed 7",
+        (41_572, 26_619_946),
         || run_fleet(&config),
     );
 }
