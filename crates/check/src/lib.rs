@@ -11,8 +11,8 @@
 //! * encode → fragment → shuffle/drop/duplicate → reassemble either
 //!   round-trips the payload exactly or fails closed with coherent
 //!   [`turb_wire::frag::ReassemblyStats`];
-//! * the incremental [`turb_wire::checksum::Checksum`] equals the
-//!   one-shot checksum under every split of the input;
+//! * the one-shot and incremental [`turb_wire::checksum::Checksum`] equal a
+//!   naive RFC 1071 sum under every split of the input;
 //! * a capture written to pcap reads back identically.
 //!
 //! Everything is reproducible: a campaign is a root seed, a case is a

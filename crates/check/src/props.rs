@@ -70,7 +70,7 @@ static PROPERTIES: [Property; 7] = [
     },
     Property {
         name: "checksum_splits",
-        about: "incremental Checksum equals one-shot under every split",
+        about: "one-shot and incremental Checksum equal a naive RFC 1071 sum under every split",
         kind: PropKind::Bytes {
             gen: checksum_input,
             run: checksum_splits,
@@ -222,23 +222,47 @@ fn decode_differential(data: &[u8]) -> Result<(), String> {
 }
 
 /// Input generator for [`checksum_splits`]: usually short (so the
-/// exhaustive split loop stays cheap), occasionally long.
+/// exhaustive split loop stays cheap), sometimes a few hundred bytes,
+/// and now and then up to a jumbo 9,000-byte datagram, odd lengths
+/// included.
 fn checksum_input(rng: &mut CheckRng) -> Vec<u8> {
-    let len = if rng.chance(80) {
+    let len = if rng.chance(75) {
         rng.below(49)
-    } else {
+    } else if rng.chance(60) {
         rng.range(49, 300)
+    } else {
+        rng.range(300, 9_001)
     };
     let mut data = vec![0u8; len];
     rng.fill(&mut data);
     data
 }
 
-/// Property: the incremental [`Checksum`] equals the one-shot
-/// [`checksum`] no matter where the pushes are cut, including pushes
-/// mixed with `push_u16`.
+/// RFC 1071 by the book: 16-bit big-endian words, an odd tail padded
+/// with a zero byte, end-around carry, complement. It shares no code
+/// with [`Checksum`], whose word-wide native-endian kernel it checks.
+fn reference_checksum(data: &[u8]) -> u16 {
+    let mut sum = 0u64;
+    for word in data.chunks(2) {
+        sum += u64::from(u16::from_be_bytes([word[0], *word.get(1).unwrap_or(&0)]));
+    }
+    while sum >> 16 != 0 {
+        sum = (sum & 0xffff) + (sum >> 16);
+    }
+    !(sum as u16)
+}
+
+/// Property: the one-shot [`checksum`] equals a naive RFC 1071 sum,
+/// and the incremental [`Checksum`] equals both no matter where the
+/// pushes are cut, including pushes mixed with `push_u16`.
 fn checksum_splits(data: &[u8]) -> Result<(), String> {
-    let expected = checksum(data);
+    let expected = reference_checksum(data);
+    let one_shot = checksum(data);
+    if one_shot != expected {
+        return fail(format!(
+            "one-shot gives {one_shot:#06x}, RFC 1071 reference {expected:#06x}"
+        ));
+    }
 
     // Every two-piece split for short inputs, a sampled set for long
     // ones (the sample positions derive from the data so a stored case
@@ -263,25 +287,27 @@ fn checksum_splits(data: &[u8]) -> Result<(), String> {
         c.push(&data[cut..]);
         if c.value() != expected {
             return fail(format!(
-                "two-piece split at {cut} gives {:#06x}, one-shot {expected:#06x}",
+                "two-piece split at {cut} gives {:#06x}, reference {expected:#06x}",
                 c.value()
             ));
         }
     }
 
-    // A many-piece split with data-derived piece lengths 1..=9.
+    // A many-piece split with data-derived piece lengths: 1..=9, and
+    // one piece in four up to 100 so the word-wide blocks run too.
     let mut c = Checksum::new();
     let mut rest = data;
     let mut state = 0x85eb_ca6bu64 ^ data.len() as u64;
     while !rest.is_empty() {
         state = state.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(1);
-        let take = usize::min(1 + (state % 9) as usize, rest.len());
+        let span = if state >> 62 == 0 { 100 } else { 9 };
+        let take = usize::min(1 + ((state >> 8) % span) as usize, rest.len());
         c.push(&rest[..take]);
         rest = &rest[take..];
     }
     if c.value() != expected {
         return fail(format!(
-            "many-piece split gives {:#06x}, one-shot {expected:#06x}",
+            "many-piece split gives {:#06x}, reference {expected:#06x}",
             c.value()
         ));
     }
@@ -294,7 +320,7 @@ fn checksum_splits(data: &[u8]) -> Result<(), String> {
         c.push(&data[3..]);
         if c.value() != expected {
             return fail(format!(
-                "push_u16 after odd prefix gives {:#06x}, one-shot {expected:#06x}",
+                "push_u16 after odd prefix gives {:#06x}, reference {expected:#06x}",
                 c.value()
             ));
         }

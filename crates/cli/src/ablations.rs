@@ -90,7 +90,8 @@ impl Application for Periodic {
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, _token: u64) {
         if self.remaining > 0 {
             self.remaining -= 1;
-            ctx.send_udp(5000, self.peer, 6000, Bytes::from(vec![0u8; self.size]));
+            // An all-zero payload: the datagram's buffer starts zeroed.
+            ctx.send_udp_with(5000, self.peer, 6000, self.size, |_| {});
             ctx.set_timer_after(self.every, 0);
         }
     }

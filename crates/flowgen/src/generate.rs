@@ -151,12 +151,9 @@ impl Application for SyntheticFlowApp {
             media_time_ms: (p.time_secs * 1000.0) as u32,
             buffering: p.buffering,
         };
-        ctx.send_udp(
-            self.src_port,
-            self.dst,
-            self.dst_port,
-            header.encode_with_padding(payload_len - turb_wire::media::MEDIA_HEADER_LEN),
-        );
+        ctx.send_udp_with(self.src_port, self.dst, self.dst_port, payload_len, |buf| {
+            header.write_with_padding(buf)
+        });
         // Schedule the next packet relative to the original origin:
         // now corresponds to schedule[next-1].time_secs.
         if let Some(next) = self.schedule.get(self.next) {

@@ -188,11 +188,12 @@ impl FleetDriver {
     /// slot's index.
     fn take_slot(&mut self, ctx: &Ctx<'_>, id: usize, spec: &SessionSpec) -> usize {
         let (dst, port) = self.destination(id, spec);
-        let mut payload = vec![0u8; spec.payload as usize];
-        payload[0..4].copy_from_slice(&(id as u32).to_le_bytes());
-        let udp = UdpDatagram::new(20_000 + (id % 40_000) as u16, port, Bytes::from(payload))
-            .encode(ctx.local_addr(), dst)
-            .expect("fleet datagram within size limits");
+        let src_port = 20_000 + (id % 40_000) as u16;
+        let (src, len) = (ctx.local_addr(), spec.payload as usize);
+        let udp = UdpDatagram::encode_with(src_port, port, len, src, dst, |payload| {
+            payload[0..4].copy_from_slice(&(id as u32).to_le_bytes())
+        })
+        .expect("fleet datagram within size limits");
         let slot = LiveSlot {
             udp,
             left: spec.packets,

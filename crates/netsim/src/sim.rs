@@ -381,10 +381,9 @@ mod queue_tests {
     use proptest::test_runner::ProptestConfig;
     use std::collections::BTreeMap;
 
-    /// The wheel's tick (2^13 ns) and horizon (2^32 ticks), restated
-    /// so the jumps below straddle its levels and its overflow heap.
-    const TICK_NS: u64 = 1 << 13;
-    const HORIZON_NS: u64 = (1 << 32) * TICK_NS;
+    /// The wheel's geometry, so the jumps below straddle its levels
+    /// and its overflow heap.
+    use crate::wheel::{HORIZON_NS, TICK_NS};
 
     #[test]
     fn scheduled_key_is_24_bytes() {
@@ -1593,6 +1592,24 @@ impl<'a> Ctx<'a> {
             .send_udp_from(self.node, src_port, dst, dst_port, payload, 128);
     }
 
+    /// Send a UDP datagram of `payload_len` payload bytes that `fill`
+    /// writes in place (see [`UdpDatagram::encode_with`]), with the
+    /// default TTL. Media senders write header and filler straight
+    /// into the buffer the network carries.
+    pub fn send_udp_with(
+        &mut self,
+        src_port: u16,
+        dst: Ipv4Addr,
+        dst_port: u16,
+        payload_len: usize,
+        fill: impl FnOnce(&mut [u8]),
+    ) {
+        let src = self.local_addr();
+        let udp = UdpDatagram::encode_with(src_port, dst_port, payload_len, src, dst, fill)
+            .expect("UDP payload within size limits");
+        self.core.send_udp_encoded(self.node, dst, udp, 128);
+    }
+
     /// Send a UDP datagram that is already encoded for this node's
     /// address and `dst` (see [`SimCore::send_udp_encoded`]), with the
     /// default TTL. A sender that repeats one datagram encodes it once
@@ -1612,6 +1629,17 @@ impl<'a> Ctx<'a> {
     ) {
         self.core
             .send_udp_from(self.node, src_port, dst, dst_port, payload, ttl);
+    }
+
+    /// Stop delivering this node's incoming ICMP to this application
+    /// (undoes `listen_icmp` at [`Simulation::add_app`]). A tool that
+    /// has finished calls it, so later traffic's ICMP no longer
+    /// reaches it and it can be taken back while the run goes on.
+    pub fn stop_listening_icmp(&mut self) {
+        let app = self.app;
+        self.core.nodes[self.node.0]
+            .icmp_listeners
+            .retain(|&listener| listener != app);
     }
 
     /// Send an ICMP message (e.g. an echo request for ping).

@@ -5,8 +5,11 @@
 //! builds Figures 1 and 2 from their output. These are implemented as
 //! ordinary [`Application`]s so they share the network with the
 //! streaming sessions, exactly like the real tools did. Each app keeps
-//! its report as a plain field; take the app back after the run with
-//! [`Simulation::take_app`] and read it.
+//! its report as a plain field; take the app back with
+//! [`Simulation::take_app`] and read it. A tool stops listening to ICMP
+//! once it has finished (ping: every probe sent and answered; tracert:
+//! destination or maximum TTL reached), so from then on it can be taken
+//! while the simulation goes on.
 
 use crate::link::NodeId;
 use crate::node::AppId;
@@ -96,6 +99,8 @@ impl Application for PingApp {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
         if self.count > 0 {
             ctx.set_timer_after(self.start_after, TOKEN_SEND);
+        } else {
+            ctx.stop_listening_icmp();
         }
     }
 
@@ -111,6 +116,9 @@ impl Application for PingApp {
                 if let Some(sent_at) = self.outstanding.remove(&seq) {
                     self.report.received += 1;
                     self.report.rtts.push(ctx.now().since(sent_at));
+                    if self.report.sent == self.count && self.outstanding.is_empty() {
+                        ctx.stop_listening_icmp();
+                    }
                 }
             }
         }
@@ -212,6 +220,7 @@ impl TracertApp {
         self.report.reached = reached;
         self.answered = true;
         if reached || self.current_ttl >= self.max_ttl {
+            ctx.stop_listening_icmp();
             return;
         }
         self.current_ttl += 1;
@@ -331,21 +340,19 @@ mod tests {
     #[test]
     fn tracert_discovers_the_configured_hop_count() {
         let (mut sim, scenario, _rng) = scenario(12);
-        // One site at a time. Every tracert listens to all ICMP at the
-        // client, so each app is taken only once every run is over.
-        let mut tracerts = Vec::new();
+        // One site at a time, each tracert taken as soon as its run is
+        // over: a finished tracert no longer listens, so the next
+        // site's ICMP errors are not handed to a taken app.
         for site in &scenario.sites {
-            tracerts.push(spawn_tracert(
+            let tracert = spawn_tracert(
                 &mut sim,
                 scenario.client,
                 site.server_addr,
                 40_000 + site.server.0 as u16,
                 64,
                 SimDuration::from_secs(2),
-            ));
+            );
             sim.run_until(SimTime(sim.now().as_nanos() + 400_000_000_000));
-        }
-        for (site, tracert) in scenario.sites.iter().zip(tracerts) {
             let report = sim.take_app::<TracertApp>(tracert).report;
             assert!(report.reached, "site {:?} unreachable", site.server_addr);
             assert_eq!(
@@ -361,6 +368,49 @@ mod tests {
             let first = report.hops.first().unwrap().unwrap().1;
             let last = report.hops.last().unwrap().unwrap().1;
             assert!(last >= first);
+        }
+    }
+
+    #[test]
+    fn finished_tools_stop_listening_sequential_and_sharded() {
+        // A ping and a tracert run before a second pair; each is taken
+        // as soon as it finishes, while the second pair's ICMP arrives
+        // at the same node. Only the tools still running listen.
+        for shards in [None, Some(2)] {
+            let (mut sim, scenario, mut rng) = scenario(14);
+            if let Some(n) = shards {
+                sim.set_shards(crate::shard::ShardKind::Sharded(n));
+            }
+            let client = scenario.client;
+            let (first, second) = (&scenario.sites[0], &scenario.sites[1]);
+            let ping = |sim: &mut Simulation, dst, rng: &mut SimRng| {
+                spawn_ping(
+                    sim,
+                    client,
+                    dst,
+                    4,
+                    SimDuration::from_millis(100),
+                    SimDuration::ZERO,
+                    rng,
+                )
+            };
+            let tracert = |sim: &mut Simulation, dst, port| {
+                spawn_tracert(sim, client, dst, port, 64, SimDuration::from_secs(2))
+            };
+            let ping0 = ping(&mut sim, first.server_addr, &mut rng);
+            let trace0 = tracert(&mut sim, first.server_addr, 41_000);
+            sim.run_until(SimTime(10_000_000_000));
+            let ping1 = ping(&mut sim, second.server_addr, &mut rng);
+            let trace1 = tracert(&mut sim, second.server_addr, 41_001);
+            sim.run_until(SimTime(10_000_000_001));
+            assert_eq!(sim.node(client).icmp_listeners, vec![ping1, trace1]);
+            assert_eq!(sim.take_app::<PingApp>(ping0).report.received, 4);
+            assert!(sim.take_app::<TracertApp>(trace0).report.reached);
+            sim.run_until(SimTime(20_000_000_000));
+            assert!(sim.node(client).icmp_listeners.is_empty(), "{shards:?}");
+            assert_eq!(sim.take_app::<PingApp>(ping1).report.received, 4);
+            let report = sim.take_app::<TracertApp>(trace1).report;
+            assert_eq!(report.hop_count(), Some(second.hop_count), "{shards:?}");
         }
     }
 

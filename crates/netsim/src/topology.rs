@@ -358,12 +358,8 @@ impl crate::sim::Application for ScaleSource {
         }
     }
     fn on_timer(&mut self, ctx: &mut crate::sim::Ctx<'_>, _token: u64) {
-        ctx.send_udp(
-            self.src_port,
-            self.dst,
-            self.dst_port,
-            bytes::Bytes::from(vec![0u8; self.payload]),
-        );
+        // An all-zero payload: the datagram's buffer starts zeroed.
+        ctx.send_udp_with(self.src_port, self.dst, self.dst_port, self.payload, |_| {});
         self.remaining -= 1;
         if self.remaining > 0 {
             ctx.set_timer_after(self.interval, 0);

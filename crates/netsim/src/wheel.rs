@@ -11,14 +11,25 @@
 //! ## Layout
 //!
 //! Absolute sim-time is quantised to ticks of `2^TICK_SHIFT`
-//! nanoseconds (8.2 µs — finer than any serialisation delay in the
-//! corpus, far coarser than the nanosecond clock). Four levels of 256
-//! slots each cover `256^4 = 2^32` ticks (~9.8 simulated hours):
+//! nanoseconds (131 µs). Four levels of 256 slots each cover
+//! `256^4 = 2^32` ticks (2^49 ns, ~6.5 simulated days):
 //!
 //! * level 0: one tick per slot,
 //! * level `l`: `256^l` ticks per slot,
 //! * anything at or beyond the horizon waits in a far-future
 //!   `BinaryHeap` and is swept in when the wheel's range catches up.
+//!
+//! The tick is sized to the spacing of the events, not to the clock.
+//! A pair run's queue holds ~23 entries whose deadlines lie
+//! milliseconds apart (media pacing, client stats ticks, link
+//! arrivals). A tick much finer than that spacing leaves most level-0
+//! slots empty, so each pop pays for bitmap scans and era cascades
+//! that find nothing: at 2^13 ns (8.2 µs, a 2.1-ms era) the seed-42
+//! corpus cascaded 290,424 times, at 2^17 ns (a 33.5-ms era) 24,007
+//! times. A much coarser tick piles a deep queue's entries into the
+//! current-tick heap, where they cost O(log n) again. DESIGN.md §5
+//! has the scan. The tick never changes the pop order, only the work
+//! to reach it.
 //!
 //! Every entry strictly after the current tick lives in exactly one
 //! slot (or the overflow heap). Entries **at or before** the current
@@ -75,8 +86,11 @@ use crate::time::SimTime;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-/// log2 of nanoseconds per tick: 2^13 ns ≈ 8.2 µs.
-const TICK_SHIFT: u32 = 13;
+/// log2 of nanoseconds per tick: 2^17 ns ≈ 131 µs.
+const TICK_SHIFT: u32 = 17;
+/// Nanoseconds per tick; tests place deadlines with it.
+#[cfg(test)]
+pub(crate) const TICK_NS: u64 = 1 << TICK_SHIFT;
 /// log2 of slots per level.
 const BITS: u32 = 8;
 /// Slots per level.
@@ -87,6 +101,10 @@ const SLOT_MASK: u64 = (SLOTS as u64) - 1;
 const LEVELS: usize = 4;
 /// Ticks covered by all wheel levels; beyond this is overflow.
 const HORIZON_TICKS: u64 = 1 << (BITS * LEVELS as u32);
+/// Nanoseconds covered by all wheel levels; tests place deadlines
+/// with it.
+#[cfg(test)]
+pub(crate) const HORIZON_NS: u64 = HORIZON_TICKS * TICK_NS;
 /// u64 words in one level's occupancy bitmap.
 const BITMAP_WORDS: usize = SLOTS / 64;
 /// The end of a slot list or of the free list.
@@ -469,8 +487,6 @@ mod tests {
     use super::*;
     use crate::rng::SimRng;
 
-    const TICK_NS: u64 = 1 << TICK_SHIFT;
-
     fn drain(wheel: &mut TimingWheel<u32>) -> Vec<(u64, u64, u32)> {
         let mut out = Vec::new();
         while let Some((t, s, v)) = wheel.pop() {
@@ -532,7 +548,7 @@ mod tests {
         // delta == HORIZON_TICKS must overflow; one tick less fits in
         // the top level.
         let inside = (HORIZON_TICKS - 1) * TICK_NS;
-        let at_horizon = HORIZON_TICKS * TICK_NS;
+        let at_horizon = HORIZON_NS;
         wheel.push(SimTime(at_horizon), 0, 0);
         wheel.push(SimTime(inside), 1, 1);
         assert_eq!(wheel.stats().overflow_events, 1);
@@ -542,8 +558,8 @@ mod tests {
     #[test]
     fn far_future_overflow_pops_in_order() {
         let mut wheel = TimingWheel::new();
-        let far = 3 * HORIZON_TICKS * TICK_NS + 12_345;
-        let farther = 7 * HORIZON_TICKS * TICK_NS;
+        let far = 3 * HORIZON_NS + 12_345;
+        let farther = 7 * HORIZON_NS;
         let near = 2 * TICK_NS;
         wheel.push(SimTime(farther), 0, 0);
         wheel.push(SimTime(far), 1, 1);
@@ -565,7 +581,7 @@ mod tests {
         // bring overflow entries back:
         //
         // 1. The empty-wheel jump (`advance` with all levels empty).
-        let boundary = HORIZON_TICKS * TICK_NS;
+        let boundary = HORIZON_NS;
         for flip in [false, true] {
             let mut wheel = TimingWheel::new();
             let mut items = vec![(boundary, 0u64, 0u32), (boundary, 1, 1)];
@@ -662,8 +678,8 @@ mod tests {
                     0 => rng.range_u64(0, TICK_NS),
                     1 => rng.range_u64(0, 256 * TICK_NS),
                     2 => rng.range_u64(0, 65_536 * TICK_NS),
-                    3 => rng.range_u64(0, HORIZON_TICKS * TICK_NS / 8),
-                    _ => HORIZON_TICKS * TICK_NS + rng.range_u64(0, TICK_NS * 1_000),
+                    3 => rng.range_u64(0, HORIZON_NS / 8),
+                    _ => HORIZON_NS + rng.range_u64(0, TICK_NS * 1_000),
                 };
                 push_both(&mut wheel, &mut heap, now.as_nanos() + jump, &mut seq);
             }

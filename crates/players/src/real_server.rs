@@ -163,12 +163,9 @@ impl RealServer {
                 media_time_ms: header.media_time_ms,
             });
         }
-        ctx.send_udp(
-            self.config.server_port,
-            addr,
-            port,
-            header.encode_with_padding(payload_len - MEDIA_HEADER_LEN),
-        );
+        ctx.send_udp_with(self.config.server_port, addr, port, payload_len, |buf| {
+            header.write_with_padding(buf)
+        });
         self.sent_bytes += payload_len as u64;
 
         if self.sent_bytes >= self.budget {
@@ -205,11 +202,12 @@ impl RealServer {
                     media_time_ms: header.media_time_ms,
                 });
             }
-            ctx.send_udp(
+            ctx.send_udp_with(
                 self.config.server_port,
                 addr,
                 port,
-                header.encode_with_padding(0),
+                MEDIA_HEADER_LEN,
+                |buf| header.write_with_padding(buf),
             );
         }
     }

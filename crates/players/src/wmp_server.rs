@@ -123,8 +123,10 @@ impl WmpServer {
                 media_time_ms: header.media_time_ms,
             });
         }
-        let payload = header.encode_with_padding(self.unit_bytes.saturating_sub(MEDIA_HEADER_LEN));
-        ctx.send_udp(self.config.server_port, addr, port, payload);
+        let payload_len = self.unit_bytes.max(MEDIA_HEADER_LEN);
+        ctx.send_udp_with(self.config.server_port, addr, port, payload_len, |buf| {
+            header.write_with_padding(buf)
+        });
         self.media_sent += self.unit_bytes as u64;
     }
 
@@ -151,11 +153,12 @@ impl WmpServer {
                     media_time_ms: header.media_time_ms,
                 });
             }
-            ctx.send_udp(
+            ctx.send_udp_with(
                 self.config.server_port,
                 addr,
                 port,
-                header.encode_with_padding(0),
+                MEDIA_HEADER_LEN,
+                |buf| header.write_with_padding(buf),
             );
         }
     }

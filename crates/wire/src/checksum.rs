@@ -27,11 +27,14 @@ impl Checksum {
     ///
     /// Hot path: this runs over every UDP payload once at encode and
     /// once at delivery. RFC 1071 §2 allows summing in any word width
-    /// on any boundary (every 2^16k positional weight is ≡ 1 mod
-    /// 2^16−1), so the loop takes 32-bit big-endian words four at a
-    /// time into independent accumulators — ~8× the bytes per add of
-    /// the naive 16-bit loop, and free of a serial dependency chain —
-    /// and defers all folding to [`Checksum::value`].
+    /// (every 2^16k positional weight is ≡ 1 mod 2^16−1) and in the
+    /// host's byte order (§2(B): the folded sum of byte-swapped words
+    /// is the byte-swapped sum). So the loop takes native-endian
+    /// 32-bit words into eight independent `u64` lanes, free of a
+    /// serial dependency chain, then folds them to 16 bits and swaps
+    /// into big-endian order once per push. The result is exact, not
+    /// just congruent: folding a nonzero sum never yields zero, so
+    /// the 0x0000/0xffff distinction survives.
     pub fn push(&mut self, mut data: &[u8]) {
         if let Some(high) = self.pending.take() {
             let Some((&low, rest)) = data.split_first() else {
@@ -41,22 +44,22 @@ impl Checksum {
             self.sum += u64::from(u16::from_be_bytes([high, low]));
             data = rest;
         }
-        let (mut s0, mut s1, mut s2, mut s3) = (0u64, 0u64, 0u64, 0u64);
-        let mut wide = data.chunks_exact(16);
-        for c in &mut wide {
-            s0 += u64::from(u32::from_be_bytes([c[0], c[1], c[2], c[3]]));
-            s1 += u64::from(u32::from_be_bytes([c[4], c[5], c[6], c[7]]));
-            s2 += u64::from(u32::from_be_bytes([c[8], c[9], c[10], c[11]]));
-            s3 += u64::from(u32::from_be_bytes([c[12], c[13], c[14], c[15]]));
+        let mut lanes = [0u64; 8];
+        let mut wide = data.chunks_exact(32);
+        for block in &mut wide {
+            for (lane, word) in lanes.iter_mut().zip(block.chunks_exact(4)) {
+                *lane += u64::from(u32::from_ne_bytes([word[0], word[1], word[2], word[3]]));
+            }
         }
-        let mut chunks = wide.remainder().chunks_exact(2);
-        for chunk in &mut chunks {
-            s0 += u64::from(u16::from_be_bytes([chunk[0], chunk[1]]));
+        let mut native: u64 = lanes.iter().sum();
+        let mut words = wide.remainder().chunks_exact(2);
+        for word in &mut words {
+            native += u64::from(u16::from_ne_bytes([word[0], word[1]]));
         }
-        if let [last] = chunks.remainder() {
+        if let [last] = words.remainder() {
             self.pending = Some(*last);
         }
-        self.sum += s0 + s1 + s2 + s3;
+        self.sum += u64::from(fold(native).to_be());
     }
 
     /// Add a single big-endian `u16` word.
@@ -79,11 +82,17 @@ impl Checksum {
         if let Some(high) = self.pending {
             sum += u64::from(u16::from_be_bytes([high, 0]));
         }
-        while sum >> 16 != 0 {
-            sum = (sum & 0xffff) + (sum >> 16);
-        }
-        !(sum as u16)
+        !fold(sum)
     }
+}
+
+/// Fold a sum of 16-bit words to 16 bits with end-around carry. Zero
+/// stays zero and any other sum lands in `1..=0xffff`.
+fn fold(mut sum: u64) -> u16 {
+    while sum >> 16 != 0 {
+        sum = (sum & 0xffff) + (sum >> 16);
+    }
+    sum as u16
 }
 
 /// One-shot checksum of a byte slice.
@@ -193,11 +202,12 @@ mod tests {
 
     #[test]
     fn wide_word_path_matches_the_16_bit_definition() {
-        // Cross-check every length 0..=64 (both sides of the 16-byte
-        // chunking, odd tails included) against a naive 16-bit loop.
-        for len in 0..=64usize {
-            let data: Vec<u8> = (0..len as u8)
-                .map(|i| i.wrapping_mul(37).wrapping_add(11))
+        // Cross-check every length 0..=200 (both sides of several
+        // 32-byte blocks, odd tails included) against a naive 16-bit
+        // loop, as one push and as two pushes cut at an odd offset.
+        for len in 0..=200usize {
+            let data: Vec<u8> = (0..len)
+                .map(|i| (i as u8).wrapping_mul(37).wrapping_add(11))
                 .collect();
             let mut naive: u32 = 0;
             let mut words = data.chunks_exact(2);
@@ -212,7 +222,26 @@ mod tests {
                 folded = (folded & 0xffff) + (folded >> 16);
             }
             assert_eq!(checksum(&data), !(folded as u16), "len {len}");
+            let cut = (len / 3) | 1;
+            if cut <= len {
+                let mut c = Checksum::new();
+                c.push(&data[..cut]);
+                c.push(&data[cut..]);
+                assert_eq!(c.value(), !(folded as u16), "len {len} cut {cut}");
+            }
         }
+    }
+
+    #[test]
+    fn folding_keeps_the_two_zeros_apart() {
+        // A nonzero sum that is a multiple of 0xffff folds to 0xffff,
+        // so its checksum is 0x0000; only all-zero data gives 0xffff.
+        assert_eq!(checksum(&[0xff, 0xff]), 0x0000);
+        assert_eq!(checksum(&[0xff; 64]), 0x0000);
+        assert_eq!(checksum(&[0u8; 64]), 0xffff);
+        let mut ones = vec![0u8; 64];
+        ones[63] = 1;
+        assert_eq!(checksum(&ones), !0x0001);
     }
 
     #[test]

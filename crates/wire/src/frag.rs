@@ -137,14 +137,19 @@ impl Partial {
         covered >= total
     }
 
+    /// The datagram's payload in one buffer, each byte copied once.
+    /// Called only once complete: the pieces are sorted, disjoint and
+    /// gap-free, and none extends past `total_len` (fragments that
+    /// would are rejected as invalid on push), so appending them in
+    /// order tiles `[0, total_len)` exactly.
     fn assemble(&self) -> Bytes {
         let total = self.total_len.expect("assemble called before complete");
-        let mut buf = BytesMut::from(&vec![0u8; total][..]);
+        let mut buf = BytesMut::with_capacity(total);
         for (off, piece) in &self.pieces {
-            // Invariant: accepted pieces never extend past total_len
-            // (fragments that would are rejected as invalid on push).
-            buf[*off..off + piece.len()].copy_from_slice(piece);
+            debug_assert_eq!(*off, buf.len(), "pieces tile the datagram");
+            buf.extend_from_slice(piece);
         }
+        assert_eq!(buf.len(), total, "pieces tile the datagram");
         buf.freeze()
     }
 

@@ -10,7 +10,7 @@
 //! the desired packet size with deterministic filler.
 
 use crate::error::WireError;
-use bytes::{BufMut, Bytes, BytesMut};
+use bytes::{Bytes, BytesMut};
 
 /// Length of the media header.
 pub const MEDIA_HEADER_LEN: usize = 20;
@@ -75,44 +75,54 @@ pub struct MediaHeader {
 }
 
 impl MediaHeader {
-    /// Serialise header followed by `payload_len` bytes of filler so
-    /// the total application payload is `MEDIA_HEADER_LEN + payload_len`.
+    /// Serialise header followed by `padding` bytes of filler so the
+    /// total application payload is `MEDIA_HEADER_LEN + padding`.
     pub fn encode_with_padding(&self, padding: usize) -> Bytes {
-        let mut buf = BytesMut::with_capacity(MEDIA_HEADER_LEN + padding);
-        buf.put_u16(MAGIC);
-        buf.put_u8(self.player.as_u8());
-        buf.put_u8(u8::from(self.buffering));
-        buf.put_u32(self.sequence);
-        buf.put_u32(self.frame_number);
-        buf.put_u32(self.media_time_ms);
-        buf.put_u32(padding as u32);
+        let mut buf = BytesMut::zeroed(MEDIA_HEADER_LEN + padding);
+        self.write_with_padding(&mut buf);
+        buf.freeze()
+    }
+
+    /// Write the header into the front of `buf` and filler into the
+    /// rest, so `buf` is the whole application payload. Senders call
+    /// this on the payload of the datagram they are encoding, so each
+    /// byte is written once, in its final place.
+    ///
+    /// # Panics
+    /// Panics if `buf` is shorter than [`MEDIA_HEADER_LEN`].
+    pub fn write_with_padding(&self, buf: &mut [u8]) {
+        let (header, fill) = buf.split_at_mut(MEDIA_HEADER_LEN);
+        header[0..2].copy_from_slice(&MAGIC.to_be_bytes());
+        header[2] = self.player.as_u8();
+        header[3] = u8::from(self.buffering);
+        header[4..8].copy_from_slice(&self.sequence.to_be_bytes());
+        header[8..12].copy_from_slice(&self.frame_number.to_be_bytes());
+        header[12..16].copy_from_slice(&self.media_time_ms.to_be_bytes());
+        header[16..20].copy_from_slice(&(fill.len() as u32).to_be_bytes());
         // Deterministic filler derived from the sequence number, so
         // payload bytes differ across packets (checksums exercise real
         // data) without any RNG. Byte `i` is
         // `(seed + i) >> (i % 4 * 8)`; this is the hottest loop in a
         // streaming run (every payload byte of every datagram passes
-        // through it), so it fills a resized tail in place, unrolled
-        // to one four-byte group per iteration instead of a
-        // capacity-checked `put_u8` per byte.
+        // through it), so each four-byte group at `i` is one
+        // little-endian word whose byte `k` is byte `k` of
+        // `seed + i + k`.
         let seed = self.sequence.wrapping_mul(0x9e37_79b9);
-        let start = buf.len();
-        buf.resize(start + padding, 0);
-        let fill = &mut buf[start..];
         let mut groups = fill.chunks_exact_mut(4);
         let mut i = 0u32;
         for group in &mut groups {
             let s = seed.wrapping_add(i);
-            group[0] = s as u8;
-            group[1] = (s.wrapping_add(1) >> 8) as u8;
-            group[2] = (s.wrapping_add(2) >> 16) as u8;
-            group[3] = (s.wrapping_add(3) >> 24) as u8;
+            let word = (s & 0xff)
+                | (s.wrapping_add(1) & 0xff00)
+                | (s.wrapping_add(2) & 0xff_0000)
+                | (s.wrapping_add(3) & 0xff00_0000);
+            group.copy_from_slice(&word.to_le_bytes());
             i = i.wrapping_add(4);
         }
         for (j, byte) in groups.into_remainder().iter_mut().enumerate() {
             let i = i as usize + j;
             *byte = (seed.wrapping_add(i as u32) >> (i % 4 * 8)) as u8;
         }
-        buf.freeze()
     }
 
     /// Parse the header from the front of a payload.
@@ -174,19 +184,40 @@ mod tests {
 
     #[test]
     fn padding_filler_matches_the_per_byte_definition() {
-        // The unrolled fill must reproduce `(seed + i) >> (i % 4 * 8)`
-        // exactly, including the non-multiple-of-four tails.
-        let h = header();
-        let seed = h.sequence.wrapping_mul(0x9e37_79b9);
-        for padding in [0usize, 1, 2, 3, 4, 5, 63, 64, 65, 1452] {
-            let bytes = h.encode_with_padding(padding);
-            for i in 0..padding {
-                assert_eq!(
-                    bytes[MEDIA_HEADER_LEN + i],
-                    (seed.wrapping_add(i as u32) >> (i % 4 * 8)) as u8,
-                    "padding {padding} byte {i}"
-                );
+        // The word-wide fill must reproduce `(seed + i) >> (i % 4 * 8)`
+        // exactly, including the non-multiple-of-four tails and the
+        // carries out of every byte, which many sequences reach.
+        for sequence in (0..2000).chain([u32::MAX - 1, u32::MAX]) {
+            let h = MediaHeader {
+                sequence,
+                ..header()
+            };
+            let seed = sequence.wrapping_mul(0x9e37_79b9);
+            let paddings: &[usize] = if sequence == 1234 {
+                &[0, 1, 2, 3, 4, 5, 63, 64, 65, 1452]
+            } else {
+                &[67]
+            };
+            for &padding in paddings {
+                let bytes = h.encode_with_padding(padding);
+                for i in 0..padding {
+                    assert_eq!(
+                        bytes[MEDIA_HEADER_LEN + i],
+                        (seed.wrapping_add(i as u32) >> (i % 4 * 8)) as u8,
+                        "sequence {sequence} padding {padding} byte {i}"
+                    );
+                }
             }
+        }
+    }
+
+    #[test]
+    fn write_with_padding_fills_a_buffer_like_encode() {
+        let h = header();
+        for padding in [0usize, 3, 700] {
+            let mut buf = vec![0xaau8; MEDIA_HEADER_LEN + padding];
+            h.write_with_padding(&mut buf);
+            assert_eq!(buf[..], h.encode_with_padding(padding)[..]);
         }
     }
 

@@ -3,7 +3,7 @@
 use crate::checksum::Checksum;
 use crate::error::WireError;
 use crate::ipv4::IpProtocol;
-use bytes::{BufMut, Bytes, BytesMut};
+use bytes::{Bytes, BytesMut};
 use std::net::Ipv4Addr;
 
 /// Length of a UDP header.
@@ -43,35 +43,59 @@ impl UdpDatagram {
 
     /// Serialise with a pseudo-header checksum for `src`/`dst`.
     pub fn encode(&self, src: Ipv4Addr, dst: Ipv4Addr) -> Result<Bytes, WireError> {
-        if self.len() > usize::from(u16::MAX) {
+        Self::encode_with(
+            self.src_port,
+            self.dst_port,
+            self.payload.len(),
+            src,
+            dst,
+            |payload| payload.copy_from_slice(&self.payload),
+        )
+    }
+
+    /// Serialise a datagram whose payload the caller writes in place:
+    /// the header goes into a zeroed buffer of the datagram's final
+    /// size, `fill` writes the `payload_len` payload bytes after it,
+    /// and the pseudo-header checksum over the result is patched into
+    /// the header. One allocation, and each byte written once, so a
+    /// sender builds its payload straight into the shared buffer the
+    /// network carries.
+    pub fn encode_with(
+        src_port: u16,
+        dst_port: u16,
+        payload_len: usize,
+        src: Ipv4Addr,
+        dst: Ipv4Addr,
+        fill: impl FnOnce(&mut [u8]),
+    ) -> Result<Bytes, WireError> {
+        let total = UDP_HEADER_LEN + payload_len;
+        if total > usize::from(u16::MAX) {
             return Err(WireError::Oversize {
                 what: "udp",
                 limit: usize::from(u16::MAX),
-                got: self.len(),
+                got: total,
             });
         }
-        let len = self.len() as u16;
-        let mut header = [0u8; UDP_HEADER_LEN];
-        header[0..2].copy_from_slice(&self.src_port.to_be_bytes());
-        header[2..4].copy_from_slice(&self.dst_port.to_be_bytes());
+        let len = total as u16;
+        let mut buf = BytesMut::zeroed(total);
+        let (header, payload) = buf.split_at_mut(UDP_HEADER_LEN);
+        header[0..2].copy_from_slice(&src_port.to_be_bytes());
+        header[2..4].copy_from_slice(&dst_port.to_be_bytes());
         header[4..6].copy_from_slice(&len.to_be_bytes());
+        fill(payload);
         let mut csum = Checksum::new();
         csum.push_addr(src);
         csum.push_addr(dst);
         csum.push_u16(u16::from(IpProtocol::Udp.as_u8()));
         csum.push_u16(len);
-        csum.push(&header);
-        csum.push(&self.payload);
+        csum.push(&buf);
         let mut value = csum.value();
         if value == 0 {
             // RFC 768: an all-zero computed checksum is transmitted as
             // all ones; zero on the wire means "no checksum".
             value = 0xffff;
         }
-        header[6..8].copy_from_slice(&value.to_be_bytes());
-        let mut buf = BytesMut::with_capacity(self.len());
-        buf.put_slice(&header);
-        buf.put_slice(&self.payload);
+        buf[6..8].copy_from_slice(&value.to_be_bytes());
         Ok(buf.freeze())
     }
 
@@ -163,6 +187,82 @@ mod tests {
         let base = encoded.as_ref().as_ptr() as usize;
         let payload = e.payload.as_ref().as_ptr() as usize;
         assert_eq!(payload, base + UDP_HEADER_LEN);
+    }
+
+    /// A datagram built by hand with a naive 16-bit big-endian RFC 1071
+    /// sum, sharing no code with the encoder.
+    fn reference(src_port: u16, dst_port: u16, payload: &[u8]) -> Vec<u8> {
+        let len = (UDP_HEADER_LEN + payload.len()) as u16;
+        let mut out = Vec::new();
+        for word in [src_port, dst_port, len, 0] {
+            out.extend_from_slice(&word.to_be_bytes());
+        }
+        out.extend_from_slice(payload);
+        let mut pseudo = Vec::new();
+        pseudo.extend_from_slice(&SRC.octets());
+        pseudo.extend_from_slice(&DST.octets());
+        pseudo.extend_from_slice(&[0, 17]);
+        pseudo.extend_from_slice(&len.to_be_bytes());
+        pseudo.extend_from_slice(&out);
+        if pseudo.len() % 2 == 1 {
+            pseudo.push(0);
+        }
+        let mut sum: u32 = pseudo
+            .chunks_exact(2)
+            .map(|w| u32::from(u16::from_be_bytes([w[0], w[1]])))
+            .sum();
+        while sum >> 16 != 0 {
+            sum = (sum & 0xffff) + (sum >> 16);
+        }
+        let value = match !(sum as u16) {
+            0 => 0xffff,
+            v => v,
+        };
+        out[6..8].copy_from_slice(&value.to_be_bytes());
+        out
+    }
+
+    #[test]
+    fn in_place_encode_equals_encode_and_the_reference() {
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let mut zero_sums = 0;
+        for round in 0..400 {
+            let (src_port, dst_port) = (next() as u16, next() as u16);
+            let mut payload: Vec<u8> = (0..next() % 1500).map(|_| next() as u8).collect();
+            if round % 4 == 0 {
+                // Make the computed checksum zero: an even-length
+                // payload whose last word cancels the rest of the sum.
+                payload.extend_from_slice(&[0, 0]);
+                if payload.len() % 2 == 1 {
+                    payload.insert(0, 0);
+                }
+                let sent = reference(src_port, dst_port, &payload);
+                let n = payload.len();
+                payload[n - 2..].copy_from_slice(&sent[6..8]);
+            }
+            let want = reference(src_port, dst_port, &payload);
+            zero_sums += usize::from(round % 4 == 0 && want[6..8] == [0xff, 0xff]);
+            let encoded = UdpDatagram::new(src_port, dst_port, Bytes::from(payload.clone()))
+                .encode(SRC, DST)
+                .unwrap();
+            let in_place =
+                UdpDatagram::encode_with(src_port, dst_port, payload.len(), SRC, DST, |buf| {
+                    for (b, p) in buf.iter_mut().zip(&payload) {
+                        *b = *p;
+                    }
+                })
+                .unwrap();
+            assert_eq!(in_place[..], want[..], "round {round}");
+            assert_eq!(encoded, in_place, "round {round}");
+            assert!(UdpDatagram::decode(&in_place, SRC, DST).is_ok());
+        }
+        assert_eq!(zero_sums, 100, "every fourth datagram sums to zero");
     }
 
     #[test]

@@ -90,7 +90,7 @@ fn pair_run_allocations_are_pinned() {
     let config = corpus_configs(42).remove(0);
     assert_pinned(
         "run_pair(corpus_configs(42)[0])",
-        (76_671, 119_037_591),
+        (30_549, 42_546_237),
         || run_pair(&config),
     );
 }
@@ -100,7 +100,7 @@ fn pair_run_allocations_are_pinned_at_seed_7() {
     let config = corpus_configs(7).remove(0);
     assert_pinned(
         "run_pair(corpus_configs(7)[0])",
-        (76_600, 119_029_370),
+        (30_337, 42_538_996),
         || run_pair(&config),
     );
 }
@@ -113,7 +113,7 @@ fn fleet_run_allocations_are_pinned() {
     };
     assert_pinned(
         "10k-session run_fleet at seed 42",
-        (41_648, 26_606_308),
+        (11_648, 8_366_308),
         || run_fleet(&config),
     );
 }
@@ -126,7 +126,7 @@ fn fleet_run_allocations_are_pinned_at_seed_7() {
     };
     assert_pinned(
         "10k-session run_fleet at seed 7",
-        (41_572, 26_619_946),
+        (11_572, 8_379_946),
         || run_fleet(&config),
     );
 }
